@@ -28,7 +28,6 @@ from .miner import (
     mine,
     mine_mpp,
     prop5_prune,
-    render_patterns,
 )
 from .nodeinfo import (
     FeasibilityChecker,
@@ -67,7 +66,7 @@ __all__ = [
     "format_attribute_tsv", "format_constraint", "generate_attributes",
     "make_database", "med_extendable", "mine", "mine_bruteforce", "mine_mpp",
     "mine_ppcc", "parse_attribute_tsv", "parse_constraint", "parse_spmf",
-    "propagate", "prop5_prune", "render_patterns", "span_extendable", "stats",
+    "propagate", "prop5_prune", "span_extendable", "stats",
     "sum_extendable", "support_of", "to_spmf", "validate",
 ]
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,9 +73,7 @@ class RunConfig:
     profile: str = "time:time,price:uniform,quality:uniform"
     ordering_attr: str | None = None
     disable_prop5: bool = False
-    median_pareto: bool = False
     emit_stats: bool = False
-    threads: int = 1
     max_len: int | None = None
 
 
@@ -118,10 +118,28 @@ def _specs_from(config: RunConfig):
 
 
 def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` or stdout; a file is replaced atomically.
+
+    The text goes to a temporary file in the target's directory first and is
+    then renamed onto the target, so a failed run never leaves a truncated
+    output behind.
+    """
     if path == "-":
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return
+    target = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        # mkstemp creates the file private; give it the mode a plain write would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_mine(config: RunConfig) -> int:
@@ -134,12 +152,11 @@ def _cmd_mine(config: RunConfig) -> int:
     if config.miner == "mpp":
         mdd = build_mdd(db, specs)
         t1 = time.perf_counter()
-        store = propagate(mdd, db, specs, pareto_median=config.median_pareto)
+        store = propagate(mdd, db, specs)
         t2 = time.perf_counter()
         patterns = mine(
             mdd, store, db, specs, theta,
-            use_prop5=not config.disable_prop5,
-            counters=counters, threads=config.threads,
+            use_prop5=not config.disable_prop5, counters=counters,
         )
         t3 = time.perf_counter()
         build_s, prop_s, mine_s = t1 - t0, t2 - t1, t3 - t2
@@ -268,13 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--miner", choices=("mpp", "ppcc", "brute"), default="mpp")
     p.add_argument("--disable-prop5", action="store_true",
                    help="disable early candidate abandonment")
-    p.add_argument("--median-pareto", action="store_true",
-                   help="keep every non-dominated median candidate per node")
     p.add_argument("--emit-stats", action="store_true",
                    help="write a run report (phase times and counters)")
     p.add_argument("--report", help="run report path (implies --emit-stats)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="top-level mining tasks (default 1)")
     p.add_argument("--max-len", type=int, help="pattern length cap (brute miner)")
 
     p = sub.add_parser("gen-attrs", help="generate synthetic attributes")
@@ -301,8 +314,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         ("attrs_path", "attrs"), ("miner", "miner"), ("min_support", "min_sup"),
         ("scenario", "scenario"), ("output", "output"), ("report", "report"),
         ("seed", "seed"), ("profile", "profile"), ("ordering_attr", "ordering_attr"),
-        ("disable_prop5", "disable_prop5"), ("median_pareto", "median_pareto"),
-        ("emit_stats", "emit_stats"), ("threads", "threads"), ("max_len", "max_len"),
+        ("disable_prop5", "disable_prop5"), ("emit_stats", "emit_stats"),
+        ("max_len", "max_len"),
     ):
         if hasattr(args, attr) and getattr(args, attr) is not None:
             setattr(config, name, getattr(args, attr))
@@ -321,8 +334,6 @@ def main(argv: list[str] | None = None) -> int:
             _parse_min_support(args.min_sup)
         except ValueError as exc:
             parser.error(str(exc))
-        if args.threads < 1:
-            parser.error("--threads must be at least 1")
     return run(_config_from_args(args))
 
 

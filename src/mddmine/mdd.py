@@ -21,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence as SequenceT
 
-from .constraints import ConstraintSpec, imposable, pairwise_rules, require_known_attributes
+from .constraints import (
+    ConstraintSpec,
+    check_occurrence,
+    imposable,
+    pairwise_rules,
+    require_known_attributes,
+)
 from .seqdb import AttributedDatabase
 
 ROOT_ITEM = -1
@@ -37,10 +43,6 @@ class MddNode:
         #: sid -> attribute value tuple, aligned with the database attribute names
         self.labels: dict[int, tuple[int, ...]] = {}
         self.out_arcs: list[Arc] = []
-
-    @property
-    def sids(self) -> set[int]:
-        return set(self.labels)
 
     def __repr__(self) -> str:
         return f"MddNode({self.item}@{self.layer})"
@@ -86,10 +88,6 @@ class Mdd:
 
     def node(self, layer: int, item: int) -> MddNode | None:
         return self._nodes.get((layer, item))
-
-    def node_for_event(self, sid: int, pos: int) -> MddNode:
-        """Node holding (sid, 0-based pos); unique by construction."""
-        return self._nodes[(pos + 1, self._items[sid - 1][pos])]
 
     def layer_nodes(self, layer: int) -> list[MddNode]:
         nodes = [n for (lay, _), n in self._nodes.items() if lay == layer]
@@ -212,15 +210,18 @@ class MddValidationReport:
         self.ok = False
         self.problems.append(message)
 
-    def raise_if_failed(self) -> None:
-        if not self.ok:
-            raise AssertionError("; ".join(self.problems))
-
 
 def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
-    """Check every structural invariant of the diagram against the database."""
+    """Check every structural invariant of the diagram against the database.
+
+    The successor tables are checked against the imposed specs directly,
+    never through a second ``build_mdd``: ``k`` succeeds ``j`` exactly when
+    ``j < k`` and every imposed spec passes ``check_occurrence`` on the
+    occurrence ``[e_j, e_k]``, and an event starts a pattern and is live
+    exactly when its one-event occurrence passes every imposed spec.  With
+    nothing imposed this is complete forward reachability.
+    """
     report = MddValidationReport()
-    expected = build_mdd(db, mdd.imposed)
 
     # node set: one node per (layer, distinct item at that position)
     expected_keys = set()
@@ -249,13 +250,38 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
         if not node.labels:
             report.fail(f"node {item}@{layer} has an empty label set")
 
-    # successor tables must match a fresh build under the same imposed specs
-    if mdd.succ != expected.succ:
-        for si in range(min(len(mdd.succ), len(expected.succ))):
-            if mdd.succ[si] != expected.succ[si]:
-                report.fail(f"successor table differs for sid {si + 1}")
-    if mdd.starts != expected.starts:
-        report.fail("root start positions differ from the imposed rules")
+    # successor tables, starts and liveness, one direct rule per sequence
+    n_seq = len(db.sequences)
+    if not len(mdd.succ) == len(mdd.starts) == len(mdd.alive) == n_seq:
+        report.fail(f"successor tables do not cover the {n_seq} sequences")
+        return report
+    imposed = mdd.imposed
+
+    def passes(occ) -> bool:
+        return all(check_occurrence(occ, spec) for spec in imposed)
+
+    for si, seq in enumerate(db.sequences):
+        events = seq.events
+        single = tuple(passes([e]) for e in events)
+        if tuple(mdd.alive[si]) != single:
+            report.fail(f"sid {seq.sid}: live events differ from the imposed rules")
+        if tuple(mdd.starts[si]) != tuple(j for j, ok in enumerate(single) if ok):
+            report.fail(f"sid {seq.sid}: start positions differ from the imposed rules")
+        if len(mdd.succ[si]) != len(events):
+            report.fail(f"sid {seq.sid}: successor table has the wrong length")
+            continue
+        for j, nexts in enumerate(mdd.succ[si]):
+            expected = tuple(
+                k for k in range(j + 1, len(events)) if passes([events[j], events[k]])
+            )
+            forbidden = sorted(set(nexts) - set(expected))
+            missing = sorted(set(expected) - set(nexts))
+            for k in forbidden:
+                report.fail(f"sid {seq.sid}: forbidden arc {j + 1}->{k + 1}")
+            for k in missing:
+                report.fail(f"sid {seq.sid}: missing arc {j + 1}->{k + 1}")
+            if not forbidden and not missing and tuple(nexts) != expected:
+                report.fail(f"sid {seq.sid}: successors of {j + 1} not ascending")
 
     # object graph consistency
     mdd.ensure_arcs()
@@ -278,36 +304,7 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
                 if bad:
                     report.fail(f"arc {arc!r} labeled with sids {sorted(bad)} "
                                 "missing on its target")
-
-    if not mdd.imposed:
-        _validate_unconstrained(mdd, db, report)
     return report
-
-
-def _validate_unconstrained(mdd: Mdd, db: AttributedDatabase, report: MddValidationReport):
-    for si, seq in enumerate(db.sequences):
-        length = len(seq)
-        for j in range(length):
-            expected_next = tuple(range(j + 1, length))
-            if mdd.succ[si][j] != expected_next:
-                report.fail(f"sid {seq.sid}: position {j + 1} lacks complete "
-                            "forward reachability")
-        if mdd.starts[si] != tuple(range(length)):
-            report.fail(f"sid {seq.sid}: not every event can start a pattern")
-        # replay along consecutive positions reconstructs the sequence
-        replayed = []
-        for pos in range(length):
-            node = mdd.node(pos + 1, seq.items[pos])
-            if node is None or seq.sid not in node.labels:
-                report.fail(f"sid {seq.sid}: replay broken at position {pos + 1}")
-                break
-            if pos + 1 < length and pos + 1 not in mdd.succ[si][pos]:
-                report.fail(f"sid {seq.sid}: consecutive arc {pos + 1}->{pos + 2} missing")
-                break
-            replayed.append(node.item)
-        else:
-            if tuple(replayed) != seq.items:
-                report.fail(f"sid {seq.sid}: replay does not reconstruct the sequence")
 
 
 # --- DOT export ----------------------------------------------------------------

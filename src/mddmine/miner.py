@@ -5,7 +5,11 @@ entry for every live occurrence endpoint of the current pattern, because
 under gap-style constraints the minimal occurrence may be a dead end while a
 later one still extends.  Entries carry the occurrence positions and the
 O(1)-updatable statistics the feasibility checks need; entries agreeing on
-endpoint and statistics are interchangeable and deduplicated.
+endpoint and statistics are interchangeable and deduplicated.  Admission
+follows each constraint's monotonicity class (``classify``): anti-monotone
+constraints must hold on the occurrence itself, monotone and non-monotone
+ones must stay reachable according to the node information, and gap and
+item-set rules are already enforced by the diagram's arcs.
 
 Candidate items for extending a pattern are collected by scanning each live
 entry's successors, sequence by sequence in ascending id order.  While
@@ -14,12 +18,12 @@ the threshold is abandoned early (`prop5_prune`); this is a pure work saving
 and never changes the mined output.  A pattern is emitted when enough
 sequences own an occurrence that passes the reference evaluator for every
 constraint; entries that are not witnesses yet stay in the projection in
-case an extension completes them.
+case an extension completes them.  The search is one depth-first traversal
+in the calling thread.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from typing import Iterable, Sequence as SequenceT
 
 from .constraints import ConstraintSpec
@@ -37,13 +41,6 @@ class MiningCounters:
     info_probes: int = 0
     patterns_emitted: int = 0
     peak_entries: int = 0
-
-    def merge(self, other: "MiningCounters") -> None:
-        for f in dataclass_fields(self):
-            if f.name == "peak_entries":
-                self.peak_entries = max(self.peak_entries, other.peak_entries)
-            else:
-                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def prop5_prune(n: int, sup_i: int, sup_p: int, theta: int) -> bool:
@@ -72,9 +69,6 @@ class PatternSet:
     def add(self, items: SequenceT[int], support: int) -> None:
         self._support[tuple(items)] = support
 
-    def update(self, other: "PatternSet") -> None:
-        self._support.update(other._support)
-
     def support(self, items: SequenceT[int]) -> int | None:
         return self._support.get(tuple(items))
 
@@ -102,10 +96,6 @@ class PatternSet:
             f"{' '.join(str(i) for i in p.items)}\t#SUP: {p.support}" for p in self
         ]
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def render_patterns(patterns: PatternSet) -> str:
-    return patterns.render()
 
 
 @dataclass
@@ -281,14 +271,12 @@ class MppMiner(_ProjectionMiner):
         *,
         counters: MiningCounters | None = None,
         use_prop5: bool = True,
-        prune_monotone: bool = True,
         med_observer=None,
     ):
         counters = counters if counters is not None else MiningCounters()
         plan = StatPlan(db, specs)
         checker = FeasibilityChecker(
-            db, plan, store, counters,
-            prune_monotone=prune_monotone, med_observer=med_observer,
+            db, plan, store, counters, med_observer=med_observer,
         )
         super().__init__(db, specs, theta, checker, counters, use_prop5)
         self.mdd = mdd
@@ -309,7 +297,6 @@ def mine(
     theta: int,
     *,
     use_prop5: bool = True,
-    prune_monotone: bool = True,
     counters: MiningCounters | None = None,
     threads: int = 1,
     med_observer=None,
@@ -317,46 +304,30 @@ def mine(
     """Mine all frequent constraint-satisfying patterns from a built diagram.
 
     The diagram must have been built with the pairwise-checkable subset of
-    ``specs`` imposed.  With ``threads`` > 1 the subtree below each frequent
-    item is mined by an independent task; the diagram, information store, and
-    database are shared read-only and results merge canonically.
+    ``specs`` imposed, and ``store`` propagated for ``specs``.  Mining runs
+    in the calling thread.  ``med_observer``, when given, is called with
+    every median admission verdict.
     """
+    # threads stays as a parameter only because perfbench/worker.py passes 1
+    if threads != 1:
+        raise ValueError("mining runs single-threaded; threads must be 1")
     miner = MppMiner(
         mdd, store, db, specs, theta,
-        counters=counters, use_prop5=use_prop5,
-        prune_monotone=prune_monotone, med_observer=med_observer,
+        counters=counters, use_prop5=use_prop5, med_observer=med_observer,
     )
-    if threads <= 1:
-        return miner.mine_patterns()
-
-    out = PatternSet()
-    base = miner.root_candidates()
-
-    def mine_subtree(seed):
-        local = MppMiner(
-            mdd, store, db, specs, theta,
-            use_prop5=use_prop5, prune_monotone=prune_monotone,
-        )
-        local_out = PatternSet()
-        local._dfs([seed], local_out)
-        return local_out, local.counters
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for sub_out, sub_counters in pool.map(mine_subtree, base):
-            out.update(sub_out)
-            miner.counters.merge(sub_counters)
-    return out
+    return miner.mine_patterns()
 
 
 def mine_mpp(
     db: AttributedDatabase,
     specs: SequenceT[ConstraintSpec],
     theta: int,
-    *,
-    pareto_median: bool = False,
     **options,
 ) -> PatternSet:
-    """Convenience wrapper: build the diagram and its information, then mine."""
+    """Convenience wrapper: build the diagram and its information, then mine.
+
+    ``options`` are passed to ``mine``.
+    """
     mdd = build_mdd(db, specs)
-    store = propagate(mdd, db, specs, pareto_median=pareto_median)
+    store = propagate(mdd, db, specs)
     return mine(mdd, store, db, specs, theta, **options)

@@ -33,7 +33,9 @@ from .constraints import (
     GE,
     ConstraintSpec,
     Kind,
+    Monotonicity,
     check_occurrence,
+    classify,
     require_known_attributes,
 )
 from .mdd import Mdd
@@ -55,8 +57,36 @@ def med_fold(value: int, bound: int, triple: MedTriple) -> MedTriple:
 
 
 def med_dominates(a: MedTriple, b: MedTriple, bound: int) -> bool:
-    """Whether candidate path a subsumes b: any prefix feasible with b is
-    feasible with a.  Tie configurations where no rule fires return False."""
+    """Whether suffix triple ``a`` strictly beats ``b`` as stored information.
+
+    A triple summarizes a non-empty multiset S of oriented values against the
+    bound c: (#{v >= c} - #{v < c}, largest v < c, smallest v >= c), with the
+    column's sentinels (min - 1, max + 1) for an empty side.  A prefix P,
+    summarized alike, is feasible with S when median(P + S) >= c, which is
+    exactly ``med_extendable``: the balances sum to more than 0, or they
+    cancel and max(p2, t2) + min(p3, t3) >= 2c (both sides of c are then
+    non-empty in P + S, so no sentinel survives the max and min).
+
+    (a) On realizable triples the rule is a total preorder that matches
+        semantic dominance: ``a`` beats ``b`` iff every prefix feasible with
+        ``b`` is feasible with ``a``, and ties are semantically equivalent.
+        A larger balance wins: a prefix feasible with ``b`` has
+        p1 + b1 >= 0, so p1 + a1 > 0.  At equal balance k only prefixes of
+        balance -k are undecided; with P_lo = c - p2, P_hi = p3 - c and
+        T_lo, T_hi alike, such a prefix is feasible iff
+        min(P_hi, T_hi) >= min(P_lo, T_lo).  If T_hi >= T_lo
+        (``ok``: t2 + t3 >= 2c) that is P_hi >= min(P_lo, T_lo), easier for
+        larger t2; otherwise it is P_hi >= P_lo and T_hi >= P_lo, easier for
+        larger t3.  P_hi >= P_lo alone satisfies any ``ok`` triple, so ``ok``
+        beats not ``ok``; equal deciding values give equal conditions.
+    (b) ``med_fold`` preserves dominance: fold(v, t) summarizes S + {v}, and
+        P is feasible with S + {v} iff P + {v} is feasible with S, so if
+        ``a`` beats or ties ``b`` then fold(v, a) beats or ties fold(v, b).
+
+    By induction over successors, ``propagate`` thus stores a triple that
+    beats or ties every extension path's, and one median test on it is
+    exact.  tests/test_nodeinfo.py checks (a) and (b) exhaustively.
+    """
     if a[0] != b[0]:
         return a[0] > b[0]
     a_ok = a[1] + a[2] >= 2 * bound
@@ -68,14 +98,6 @@ def med_dominates(a: MedTriple, b: MedTriple, bound: int) -> bool:
     if not a_ok and not b_ok:
         return a[2] > b[2]
     return False
-
-
-def _med_pareto(cands: list[MedTriple], bound: int) -> tuple[MedTriple, ...]:
-    uniq = sorted(set(cands))
-    return tuple(
-        t for t in uniq
-        if not any(o != t and med_dominates(o, t, bound) for o in uniq)
-    )
 
 
 # --- derived needs -------------------------------------------------------------
@@ -135,17 +157,14 @@ class InfoStore:
     span: dict[str, list[list[tuple[int, int]]]] = field(default_factory=dict)
     sums: dict[tuple[str, int], list[list[int]]] = field(default_factory=dict)
     avg: dict[tuple[str, int, int], list[list[tuple[int, int]]]] = field(default_factory=dict)
-    med: dict[tuple[str, int, int], list[list]] = field(default_factory=dict)
+    med: dict[tuple[str, int, int], list[list[MedTriple]]] = field(default_factory=dict)
     maxlen: list[list[int]] | None = None
-    pareto_median: bool = False
 
 
 def propagate(
     mdd: Mdd,
     db: AttributedDatabase,
     specs: SequenceT[ConstraintSpec],
-    *,
-    pareto_median: bool = False,
 ) -> InfoStore:
     """Compute all per-event information the spec list calls for.
 
@@ -156,7 +175,7 @@ def propagate(
     attribute (and direction).
     """
     needs = _derive_needs(specs)
-    store = InfoStore(pareto_median=pareto_median)
+    store = InfoStore()
     succ_tables = mdd.succ
 
     for attr in needs.span_attrs:
@@ -216,28 +235,21 @@ def propagate(
 
     for attr, sign, bound in needs.med_keys:
         cols = db.columns(attr)
-        per_med: list[list] = []
+        per_med: list[list[MedTriple]] = []
         for si, col in enumerate(cols):
             succ = succ_tables[si]
             oriented = [sign * v for v in col]
             sent_lo, sent_hi = oriented_sentinels(oriented)
             empty = (0, sent_lo, sent_hi)
-            arr: list = [None] * len(col)
+            arr: list[MedTriple] = [None] * len(col)  # type: ignore[list-item]
             for j in range(len(col) - 1, -1, -1):
                 v = oriented[j]
-                base = med_fold(v, bound, empty)
-                if pareto_median:
-                    cands = [base]
-                    for k in succ[j]:
-                        cands.extend(med_fold(v, bound, t) for t in arr[k])
-                    arr[j] = _med_pareto(cands, bound)
-                else:
-                    best = base
-                    for k in succ[j]:
-                        cand = med_fold(v, bound, arr[k])
-                        if med_dominates(cand, best, bound):
-                            best = cand
-                    arr[j] = best
+                best = med_fold(v, bound, empty)
+                for k in succ[j]:
+                    cand = med_fold(v, bound, arr[k])
+                    if med_dominates(cand, best, bound):
+                        best = cand
+                arr[j] = best
             per_med.append(arr)
         store.med[(attr, sign, bound)] = per_med
 
@@ -282,18 +294,18 @@ def dump_info_tsv(store: InfoStore, db: AttributedDatabase) -> str:
         emit(f"avg({attr},{op}{sign * bound})", arrays, lambda v: f"{v[0]},{v[1]}")
     for (attr, sign, bound), arrays in sorted(store.med.items()):
         op = GE if sign > 0 else "<="
-
-        def render_med(v):
-            triples = v if v and isinstance(v[0], tuple) else (v,)
-            return ";".join(f"{t[0]},{t[1]},{t[2]}" for t in triples)
-
-        emit(f"med({attr},{op}{sign * bound})", arrays, render_med)
+        emit(f"med({attr},{op}{sign * bound})", arrays, lambda v: f"{v[0]},{v[1]},{v[2]}")
     if store.maxlen is not None:
         emit("maxlen", store.maxlen, str)
     return "\n".join(lines) + "\n"
 
 
 # --- running statistics of one occurrence ---------------------------------------
+
+#: admission tags of the anti-monotone range constraints, each a bound on one
+#: statistic of the occurrence's own (min, max) window
+_ANTI_RANGE_TAGS = {Kind.SPAN: "span_le", Kind.MAX: "max_le", Kind.MIN: "min_ge"}
+
 
 class StatPlan:
     """Layout of the running statistics entries carry for a spec list.
@@ -323,32 +335,39 @@ class StatPlan:
         self.bindings = self._bind(specs)
 
     def _bind(self, specs: SequenceT[ConstraintSpec]) -> list[tuple]:
+        """One admission step per spec, its tag chosen by ``classify``."""
         bindings: list[tuple] = []
         for spec in specs:
-            if spec.kind in (Kind.GAP, Kind.ITEM_SET):
+            kind = spec.kind
+            anti = classify(spec) is Monotonicity.ANTI_MONOTONE
+            if kind in (Kind.GAP, Kind.ITEM_SET):
+                # pairwise rules: the diagram's arcs (or the baseline's step
+                # scan) already enforce them
                 bindings.append(("skip",))
-            elif spec.kind is Kind.LENGTH:
-                tag = "len_ge" if spec.direction == GE else "len_le"
-                bindings.append((tag, spec.c))
-            elif spec.kind in (Kind.SPAN, Kind.MAX, Kind.MIN):
+            elif kind is Kind.LENGTH:
+                bindings.append(("len_le" if anti else "len_ge", spec.c))
+            elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN):
                 slot = self.span_attrs.index(spec.attribute)
-                bindings.append(("range", slot, spec))
-            elif spec.kind is Kind.SUM:
+                if anti:
+                    bindings.append((_ANTI_RANGE_TAGS[kind], slot, spec.c))
+                else:
+                    bindings.append(("range", slot, spec))
+            elif kind is Kind.SUM:
                 sign = _sign(spec.direction)
                 slot = self.sum_keys.index((spec.attribute, sign))
                 bindings.append(("sum", slot, sign, spec))
-            elif spec.kind is Kind.AVG:
+            elif kind is Kind.AVG:
                 sign = _sign(spec.direction)
                 slot = self.sum_keys.index((spec.attribute, sign))
                 key = (spec.attribute, sign, sign * spec.c)
                 bindings.append(("avg", slot, sign, key, spec))
-            elif spec.kind is Kind.MED:
+            elif kind is Kind.MED:
                 sign = _sign(spec.direction)
                 key = (spec.attribute, sign, sign * spec.c)
                 slot = self.med_keys.index(key)
                 bindings.append(("med", slot, key, spec))
             else:
-                raise AssertionError(f"unhandled kind {spec.kind!r}")
+                raise AssertionError(f"unhandled kind {kind!r}")
         return bindings
 
     def initial(self, si: int, pos: int):
@@ -458,24 +477,21 @@ def avg_extendable(
     return total >= rhs if spec.direction == GE else total <= rhs
 
 
-def med_extendable(pattern_triple: MedTriple, info, spec: ConstraintSpec) -> bool:
+def med_extendable(pattern_triple: MedTriple, info: MedTriple, spec: ConstraintSpec) -> bool:
     """Whether some extension reaches the median bound.
 
     Both triples are in oriented form (values and bound negated for <=); the
     pattern triple excludes the current event, whose value is folded into the
-    stored information.  With Pareto-mode information every stored candidate
-    triple is tried.
+    stored information.  See ``med_dominates`` for why one stored triple
+    decides this exactly.
     """
     bound = spec.c if spec.direction == GE else -spec.c
-    triples = info if info and isinstance(info[0], tuple) else (info,)
     p1, p2, p3 = pattern_triple
-    for t1, t2, t3 in triples:
-        total = p1 + t1
-        if total > 0:
-            return True
-        if total == 0 and max(p2, t2) + min(p3, t3) >= 2 * bound:
-            return True
-    return False
+    t1, t2, t3 = info
+    total = p1 + t1
+    if total > 0:
+        return True
+    return total == 0 and max(p2, t2) + min(p3, t3) >= 2 * bound
 
 
 # --- the combined checker ---------------------------------------------------------
@@ -498,14 +514,12 @@ class FeasibilityChecker:
         plan: StatPlan,
         store: InfoStore | None = None,
         counters=None,
-        prune_monotone: bool = True,
         med_observer: Callable | None = None,
     ):
         self.db = db
         self.plan = plan
         self.store = store
         self.counters = counters
-        self.prune_monotone = prune_monotone
         self.med_observer = med_observer
 
     def _count(self, n: int = 1) -> None:
@@ -532,33 +546,32 @@ class FeasibilityChecker:
                 if length > binding[1]:
                     return False
             elif tag == "len_ge":
-                if store is not None and store.maxlen is not None and self.prune_monotone:
+                if store is not None and store.maxlen is not None:
                     self._probe()
                     if (length - 1) + store.maxlen[si][pos] < binding[1]:
                         return False
+            elif tag == "span_le":
+                self._count()
+                p_lo, p_hi = spans[binding[1]]
+                if p_hi - p_lo > binding[2]:
+                    return False
+            elif tag == "max_le":
+                self._count()
+                if spans[binding[1]][1] > binding[2]:
+                    return False
+            elif tag == "min_ge":
+                self._count()
+                if spans[binding[1]][0] < binding[2]:
+                    return False
             elif tag == "range":
+                if store is None:
+                    continue
                 _, slot, spec = binding
+                self._probe()
                 p_lo, p_hi = spans[slot]
-                anti = (
-                    (spec.kind is Kind.SPAN and spec.direction != GE)
-                    or (spec.kind is Kind.MAX and spec.direction != GE)
-                    or (spec.kind is Kind.MIN and spec.direction == GE)
-                )
-                if anti:
-                    self._count()
-                    if spec.kind is Kind.SPAN:
-                        if p_hi - p_lo > spec.c:
-                            return False
-                    elif spec.kind is Kind.MAX:
-                        if p_hi > spec.c:
-                            return False
-                    elif p_lo < spec.c:
-                        return False
-                elif store is not None and self.prune_monotone:
-                    self._probe()
-                    info = store.span[spec.attribute][si][pos]
-                    if not span_extendable(p_lo, p_hi, info, spec):
-                        return False
+                info = store.span[spec.attribute][si][pos]
+                if not span_extendable(p_lo, p_hi, info, spec):
+                    return False
             elif tag == "sum":
                 if store is None:
                     continue
@@ -597,17 +610,17 @@ class FeasibilityChecker:
     def scan_gate(self, si: int, pos: int, stats) -> bool:
         """Cheap test whether extensions of this entry can possibly survive."""
         length, spans, _, _ = stats
+        store = self.store
         for binding in self.plan.bindings:
             tag = binding[0]
             if tag == "len_le" and length >= binding[1]:
                 return False
-            if tag == "range":
-                _, slot, spec = binding
-                if spec.kind is Kind.SPAN and spec.direction != GE and self.store is not None:
-                    p_lo, p_hi = spans[slot]
-                    lo, hi = self.store.span[spec.attribute][si][pos]
-                    if max(lo, p_hi - spec.c) > min(hi, p_lo + spec.c):
-                        return False
+            if tag == "span_le" and store is not None:
+                _, slot, c = binding
+                p_lo, p_hi = spans[slot]
+                lo, hi = store.span[self.plan.span_attrs[slot]][si][pos]
+                if max(lo, p_hi - c) > min(hi, p_lo + c):
+                    return False
         return True
 
     def witness(self, si: int, positions: SequenceT[int]) -> bool:

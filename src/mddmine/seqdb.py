@@ -227,6 +227,9 @@ def parse_attribute_tsv(text: str) -> AttributeTable:
     if header[:2] != ["sid", "pos"]:
         raise SeqDbError("attribute table header must start with 'sid\\tpos'")
     names = tuple(header[2:])
+    for name in names:
+        if name in ("sid", "pos") or names.count(name) > 1:
+            raise SeqDbError(f"attribute table line 1: duplicate column name {name!r}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")

@@ -75,8 +75,7 @@ class CorpusResults:
     prop5_counter_violations: list = field(default_factory=list)
     beta_value_errors: list = field(default_factory=list)
     med_verdicts_checked: int = 0
-    med_unsound: list = field(default_factory=list)
-    med_dominance_findings: list = field(default_factory=list)
+    med_verdict_errors: list = field(default_factory=list)
     structural_errors: list = field(default_factory=list)
     elapsed: float = 0.0
 
@@ -150,18 +149,7 @@ def corpus() -> CorpusResults:
         brute = mine_bruteforce(db, specs, theta)
 
         if mpp != brute:
-            # a median dominance gap may only ever lose patterns; Pareto-mode
-            # information must recover them exactly
-            has_med = any(s.kind is Kind.MED for s in specs)
-            rescued = False
-            if has_med:
-                pareto_store = propagate(mdd, db, specs, pareto_median=True)
-                pareto = mine(mdd, pareto_store, db, specs, theta)
-                if pareto == brute:
-                    results.med_dominance_findings.append((seed, "mining output"))
-                    rescued = True
-            if not rescued:
-                results.miner_mismatches.append((seed, "mpp vs brute"))
+            results.miner_mismatches.append((seed, "mpp vs brute"))
         if ppcc != brute:
             results.miner_mismatches.append((seed, "ppcc vs brute"))
 
@@ -175,30 +163,11 @@ def corpus() -> CorpusResults:
 
         _check_beta_values(db, mdd, store, results, seed)
 
-        pareto_store = None
         for (si, key, positions), verdict in recorded.items():
             spec = _spec_for_key(key)
-            truth = med_extension_exists(db, mdd, si, positions, spec)
             results.med_verdicts_checked += 1
-            if verdict == truth:
-                continue
-            if verdict and not truth:
-                results.med_unsound.append((seed, si, positions))
-                continue
-            if pareto_store is None:
-                pareto_store = propagate(mdd, db, specs, pareto_median=True)
-            attr, sign, bound = key
-            pareto_info = pareto_store.med[key][si][positions[-1]]
-            from mddmine import med_extendable
-            from mddmine.nodeinfo import StatPlan
-
-            plan = StatPlan(db, specs)
-            slot = plan.med_keys.index(key)
-            triple = plan.recompute(si, positions)[3][slot]
-            if med_extendable(triple, pareto_info, spec) == truth:
-                results.med_dominance_findings.append((seed, si, positions))
-            else:
-                results.med_unsound.append((seed, si, positions, "pareto"))
+            if verdict != med_extension_exists(db, mdd, si, positions, spec):
+                results.med_verdict_errors.append((seed, si, positions, verdict))
 
         _check_structure(db, results, seed)
 
@@ -222,16 +191,10 @@ def test_criterion_2_triple_oracle_equivalence(corpus):
 
 def test_criterion_3_beta_oracle_equivalence(corpus):
     assert corpus.beta_value_errors == []
-    assert corpus.med_unsound == []
-    if corpus.med_dominance_findings:
-        print(
-            "[ACCEPTANCE] dominance-incompleteness findings "
-            f"(rescued by Pareto mode): {corpus.med_dominance_findings}"
-        )
+    assert corpus.med_verdict_errors == []
     _ok(
         f"beta-oracle equivalence ({corpus.med_verdicts_checked} median "
-        f"verdicts verified, {len(corpus.med_dominance_findings)} dominance "
-        "findings)"
+        "verdicts, each equal to brute force)"
     )
 
 
@@ -243,7 +206,7 @@ def test_criterion_4_mdd_structure(corpus):
     assert mdd.layer_sizes() == [2, 3, 2]
     assert [n.item for n in mdd.layer_nodes(1)] == [B, C]
     assert corpus.structural_errors == []
-    _ok("structural checks (layer counts, replay reconstruction)")
+    _ok("structural checks (layer counts, validated free diagrams)")
 
 
 # --- criterion 5: early candidate abandonment is output-neutral ------------------

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -59,11 +60,6 @@ class TestMine:
         off = run_mine(click_files, tmp_path, "--min-sup", "1", "--disable-prop5")
         assert base == off
 
-    def test_threads_identical_output(self, click_files, tmp_path):
-        base = run_mine(click_files, tmp_path, "--min-sup", "1")
-        multi = run_mine(click_files, tmp_path, "--min-sup", "1", "--threads", "2")
-        assert base == multi
-
     def test_emit_stats_report(self, click_files, tmp_path):
         report = tmp_path / "run.tsv"
         run_mine(click_files, tmp_path, "--min-sup", "2",
@@ -88,12 +84,48 @@ class TestMine:
                           "--constraint", "avg(price)<=3")
         assert first == second
 
-    def test_median_pareto_flag_runs(self, click_files, tmp_path):
-        base = run_mine(click_files, tmp_path, "--min-sup", "1",
-                        "--constraint", "med(price)>=2")
-        pareto = run_mine(click_files, tmp_path, "--min-sup", "1",
-                          "--constraint", "med(price)>=2", "--median-pareto")
-        assert base == pareto
+    @pytest.mark.parametrize("option", [["--threads", "2"], ["--median-pareto"]])
+    def test_removed_options_are_unknown(self, click_files, option):
+        spmf, attrs = click_files
+        with pytest.raises(SystemExit) as err:
+            main(["mine", "--db", str(spmf), "--attrs", str(attrs),
+                  "--min-sup", "1", *option])
+        assert err.value.code == 2
+
+    def test_failed_write_keeps_previous_output(self, click_files, tmp_path,
+                                                monkeypatch):
+        spmf, attrs = click_files
+        out = tmp_path / "patterns.txt"
+        out.write_text("previous\n")
+        real_fdopen = os.fdopen
+
+        class HalfWriter:
+            """Writes half of the text, then fails like a full disk."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, mode: HalfWriter(real_fdopen(fd, mode))
+        )
+        code = main(["mine", "--db", str(spmf), "--attrs", str(attrs),
+                     "--min-sup", "1", "--output", str(out)])
+        assert code == 1
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "clicks.spmf", "clicks.tsv", "patterns.txt",
+        ]
 
     def test_missing_db_is_runtime_error(self, tmp_path, capsys):
         code = main(["mine", "--db", str(tmp_path / "nope.spmf"), "--min-sup", "1"])
@@ -160,6 +192,19 @@ class TestOtherCommands:
         assert len(SCENARIOS[1]) == 4
         assert len(SCENARIOS[2]) == 8
         assert len(SCENARIOS[3]) == 12
+
+
+def test_duplicate_attribute_column_is_rejected(tmp_path, capsys):
+    spmf = tmp_path / "one.spmf"
+    attrs = tmp_path / "one.tsv"
+    spmf.write_text("1 -1 -2\n")
+    # kept silently, the last price column (90) would fail max(price)<=50
+    attrs.write_text("sid\tpos\tprice\tprice\n1\t1\t5\t90\n")
+    code = main(["mine", "--db", str(spmf), "--attrs", str(attrs),
+                 "--min-sup", "1", "--constraint", "max(price)<=50",
+                 "--output", str(tmp_path / "out.txt")])
+    assert code == 1
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_unknown_attribute_is_a_runtime_error(click_files, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 
+import mddmine.mdd as mdd_module
 from mddmine import build_mdd, export_dot, make_database, parse_constraint, parse_spmf, validate
 from mddmine.constraints import pairwise_rules
 
@@ -129,6 +131,30 @@ class TestValidate:
         rows[0] = (1,)  # reinstate an arc the gap bound forbids
         mdd.succ[0] = tuple(rows)
         assert not validate(mdd, click_db).ok
+
+    def test_checks_arcs_without_rebuilding(self, click_db, monkeypatch):
+        real_rules = mdd_module.pairwise_rules
+
+        def drop_gap_upper_bounds(specs):
+            rules = real_rules(specs)
+            bounds = tuple((attr, lo, None) for attr, lo, _ in rules.gap_bounds)
+            return replace(rules, gap_bounds=bounds)
+
+        # a build that ignores gap(time)<=3; the validator must not share it
+        monkeypatch.setattr(mdd_module, "pairwise_rules", drop_gap_upper_bounds)
+        mdd = build_mdd(click_db, (parse_constraint("gap(time)<=3"),))
+        report = validate(mdd, click_db)
+        assert not report.ok
+        # third sequence, times 2, 5, 8: the arc 1->3 spans a gap of 6
+        assert "sid 3: forbidden arc 1->3" in report.problems
+
+    def test_tampered_liveness_and_starts_detected(self, click_db):
+        mdd = build_mdd(click_db, (parse_constraint("itemset{2}"),))
+        mdd.alive[2] = (True, False, False)  # the third sequence has no item 2
+        mdd.starts[0] = (0,)  # both events of the first sequence are item 2
+        problems = validate(mdd, click_db).problems
+        assert "sid 3: live events differ from the imposed rules" in problems
+        assert "sid 1: start positions differ from the imposed rules" in problems
 
 
 class TestExportDot:

@@ -107,6 +107,11 @@ class TestArguments:
         with pytest.raises(ValueError):
             mine_mpp(click_db, (), 0)
 
+    def test_more_than_one_thread_rejected(self, click_db):
+        assert mine_mpp(click_db, (), 2, threads=1) == mine_mpp(click_db, (), 2)
+        with pytest.raises(ValueError):
+            mine_mpp(click_db, (), 2, threads=2)
+
 
 class TestOutput:
     def test_render_format(self, click_db):
@@ -127,35 +132,7 @@ class TestOutput:
         second = mine_mpp(click_db, specs, 1).render()
         assert first == second
 
-    def test_threads_do_not_change_output(self):
-        rng = random.Random(29)
-        for _ in range(5):
-            db = random_db(rng, n_max=10, len_max=6)
-            specs = random_specs(rng, db)
-            theta = random_theta(rng, db)
-            mdd = build_mdd(db, specs)
-            store = propagate(mdd, db, specs)
-            single = mine(mdd, store, db, specs, theta)
-            multi = mine(mdd, store, db, specs, theta, threads=3)
-            assert single == multi
-
-
 class TestMonotoneHandling:
-    def test_disabling_monotone_pruning_never_changes_output(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            db = random_db(rng, n_max=10, len_max=6)
-            specs = random_specs(rng, db, max_specs=2) + (
-                parse_constraint(f"span({db.attribute_names[0]})>=6"),
-                parse_constraint("length>=2"),
-            )
-            theta = random_theta(rng, db)
-            mdd = build_mdd(db, specs)
-            store = propagate(mdd, db, specs)
-            pruned = mine(mdd, store, db, specs, theta)
-            unpruned = mine(mdd, store, db, specs, theta, prune_monotone=False)
-            assert pruned == unpruned
-
     def test_apriori_property_without_constraints(self):
         rng = random.Random(37)
         for _ in range(15):

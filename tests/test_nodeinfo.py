@@ -1,4 +1,7 @@
 import random
+from itertools import combinations_with_replacement
+
+import pytest
 
 from mddmine import (
     GE,
@@ -149,6 +152,64 @@ class TestMedHelpers:
         assert not med_dominates((0, 4, 6), (0, 4, 6), bound=5)
 
 
+def _med_triple(values, bound, sentinels):
+    """The median triple by its definition, independent of ``med_fold``."""
+    below = [v for v in values if v < bound]
+    above = [v for v in values if v >= bound]
+    return (len(above) - len(below), max(below, default=sentinels[0]),
+            min(above, default=sentinels[1]))
+
+
+class TestMedDominanceExhaustive:
+    """The two facts ``med_dominates`` documents, checked on every multiset of
+    1-3 suffix values and 0-3 prefix values from a window, for every bound
+    from two below the window to two above it (so below and above all
+    values).  Feasibility is the median of prefix plus suffix, computed
+    directly."""
+
+    @pytest.mark.parametrize("lo, hi", [(0, 10), (-3, 3)])
+    def test_rule_is_exact_and_fold_preserves_it(self, lo, hi):
+        window = range(lo, hi + 1)
+        sentinels = (lo - 1, hi + 1)
+        prefixes = [
+            ms for n in range(4) for ms in combinations_with_replacement(window, n)
+        ]
+        suffixes = prefixes[1:]
+        for bound in range(lo - 2, hi + 3):
+            spec = ConstraintSpec(Kind.MED, attribute="x", direction=GE, c=bound)
+            p_triples = [_med_triple(p, bound, sentinels) for p in prefixes]
+            feasible: dict = {}  # suffix triple -> bit set of feasible prefixes
+            for s in suffixes:
+                t = _med_triple(s, bound, sentinels)
+                truth = []
+                for p in prefixes:
+                    u = sorted(p + s)
+                    m = len(u) // 2
+                    truth.append(u[m] >= bound if len(u) % 2
+                                 else u[m - 1] + u[m] >= 2 * bound)
+                assert [med_extendable(pt, t, spec) for pt in p_triples] == truth
+                mask = sum(1 << i for i, ok in enumerate(truth) if ok)
+                # the triple decides feasibility: equal triples, equal sets
+                assert feasible.setdefault(t, mask) == mask
+                for v in window:
+                    assert med_fold(v, bound, t) == _med_triple(s + (v,), bound, sentinels)
+            triples = sorted(feasible)
+            for a in triples:
+                for b in triples:
+                    ab, ba = med_dominates(a, b, bound), med_dominates(b, a, bound)
+                    assert not (ab and ba)
+                    if ab:  # sound: a wins only where it is feasible too
+                        assert feasible[b] & ~feasible[a] == 0
+                    elif not ba:  # total: ties are semantically equivalent
+                        assert feasible[a] == feasible[b]
+            for v in window:
+                folded = {t: med_fold(v, bound, t) for t in triples}
+                for a in triples:
+                    for b in triples:
+                        if not med_dominates(b, a, bound):
+                            assert not med_dominates(folded[b], folded[a], bound)
+
+
 class TestOracleEquivalence:
     def test_span_sum_avg_maxlen_match_enumeration(self):
         rng = random.Random(11)
@@ -178,7 +239,6 @@ class TestOracleEquivalence:
 
     def test_med_verdicts_match_brute_force(self):
         rng = random.Random(13)
-        findings = 0
         for _ in range(30):
             db = random_db(rng, n_max=6, len_max=6, n_attrs=1)
             attr = db.attribute_names[0]
@@ -189,7 +249,6 @@ class TestOracleEquivalence:
             specs = gap + (med,)
             mdd = build_mdd(db, specs)
             store = propagate(mdd, db, specs)
-            pareto = propagate(mdd, db, specs, pareto_median=True)
             plan = StatPlan(db, specs)
             sign = 1 if direction == GE else -1
             key = (attr, sign, sign * med.c)
@@ -200,17 +259,7 @@ class TestOracleEquivalence:
                     triple = stats[3][slot]
                     last = occ[-1]
                     verdict = med_extendable(triple, store.med[key][si][last], med)
-                    truth = med_extension_exists(db, mdd, si, occ, med)
-                    if verdict != truth:
-                        # the dominance rules may drop a needed candidate but
-                        # must never claim an extension that does not exist
-                        assert truth and not verdict
-                        findings += 1
-                        assert med_extendable(
-                            triple, pareto.med[key][si][last], med
-                        ) == truth
-        if findings:
-            print(f"dominance-incompleteness findings: {findings}")
+                    assert verdict == med_extension_exists(db, mdd, si, occ, med)
 
 
 class TestStatPlan:

@@ -17,6 +17,7 @@ from mddmine import (
 from mddmine.seqdb import (
     AttributeCoverageError,
     OrderingError,
+    SeqDbError,
     SpmfFormatError,
     UnsupportedItemsetError,
 )
@@ -125,6 +126,11 @@ class TestAttachAttributes:
     def test_tsv_round_trip(self):
         table = parse_attribute_tsv(CLICK_ATTR_TSV)
         assert format_attribute_tsv(table) == CLICK_ATTR_TSV
+
+    @pytest.mark.parametrize("names", ["price\tprice", "time\tsid", "pos"])
+    def test_duplicate_column_names_rejected(self, names):
+        with pytest.raises(SeqDbError, match="line 1"):
+            parse_attribute_tsv(f"sid\tpos\t{names}\n1\t1\t5\t6\n")
 
 
 class TestGenerateAttributes:
