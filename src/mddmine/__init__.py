@@ -33,19 +33,16 @@ from .nodeinfo import (
     FeasibilityChecker,
     InfoStore,
     StatPlan,
-    avg_extendable,
     dump_info_tsv,
     med_extendable,
     propagate,
     span_extendable,
-    sum_extendable,
 )
 from .oracle import mine_bruteforce, mine_ppcc
 from .seqdb import (
     AttributedDatabase,
     AttributeTable,
     DbStats,
-    Event,
     Sequence,
     attach_attributes,
     format_attribute_tsv,
@@ -58,16 +55,16 @@ from .seqdb import (
 )
 
 __all__ = [
-    "AttributedDatabase", "AttributeTable", "ConstraintSpec", "DbStats", "Event",
+    "AttributedDatabase", "AttributeTable", "ConstraintSpec", "DbStats",
     "FeasibilityChecker", "GE", "InfoStore", "Kind", "LE", "Mdd",
     "MiningCounters", "Monotonicity", "Pattern", "PatternSet", "ProjectedDb",
-    "Sequence", "StatPlan", "attach_attributes", "avg_extendable", "build_mdd",
+    "Sequence", "StatPlan", "attach_attributes", "build_mdd",
     "check_occurrence", "classify", "dump_info_tsv", "export_dot",
     "format_attribute_tsv", "format_constraint", "generate_attributes",
     "make_database", "med_extendable", "mine", "mine_bruteforce", "mine_mpp",
     "mine_ppcc", "parse_attribute_tsv", "parse_constraint", "parse_spmf",
     "propagate", "prop5_prune", "span_extendable", "stats",
-    "sum_extendable", "support_of", "to_spmf", "validate",
+    "support_of", "to_spmf", "validate",
 ]
 
 __version__ = "0.1.0"

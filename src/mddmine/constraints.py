@@ -6,8 +6,9 @@ Most kinds bind to one integer attribute (gap, span, max, min, sum, avg, med);
 themselves.  Bounds are non-strict (>= or <=) and all arithmetic is exact:
 averages and medians are compared through fractions, never floats.
 
-The functions here evaluate constraints on fully materialized occurrences.
-They are deliberately independent of the diagram-based miner and serve as the
+The functions here evaluate constraints on concrete occurrences, given as a
+database sequence and the positions of the matched events.  They are
+deliberately independent of the diagram-based miner and serve as the
 reference semantics for the oracles and for final emission checks.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
-    from .seqdb import AttributedDatabase, Event
+    from .seqdb import AttributedDatabase, Sequence as DbSequence
 
 GE = ">="
 LE = "<="
@@ -135,16 +136,23 @@ def _compare(stat, direction: str, c: int) -> bool:
     return stat >= c if direction == GE else stat <= c
 
 
-def check_occurrence(occ: Sequence["Event"], spec: ConstraintSpec) -> bool:
-    """Evaluate one constraint on a concrete occurrence (matched event list)."""
-    if not occ:
+def check_occurrence(
+    seq: "DbSequence", positions: Sequence[int], spec: ConstraintSpec
+) -> bool:
+    """Evaluate one constraint on the events of ``seq`` at ``positions``.
+
+    ``positions`` are 0-based and ascending: the occurrence of a pattern.
+    """
+    if not positions:
         raise EmptyOccurrenceError("constraints are undefined on empty occurrences")
     kind = spec.kind
     if kind is Kind.LENGTH:
-        return _compare(len(occ), spec.direction, spec.c)
+        return _compare(len(positions), spec.direction, spec.c)
     if kind is Kind.ITEM_SET:
-        return all(e.item in spec.items for e in occ)
-    values = [e.attrs[spec.attribute] for e in occ]
+        items = seq.items
+        return all(items[p] in spec.items for p in positions)
+    column = seq.attr_values(spec.attribute)
+    values = [column[p] for p in positions]
     if kind is Kind.GAP:
         return all(
             _compare(values[j] - values[j - 1], spec.direction, spec.c)
@@ -165,9 +173,9 @@ def check_occurrence(occ: Sequence["Event"], spec: ConstraintSpec) -> bool:
     raise AssertionError(f"unhandled kind {kind!r}")
 
 
-def iter_embeddings(events: Sequence["Event"], pattern: Sequence[int]):
+def iter_embeddings(items: Sequence[int], pattern: Sequence[int]):
     """Yield every strictly increasing position tuple matching the pattern."""
-    n = len(events)
+    n = len(items)
     k = len(pattern)
 
     def walk(depth: int, start: int, chosen: list[int]):
@@ -176,7 +184,7 @@ def iter_embeddings(events: Sequence["Event"], pattern: Sequence[int]):
             return
         item = pattern[depth]
         for pos in range(start, n - (k - depth) + 1):
-            if events[pos].item == item:
+            if items[pos] == item:
                 chosen.append(pos)
                 yield from walk(depth + 1, pos + 1, chosen)
                 chosen.pop()
@@ -185,11 +193,10 @@ def iter_embeddings(events: Sequence["Event"], pattern: Sequence[int]):
 
 
 def has_satisfying_embedding(
-    events: Sequence["Event"], pattern: Sequence[int], specs: Sequence[ConstraintSpec]
+    seq: "DbSequence", pattern: Sequence[int], specs: Sequence[ConstraintSpec]
 ) -> bool:
-    for positions in iter_embeddings(events, pattern):
-        occ = [events[p] for p in positions]
-        if all(check_occurrence(occ, s) for s in specs):
+    for positions in iter_embeddings(seq.items, pattern):
+        if all(check_occurrence(seq, positions, s) for s in specs):
             return True
     return False
 
@@ -222,7 +229,7 @@ def support_of(
         raise ValueError("support is undefined for the empty pattern")
     require_known_attributes(specs, db.attribute_names)
     return sum(
-        1 for seq in db.sequences if has_satisfying_embedding(seq.events, pattern, specs)
+        1 for seq in db.sequences if has_satisfying_embedding(seq, pattern, specs)
     )
 
 

@@ -2,19 +2,19 @@
 
 Layer j (1-based) holds one node per distinct item occurring at position j in
 any sequence, so nodes are shared across sequences while labels keep per-
-sequence identity: a node stores, per sequence id, the attribute values of
-that sequence's event at this position.  Arcs connect an event to every later
-event of the same sequence that is a feasible next pattern step under the
-imposed pairwise rules (gap bounds, allowed item set); arcs may skip layers.
-A virtual root precedes layer 1 and a virtual terminal follows the last
-layer: the root reaches every event that may start a pattern and every live
-event reaches the terminal.
+sequence identity: a node's label for a sequence id is the attribute values
+of that sequence's event at this position.  Arcs connect an event to every
+later event of the same sequence that is a feasible next pattern step under
+the imposed pairwise rules (gap bounds, allowed item set); arcs may skip
+layers.  A virtual root precedes layer 1 and a virtual terminal follows the
+last layer: the root reaches every event that may start a pattern and every
+live event reaches the terminal.
 
-Construction runs backward over each sequence (last position first) so that
-node-information propagation can consume finalized successor data.  Mining
-never touches the node/arc objects; it walks the compact per-sequence
-successor tables (`succ`, `starts`), and the object graph is materialized
-lazily for validation and DOT export.
+``build_mdd`` computes only the compact per-sequence successor tables
+(`succ`, `starts`, `alive`) over the database's columns; mining walks those
+and never touches a node.  The node/arc object graph, labels included, is
+derived from the tables and the database on first use, for the structure
+accessors, validation and DOT export.
 """
 from __future__ import annotations
 
@@ -63,37 +63,32 @@ class Arc:
 class Mdd:
     """Immutable diagram over a fixed database; see module docstring."""
 
-    def __init__(
-        self,
-        n_layers: int,
-        n_sequences: int,
-        imposed: tuple[ConstraintSpec, ...],
-    ):
-        self.n_layers = n_layers
-        self.n_sequences = n_sequences
+    def __init__(self, db: AttributedDatabase, imposed: tuple[ConstraintSpec, ...]):
+        self.db = db
+        self.n_layers = max((len(seq) for seq in db.sequences), default=0)
         self.imposed = imposed
-        self.root = MddNode(0, ROOT_ITEM)
-        self.terminal = MddNode(n_layers + 1, TERMINAL_ITEM)
-        self._nodes: dict[tuple[int, int], MddNode] = {}
         #: per sequence index: tuple over 0-based positions of successor tuples
         self.succ: list[tuple[tuple[int, ...], ...]] = []
         #: per sequence index: positions whose events may start a pattern
         self.starts: list[tuple[int, ...]] = []
         #: per sequence index: positions whose events are live (reach terminal)
         self.alive: list[tuple[bool, ...]] = []
-        self._items: list[tuple[int, ...]] = []
-        self._arcs_built = False
+        #: (layer, item) -> node; None until ``ensure_arcs`` derives the graph
+        self._nodes: dict[tuple[int, int], MddNode] | None = None
 
-    # -- structure accessors --
+    # -- structure accessors; each derives the object graph first --
 
     def node(self, layer: int, item: int) -> MddNode | None:
+        self.ensure_arcs()
         return self._nodes.get((layer, item))
 
     def layer_nodes(self, layer: int) -> list[MddNode]:
+        self.ensure_arcs()
         nodes = [n for (lay, _), n in self._nodes.items() if lay == layer]
         return sorted(nodes, key=lambda n: n.item)
 
     def layer_sizes(self) -> list[int]:
+        self.ensure_arcs()
         sizes = [0] * self.n_layers
         for layer, _ in self._nodes:
             sizes[layer - 1] += 1
@@ -101,21 +96,19 @@ class Mdd:
 
     @property
     def n_nodes(self) -> int:
+        self.ensure_arcs()
         return len(self._nodes)
 
-    # -- internal build helpers --
-
-    def _ensure_node(self, layer: int, item: int) -> MddNode:
-        node = self._nodes.get((layer, item))
-        if node is None:
-            node = MddNode(layer, item)
-            self._nodes[(layer, item)] = node
-        return node
-
     def ensure_arcs(self) -> None:
-        """Materialize the node/arc object graph from the successor tables."""
-        if self._arcs_built:
+        """Derive nodes, labels and arcs from the database and successor tables.
+
+        Also creates the virtual ``root`` and ``terminal``.
+        """
+        if self._nodes is not None:
             return
+        self.root = MddNode(0, ROOT_ITEM)
+        self.terminal = MddNode(self.n_layers + 1, TERMINAL_ITEM)
+        nodes: dict[tuple[int, int], MddNode] = {}
         by_pair: dict[tuple[MddNode, MddNode], Arc] = {}
 
         def label(source: MddNode, target: MddNode, sid: int) -> None:
@@ -126,21 +119,28 @@ class Mdd:
                 source.out_arcs.append(arc)
             arc.sids.add(sid)
 
-        for si, items in enumerate(self._items):
-            sid = si + 1
-            nodes = [self._nodes[(pos + 1, item)] for pos, item in enumerate(items)]
+        names = self.db.attribute_names
+        for si, seq in enumerate(self.db.sequences):
+            sid = seq.sid
+            columns = [seq.attr_values(name) for name in names]
+            row = []
+            for pos, item in enumerate(seq.items):
+                node = nodes.get((pos + 1, item))
+                if node is None:
+                    node = nodes[(pos + 1, item)] = MddNode(pos + 1, item)
+                node.labels[sid] = tuple(col[pos] for col in columns)
+                row.append(node)
             for pos in self.starts[si]:
-                label(self.root, nodes[pos], sid)
+                label(self.root, row[pos], sid)
             for pos, nexts in enumerate(self.succ[si]):
                 for nxt in nexts:
-                    label(nodes[pos], nodes[nxt], sid)
+                    label(row[pos], row[nxt], sid)
             for pos, live in enumerate(self.alive[si]):
                 if live:
-                    label(nodes[pos], self.terminal, sid)
-        for node in self._nodes.values():
+                    label(row[pos], self.terminal, sid)
+        for node in [self.root, *nodes.values()]:
             node.out_arcs.sort(key=lambda a: (a.target.layer, a.target.item))
-        self.root.out_arcs.sort(key=lambda a: (a.target.layer, a.target.item))
-        self._arcs_built = True
+        self._nodes = nodes
 
 
 def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> Mdd:
@@ -149,14 +149,12 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
     Only gap and item_set specs shape the arc set; every other constraint is
     ignored here and handled by node information or by the miner.  For a gap
     upper bound on the ordering attribute, the scan over later positions stops
-    at the first violation since the deltas can only grow.
+    at the first violation since the deltas can only grow.  No node object is
+    created here; see ``Mdd.ensure_arcs``.
     """
     require_known_attributes(specs, db.attribute_names)
     rules = pairwise_rules(specs)
-    imposed = imposable(specs)
-    n_layers = max((len(seq) for seq in db.sequences), default=0)
-    mdd = Mdd(n_layers, len(db.sequences), imposed)
-    names = db.attribute_names
+    mdd = Mdd(db, imposable(specs))
     gap_attrs = [attr for attr, _, _ in rules.gap_bounds]
     ordering = db.ordering_attribute
     ord_hi: int | None = None
@@ -165,17 +163,13 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
             ord_hi = hi
 
     for seq in db.sequences:
-        sid = seq.sid
         items = seq.items
-        mdd._items.append(items)
         length = len(items)
         cols = {attr: seq.attr_values(attr) for attr in gap_attrs}
         ord_col = cols.get(ordering) if ordering is not None else None
         alive = tuple(rules.item_ok(item) for item in items)
         succ_rows: list[tuple[int, ...]] = [()] * length
-        for j in range(length - 1, -1, -1):
-            node = mdd._ensure_node(j + 1, items[j])
-            node.labels[sid] = tuple(seq.events[j].attrs[name] for name in names)
+        for j in range(length):
             if not alive[j]:
                 continue
             nexts: list[int] = []
@@ -219,9 +213,46 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
     ``j < k`` and every imposed spec passes ``check_occurrence`` on the
     occurrence ``[e_j, e_k]``, and an event starts a pattern and is live
     exactly when its one-event occurrence passes every imposed spec.  With
-    nothing imposed this is complete forward reachability.
+    nothing imposed this is complete forward reachability.  The object graph
+    is derived from the tables, so it is derived and checked only once the
+    tables pass.
     """
     report = MddValidationReport()
+
+    # successor tables, starts and liveness, one direct rule per sequence
+    n_seq = len(db.sequences)
+    if not len(mdd.succ) == len(mdd.starts) == len(mdd.alive) == n_seq:
+        report.fail(f"successor tables do not cover the {n_seq} sequences")
+        return report
+    imposed = mdd.imposed
+
+    def passes(seq, *positions: int) -> bool:
+        return all(check_occurrence(seq, positions, spec) for spec in imposed)
+
+    for si, seq in enumerate(db.sequences):
+        n = len(seq)
+        single = tuple(passes(seq, j) for j in range(n))
+        if tuple(mdd.alive[si]) != single:
+            report.fail(f"sid {seq.sid}: live events differ from the imposed rules")
+        if tuple(mdd.starts[si]) != tuple(j for j, ok in enumerate(single) if ok):
+            report.fail(f"sid {seq.sid}: start positions differ from the imposed rules")
+        if len(mdd.succ[si]) != n:
+            report.fail(f"sid {seq.sid}: successor table has the wrong length")
+            continue
+        for j, nexts in enumerate(mdd.succ[si]):
+            expected = tuple(k for k in range(j + 1, n) if passes(seq, j, k))
+            forbidden = sorted(set(nexts) - set(expected))
+            missing = sorted(set(expected) - set(nexts))
+            for k in forbidden:
+                report.fail(f"sid {seq.sid}: forbidden arc {j + 1}->{k + 1}")
+            for k in missing:
+                report.fail(f"sid {seq.sid}: missing arc {j + 1}->{k + 1}")
+            if not forbidden and not missing and tuple(nexts) != expected:
+                report.fail(f"sid {seq.sid}: successors of {j + 1} not ascending")
+
+    if not report.ok:
+        return report  # the object graph is derived from these tables
+    mdd.ensure_arcs()
 
     # node set: one node per (layer, distinct item at that position)
     expected_keys = set()
@@ -237,54 +268,18 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
     # labels: every event sits in exactly the node of its (position, item)
     names = db.attribute_names
     for seq in db.sequences:
-        for pos, event in enumerate(seq.events):
-            node = mdd.node(pos + 1, event.item)
+        columns = [seq.attr_values(name) for name in names]
+        for pos, item in enumerate(seq.items):
+            node = mdd.node(pos + 1, item)
             if node is None:
                 continue
-            attrs = tuple(event.attrs[name] for name in names)
-            if node.labels.get(seq.sid) != attrs:
-                report.fail(
-                    f"node {event.item}@{pos + 1} lacks label for sid {seq.sid}"
-                )
+            if node.labels.get(seq.sid) != tuple(col[pos] for col in columns):
+                report.fail(f"node {item}@{pos + 1} lacks label for sid {seq.sid}")
     for (layer, item), node in mdd._nodes.items():
         if not node.labels:
             report.fail(f"node {item}@{layer} has an empty label set")
 
-    # successor tables, starts and liveness, one direct rule per sequence
-    n_seq = len(db.sequences)
-    if not len(mdd.succ) == len(mdd.starts) == len(mdd.alive) == n_seq:
-        report.fail(f"successor tables do not cover the {n_seq} sequences")
-        return report
-    imposed = mdd.imposed
-
-    def passes(occ) -> bool:
-        return all(check_occurrence(occ, spec) for spec in imposed)
-
-    for si, seq in enumerate(db.sequences):
-        events = seq.events
-        single = tuple(passes([e]) for e in events)
-        if tuple(mdd.alive[si]) != single:
-            report.fail(f"sid {seq.sid}: live events differ from the imposed rules")
-        if tuple(mdd.starts[si]) != tuple(j for j, ok in enumerate(single) if ok):
-            report.fail(f"sid {seq.sid}: start positions differ from the imposed rules")
-        if len(mdd.succ[si]) != len(events):
-            report.fail(f"sid {seq.sid}: successor table has the wrong length")
-            continue
-        for j, nexts in enumerate(mdd.succ[si]):
-            expected = tuple(
-                k for k in range(j + 1, len(events)) if passes([events[j], events[k]])
-            )
-            forbidden = sorted(set(nexts) - set(expected))
-            missing = sorted(set(expected) - set(nexts))
-            for k in forbidden:
-                report.fail(f"sid {seq.sid}: forbidden arc {j + 1}->{k + 1}")
-            for k in missing:
-                report.fail(f"sid {seq.sid}: missing arc {j + 1}->{k + 1}")
-            if not forbidden and not missing and tuple(nexts) != expected:
-                report.fail(f"sid {seq.sid}: successors of {j + 1} not ascending")
-
     # object graph consistency
-    mdd.ensure_arcs()
     seen_pairs = set()
     for node in list(mdd._nodes.values()) + [mdd.root]:
         for arc in node.out_arcs:

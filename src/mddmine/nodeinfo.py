@@ -449,34 +449,6 @@ def span_extendable(
     raise ValueError(f"span_extendable does not handle kind {kind!r}")
 
 
-def sum_extendable(
-    pattern_sum: int, current_value: int, best_path_sum: int, spec: ConstraintSpec
-) -> bool:
-    """Whether some extension reaches the sum bound.
-
-    ``best_path_sum`` is the extremal reachable path sum including the
-    current event's value, so the current value is removed from the pattern
-    side; stopping immediately is covered by the single-event path.
-    """
-    total = (pattern_sum - current_value) + best_path_sum
-    return total >= spec.c if spec.direction == GE else total <= spec.c
-
-
-def avg_extendable(
-    pattern_sum: int,
-    pattern_len: int,
-    current_value: int,
-    info: tuple[int, int],
-    spec: ConstraintSpec,
-) -> bool:
-    """Whether some extension reaches the average bound (cross-multiplied)."""
-    beta1, beta2 = info
-    total = (pattern_sum - current_value) + beta1
-    count = (pattern_len - 1) + beta2
-    rhs = spec.c * count
-    return total >= rhs if spec.direction == GE else total <= rhs
-
-
 def med_extendable(pattern_triple: MedTriple, info: MedTriple, spec: ConstraintSpec) -> bool:
     """Whether some extension reaches the median bound.
 
@@ -624,10 +596,9 @@ class FeasibilityChecker:
         return True
 
     def witness(self, si: int, positions: SequenceT[int]) -> bool:
-        events = self.db.sequences[si].events
-        occ = [events[p] for p in positions]
+        seq = self.db.sequences[si]
         for spec in self.plan.specs:
             self._count()
-            if not check_occurrence(occ, spec):
+            if not check_occurrence(seq, positions, spec):
                 return False
         return True

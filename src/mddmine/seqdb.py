@@ -1,10 +1,14 @@
 """Sequence database model, SPMF ingestion, and attribute tooling.
 
-The database is a list of event sequences.  Every event carries one item
-identifier (a non-negative integer) plus one integer value per declared
-attribute; the same item may occur with different attribute values at
-different positions.  When an ordering attribute is declared (typically
-``time``), its values must be strictly increasing along each sequence.
+The database is a list of sequences stored column-wise: each sequence holds
+a tuple of item identifiers (non-negative integers) and, per declared
+attribute, one tuple of integer values aligned with the items.  The event at
+position j is ``items[j]`` with its values ``values[name][j]``; the same item
+may occur with different attribute values at different positions.  These
+tuples are the only copy of the data: ``attr_values`` and
+``AttributedDatabase.columns`` hand them out as they are.  When an ordering
+attribute is declared (typically ``time``), its values must be strictly
+increasing along each sequence.
 
 Two on-disk formats are understood:
 
@@ -45,28 +49,22 @@ class OrderingError(SeqDbError):
     """The declared ordering attribute is not strictly increasing."""
 
 
-@dataclass(frozen=True, eq=True)
-class Event:
-    item: int
-    attrs: Mapping[str, int] = field(default_factory=dict)
-
-
 @dataclass
 class Sequence:
-    """One ordered event sequence with a 1-based identifier."""
+    """One ordered event sequence with a 1-based identifier.
+
+    ``values`` maps each attribute name to a tuple aligned with ``items``.
+    """
 
     sid: int
-    events: list[Event]
-
-    @property
-    def items(self) -> tuple[int, ...]:
-        return tuple(e.item for e in self.events)
+    items: tuple[int, ...]
+    values: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def attr_values(self, name: str) -> tuple[int, ...]:
-        return tuple(e.attrs[name] for e in self.events)
+        return self.values[name]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.items)
 
 
 @dataclass
@@ -80,38 +78,37 @@ class AttributedDatabase:
         for idx, seq in enumerate(self.sequences, start=1):
             if seq.sid != idx:
                 raise SeqDbError(f"sequence ids must be contiguous from 1, got {seq.sid} at {idx}")
-            if not seq.events:
+            if not seq.items:
                 raise SeqDbError(f"sequence {seq.sid} is empty")
-            for pos, event in enumerate(seq.events, start=1):
-                if event.item < 0:
+            for pos, item in enumerate(seq.items, start=1):
+                if item < 0:
                     raise SeqDbError(f"negative item id at sid {seq.sid} pos {pos}")
-                for name in self.attribute_names:
-                    if name not in event.attrs:
-                        raise SeqDbError(
-                            f"event at sid {seq.sid} pos {pos} lacks attribute {name!r}"
-                        )
+            for name in self.attribute_names:
+                values = seq.values.get(name)
+                if values is None:
+                    raise SeqDbError(f"sequence {seq.sid} lacks attribute {name!r}")
+                if len(values) != len(seq.items):
+                    raise SeqDbError(
+                        f"attribute {name!r} has {len(values)} values for the "
+                        f"{len(seq.items)} items of sid {seq.sid}"
+                    )
         if self.ordering_attribute is not None:
             if self.ordering_attribute not in self.attribute_names:
                 raise SeqDbError(
                     f"ordering attribute {self.ordering_attribute!r} is not declared"
                 )
             _check_ordering(self.sequences, self.ordering_attribute)
-        self._columns: dict[str, list[tuple[int, ...]]] = {}
 
     @property
     def item_universe(self) -> frozenset[int]:
-        return frozenset(e.item for seq in self.sequences for e in seq.events)
+        return frozenset(item for seq in self.sequences for item in seq.items)
 
     def __len__(self) -> int:
         return len(self.sequences)
 
     def columns(self, name: str) -> list[tuple[int, ...]]:
-        """Per-sequence value tuples for one attribute (cached)."""
-        cached = self._columns.get(name)
-        if cached is None:
-            cached = [seq.attr_values(name) for seq in self.sequences]
-            self._columns[name] = cached
-        return cached
+        """The stored per-sequence value tuples of one attribute, not copies."""
+        return [seq.values[name] for seq in self.sequences]
 
 
 def _check_ordering(sequences: list[Sequence], name: str) -> None:
@@ -130,16 +127,22 @@ def make_database(
     attrs: Mapping[str, SequenceT[SequenceT[int]]] | None = None,
     ordering_attribute: str | None = None,
 ) -> AttributedDatabase:
-    """Build a database from parallel item and attribute-value lists."""
+    """Build a database from parallel item and attribute-value lists.
+
+    Every attribute needs one value list per sequence, one value per item.
+    """
     attrs = attrs or {}
     names = tuple(attrs)
-    sequences = []
-    for i, items in enumerate(item_lists):
-        events = [
-            Event(item, {name: attrs[name][i][j] for name in names})
-            for j, item in enumerate(items)
-        ]
-        sequences.append(Sequence(i + 1, events))
+    for name in names:
+        n_lists, n_seqs = len(attrs[name]), len(item_lists)
+        if n_lists != n_seqs:
+            sid = min(n_lists, n_seqs) + 1
+            problem = "no values for" if n_lists < n_seqs else "values for unknown"
+            raise SeqDbError(f"attribute {name!r} has {problem} sid {sid}")
+    sequences = [
+        Sequence(i + 1, tuple(items), {name: tuple(attrs[name][i]) for name in names})
+        for i, items in enumerate(item_lists)
+    ]
     return AttributedDatabase(sequences, names, ordering_attribute)
 
 
@@ -157,7 +160,7 @@ def parse_spmf(text: str) -> AttributedDatabase:
                 tokens.append(int(tok))
             except ValueError:
                 raise SpmfFormatError(f"malformed token {tok!r}", lineno) from None
-        events: list[Event] = []
+        items: list[int] = []
         itemset: list[int] = []
         closed = False
         for tok in tokens:
@@ -176,7 +179,7 @@ def parse_spmf(text: str) -> AttributedDatabase:
                         "are supported",
                         lineno,
                     )
-                events.append(Event(itemset[0]))
+                items.append(itemset[0])
                 itemset = []
             elif tok < 0:
                 raise SpmfFormatError(f"malformed token {tok}", lineno)
@@ -184,9 +187,9 @@ def parse_spmf(text: str) -> AttributedDatabase:
                 itemset.append(tok)
         if not closed:
             raise SpmfFormatError("missing -2 terminator", lineno)
-        if not events:
+        if not items:
             raise SpmfFormatError("sequence without events", lineno)
-        sequences.append(Sequence(len(sequences) + 1, events))
+        sequences.append(Sequence(len(sequences) + 1, tuple(items)))
     return AttributedDatabase(sequences)
 
 
@@ -194,8 +197,8 @@ def to_spmf(db: AttributedDatabase) -> str:
     lines = []
     for seq in db.sequences:
         parts: list[str] = []
-        for event in seq.events:
-            parts.append(str(event.item))
+        for item in seq.items:
+            parts.append(str(item))
             parts.append("-1")
         parts.append("-2")
         lines.append(" ".join(parts))
@@ -249,7 +252,7 @@ def attach_attributes(
     table: AttributeTable,
     ordering_attribute: str | None = None,
 ) -> AttributedDatabase:
-    """Return a new database whose events carry the table's attributes.
+    """Return a new database holding the table's attributes as columns.
 
     The table must cover every (sid, pos) pair exactly once.  Any attributes
     already present on the database are replaced.
@@ -271,11 +274,8 @@ def attach_attributes(
         raise AttributeCoverageError(f"attribute row for unknown sid {sid} pos {pos}")
     sequences = []
     for seq in db.sequences:
-        events = [
-            Event(e.item, dict(zip(table.names, by_key[(seq.sid, j + 1)])))
-            for j, e in enumerate(seq.events)
-        ]
-        sequences.append(Sequence(seq.sid, events))
+        rows = [by_key[(seq.sid, pos)] for pos in range(1, len(seq) + 1)]
+        sequences.append(Sequence(seq.sid, seq.items, dict(zip(table.names, zip(*rows)))))
     return AttributedDatabase(sequences, table.names, ordering_attribute)
 
 
@@ -315,7 +315,7 @@ def generate_attributes(
             for seq in db.sequences:
                 clock = 0
                 stamps = []
-                for _ in seq.events:
+                for _ in seq.items:
                     if rng.random() < LONG_DELAY_PROBABILITY:
                         delta = rng.randint(*LONG_DELAY_RANGE)
                     else:
@@ -325,7 +325,7 @@ def generate_attributes(
                 per_seq.append(stamps)
         else:
             for seq in db.sequences:
-                per_seq.append([rng.randint(*UNIFORM_RANGE) for _ in seq.events])
+                per_seq.append([rng.randint(*UNIFORM_RANGE) for _ in seq.items])
         columns[name] = per_seq
     rows = []
     for i, seq in enumerate(db.sequences):

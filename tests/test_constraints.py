@@ -8,12 +8,12 @@ from mddmine import (
     GE,
     LE,
     ConstraintSpec,
-    Event,
     Kind,
     Monotonicity,
     check_occurrence,
     classify,
     format_constraint,
+    make_database,
     parse_constraint,
     support_of,
 )
@@ -37,8 +37,10 @@ def spec(kind, direction=None, c=None, attr="x", items=None):
 
 
 def occ(values, attr="x", items=None):
+    """A one-sequence database's only sequence and the positions of all its events."""
     items = items or [0] * len(values)
-    return [Event(i, {attr: v}) for i, v in zip(items, values)]
+    seq = make_database([items], {attr: [values]}).sequences[0]
+    return seq, tuple(range(len(values)))
 
 
 class TestClassify:
@@ -70,47 +72,53 @@ class TestClassify:
 class TestCheckOccurrence:
     def test_gap_lower_bound_fails_on_tight_step(self):
         # full second-sequence embedding, times 3, 8, 9: the 8->9 gap is 1
-        times = occ([3, 8, 9], attr="time")
-        assert not check_occurrence(times, spec(Kind.GAP, GE, 3, attr="time"))
-        assert check_occurrence(times[:2], spec(Kind.GAP, GE, 3, attr="time"))
+        seq, every = occ([3, 8, 9], attr="time")
+        assert not check_occurrence(seq, every, spec(Kind.GAP, GE, 3, attr="time"))
+        assert check_occurrence(seq, every[:2], spec(Kind.GAP, GE, 3, attr="time"))
+
+    def test_gap_reads_only_the_given_positions(self):
+        # skipping the event at time 8 leaves the single step 3 -> 9
+        seq, _ = occ([3, 8, 9], attr="time")
+        assert check_occurrence(seq, (0, 2), spec(Kind.GAP, GE, 6, attr="time"))
+        assert not check_occurrence(seq, (0, 2), spec(Kind.GAP, LE, 5, attr="time"))
 
     def test_gap_upper_bound(self):
         # minimal C..A embedding in the third sequence, times 2 and 8
-        times = occ([2, 8], attr="time")
-        assert not check_occurrence(times, spec(Kind.GAP, LE, 3, attr="time"))
+        assert not check_occurrence(*occ([2, 8], attr="time"),
+                                    spec(Kind.GAP, LE, 3, attr="time"))
 
     def test_median_singleton(self):
-        assert check_occurrence(occ([5], attr="price"),
+        assert check_occurrence(*occ([5], attr="price"),
                                 spec(Kind.MED, GE, 5, attr="price"))
 
     def test_median_even_is_exact_half(self):
         prices = occ([1, 2], attr="price")
-        assert check_occurrence(prices, spec(Kind.MED, GE, 1, attr="price"))
-        assert not check_occurrence(prices, spec(Kind.MED, GE, 2, attr="price"))
+        assert check_occurrence(*prices, spec(Kind.MED, GE, 1, attr="price"))
+        assert not check_occurrence(*prices, spec(Kind.MED, GE, 2, attr="price"))
         assert exact_median([1, 2]) == Fraction(3, 2)
 
     def test_average_exact(self):
         values = occ([1, 2])
-        assert check_occurrence(values, spec(Kind.AVG, GE, 1))
-        assert not check_occurrence(values, spec(Kind.AVG, GE, 2))
+        assert check_occurrence(*values, spec(Kind.AVG, GE, 1))
+        assert not check_occurrence(*values, spec(Kind.AVG, GE, 2))
 
     def test_span_max_min_sum_length(self):
         values = occ([4, 9, 2])
-        assert check_occurrence(values, spec(Kind.SPAN, GE, 7))
-        assert not check_occurrence(values, spec(Kind.SPAN, LE, 6))
-        assert check_occurrence(values, spec(Kind.MAX, GE, 9))
-        assert check_occurrence(values, spec(Kind.MIN, LE, 2))
-        assert check_occurrence(values, spec(Kind.SUM, LE, 15))
-        assert check_occurrence(values, spec(Kind.LENGTH, GE, 3))
+        assert check_occurrence(*values, spec(Kind.SPAN, GE, 7))
+        assert not check_occurrence(*values, spec(Kind.SPAN, LE, 6))
+        assert check_occurrence(*values, spec(Kind.MAX, GE, 9))
+        assert check_occurrence(*values, spec(Kind.MIN, LE, 2))
+        assert check_occurrence(*values, spec(Kind.SUM, LE, 15))
+        assert check_occurrence(*values, spec(Kind.LENGTH, GE, 3))
 
     def test_item_set(self):
         events = occ([0, 0], items=[1, 5])
-        assert check_occurrence(events, spec(Kind.ITEM_SET, items=[1, 5, 9]))
-        assert not check_occurrence(events, spec(Kind.ITEM_SET, items=[1, 9]))
+        assert check_occurrence(*events, spec(Kind.ITEM_SET, items=[1, 5, 9]))
+        assert not check_occurrence(*events, spec(Kind.ITEM_SET, items=[1, 9]))
 
     def test_empty_occurrence_error(self):
         with pytest.raises(EmptyOccurrenceError):
-            check_occurrence([], spec(Kind.SUM, GE, 0))
+            check_occurrence(occ([0])[0], (), spec(Kind.SUM, GE, 0))
 
 
 @given(
@@ -121,8 +129,8 @@ class TestCheckOccurrence:
 )
 def test_both_directions_hold_iff_statistic_equals_bound(values, kind, c):
     events = occ(values)
-    lower = check_occurrence(events, spec(kind, GE, c))
-    upper = check_occurrence(events, spec(kind, LE, c))
+    lower = check_occurrence(*events, spec(kind, GE, c))
+    upper = check_occurrence(*events, spec(kind, LE, c))
     if kind is Kind.LENGTH:
         equal = len(values) == c
     elif kind is Kind.GAP:

@@ -1,0 +1,31 @@
+"""Smoke runs of the fast demos, each in a fresh interpreter.
+
+``demos/03_clickstream_benchmark.py`` is left out: it is a benchmark that
+runs for about ten seconds.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_demo(name: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+
+
+def test_encode_demo_prints_derived_labels():
+    # the node labels are derived on first use, not stored by build_mdd
+    result = run_demo("01_encode_database.py")
+    assert result.returncode == 0, result.stderr
+    assert "{1: (1, 5), 2: (3, 3)}" in result.stdout
+
+
+def test_mining_demo_runs():
+    result = run_demo("02_constrained_mining.py")
+    assert result.returncode == 0, result.stderr

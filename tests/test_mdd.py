@@ -40,6 +40,22 @@ class TestBuildUnconstrained:
         assert mdd.n_nodes == 0
         assert validate(mdd, parse_spmf("")).ok
 
+    def test_build_creates_no_nodes(self, click_db, monkeypatch):
+        created = []
+
+        class CountingNode(mdd_module.MddNode):
+            __slots__ = ()
+
+            def __init__(self, layer, item):
+                super().__init__(layer, item)
+                created.append((layer, item))
+
+        monkeypatch.setattr(mdd_module, "MddNode", CountingNode)
+        mdd = build_mdd(click_db, (parse_constraint("gap(time)>=3"),))
+        assert created == []
+        mdd.ensure_arcs()  # the 7 interior nodes plus the root and the terminal
+        assert len(created) == mdd.n_nodes + 2 == 9
+
 
 class TestBuildConstrained:
     def test_gap_lower_bound_arcs(self, click_db):
@@ -124,6 +140,13 @@ class TestValidate:
         report = validate(mdd, click_db)
         assert not report.ok
         assert any("sids" in p for p in report.problems)
+
+    def test_tampered_label_detected(self, click_db):
+        mdd = build_mdd(click_db)
+        mdd.ensure_arcs()
+        mdd.node(1, B).labels[1] = (1, 6)  # the event's price is 5
+        problems = validate(mdd, click_db).problems
+        assert problems == [f"node {B}@1 lacks label for sid 1"]
 
     def test_tampered_successors_detected(self, click_db):
         mdd = build_mdd(click_db, (parse_constraint("gap(time)>=3"),))

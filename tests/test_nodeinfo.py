@@ -9,14 +9,12 @@ from mddmine import (
     ConstraintSpec,
     Kind,
     StatPlan,
-    avg_extendable,
     build_mdd,
     dump_info_tsv,
     med_extendable,
     parse_constraint,
     propagate,
     span_extendable,
-    sum_extendable,
 )
 from mddmine.nodeinfo import med_dominates, med_fold, oriented_sentinels
 
@@ -89,27 +87,6 @@ class TestExtendableExamples:
         assert not span_extendable(5, 6, (5, 9), parse_constraint("min(x)<=3"))
         assert span_extendable(5, 5, (3, 9), parse_constraint("max(x)<=5"))
         assert not span_extendable(5, 7, (3, 9), parse_constraint("max(x)<=5"))
-
-    def test_sum(self):
-        ge7 = parse_constraint("sum(price)>=7")
-        ge8 = parse_constraint("sum(price)>=8")
-        assert sum_extendable(3, 3, 7, ge7)
-        assert not sum_extendable(3, 3, 7, ge8)
-
-    def test_sum_nonnegative_with_zero_bound(self):
-        spec = parse_constraint("sum(price)>=0")
-        assert sum_extendable(5, 5, 5, spec)
-
-    def test_avg(self):
-        ge3 = parse_constraint("avg(price)>=3")
-        ge4 = parse_constraint("avg(price)>=4")
-        assert avg_extendable(3, 1, 3, (3, 1), ge3)
-        assert not avg_extendable(3, 1, 3, (3, 1), ge4)
-
-    def test_avg_all_values_at_bound(self):
-        stats_sum, length, cur = 10, 2, 5
-        assert avg_extendable(stats_sum, length, cur, (5, 1), parse_constraint("avg(x)>=5"))
-        assert avg_extendable(-stats_sum, length, -cur, (-5, 1), parse_constraint("avg(x)<=5"))
 
     def test_med_positive_balance(self, click_db):
         mdd = build_mdd(click_db)

@@ -89,9 +89,8 @@ class TestAttachAttributes:
         table = parse_attribute_tsv(CLICK_ATTR_TSV)
         out = attach_attributes(db, table, ordering_attribute="time")
         second = out.sequences[1]
-        assert [(e.item, e.attrs["time"], e.attrs["price"]) for e in second.events] == [
-            (2, 3, 3), (1, 8, 1), (2, 9, 3),
-        ]
+        events = zip(second.items, second.attr_values("time"), second.attr_values("price"))
+        assert list(events) == [(2, 3, 3), (1, 8, 1), (2, 9, 3)]
         assert out.attribute_names == ("time", "price")
         assert out.ordering_attribute == "time"
 
@@ -131,6 +130,38 @@ class TestAttachAttributes:
     def test_duplicate_column_names_rejected(self, names):
         with pytest.raises(SeqDbError, match="line 1"):
             parse_attribute_tsv(f"sid\tpos\t{names}\n1\t1\t5\t6\n")
+
+
+class TestColumns:
+    def test_columns_are_the_stored_tuples(self, click_db):
+        for name in click_db.attribute_names:
+            column = click_db.columns(name)
+            for si, seq in enumerate(click_db.sequences):
+                assert column[si] is seq.attr_values(name)
+                assert type(column[si]) is tuple
+
+    def test_attached_columns_are_the_stored_tuples(self):
+        db = attach_attributes(parse_spmf(CLICK_SPMF), parse_attribute_tsv(CLICK_ATTR_TSV))
+        assert db.columns("price")[1] is db.sequences[1].attr_values("price")
+        assert db.columns("price")[1] == (3, 1, 3)
+
+
+class TestMakeDatabaseShapes:
+    def test_too_many_values_rejected(self):
+        with pytest.raises(SeqDbError, match=r"'t'.*sid 1"):
+            make_database([[5, 6]], {"t": [[1, 2, 3]]})
+
+    def test_too_few_values_rejected(self):
+        with pytest.raises(SeqDbError, match=r"'t'.*sid 1"):
+            make_database([[5, 6]], {"t": [[1]]})
+
+    def test_missing_value_list_rejected(self):
+        with pytest.raises(SeqDbError, match=r"'t'.*sid 1"):
+            make_database([[5, 6]], {"t": []})
+
+    def test_extra_value_list_rejected(self):
+        with pytest.raises(SeqDbError, match=r"'t'.*sid 2"):
+            make_database([[5]], {"t": [[1], [2]]})
 
 
 class TestGenerateAttributes:
