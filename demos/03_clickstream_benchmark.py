@@ -8,17 +8,14 @@ roughly ten seconds.
 
 Run with:  python3 demos/03_clickstream_benchmark.py
 """
-import random
 import time
-from bisect import bisect
-from itertools import accumulate
 
 from mddmine import (
     MiningCounters,
     attach_attributes,
     build_mdd,
     generate_attributes,
-    make_database,
+    generate_sessions,
     mine,
     mine_ppcc,
     parse_constraint,
@@ -29,21 +26,8 @@ from mddmine.cli import SCENARIOS
 N_SEQUENCES = 5000
 N_ITEMS = 1000
 
-
-def synthetic_sessions(rng):
-    # Zipf-like item popularity: a handful of products dominate the clicks
-    weights = [1.0 / (rank ** 1.2) for rank in range(1, N_ITEMS + 1)]
-    cumulative = list(accumulate(weights))
-    total = cumulative[-1]
-    sessions = [
-        [bisect(cumulative, rng.random() * total) + 1
-         for _ in range(rng.randint(5, 15))]
-        for _ in range(N_SEQUENCES)
-    ]
-    return make_database(sessions)
-
-
-base = synthetic_sessions(random.Random(7))
+# Zipf-like item popularity: a handful of products dominate the clicks
+base = generate_sessions(N_SEQUENCES, N_ITEMS, seed=7)
 # time accumulates per-click delays (5% of them hour-scale session breaks);
 # price and quality are uniform in [1, 100]
 table = generate_attributes(base, seed=7)

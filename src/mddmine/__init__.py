@@ -30,7 +30,6 @@ from .miner import (
     prop5_prune,
 )
 from .nodeinfo import (
-    FeasibilityChecker,
     InfoStore,
     StatPlan,
     dump_info_tsv,
@@ -47,6 +46,7 @@ from .seqdb import (
     attach_attributes,
     format_attribute_tsv,
     generate_attributes,
+    generate_sessions,
     make_database,
     parse_attribute_tsv,
     parse_spmf,
@@ -56,14 +56,14 @@ from .seqdb import (
 
 __all__ = [
     "AttributedDatabase", "AttributeTable", "ConstraintSpec", "DbStats",
-    "FeasibilityChecker", "GE", "InfoStore", "Kind", "LE", "Mdd",
-    "MiningCounters", "Monotonicity", "Pattern", "PatternSet", "ProjectedDb",
-    "Sequence", "StatPlan", "attach_attributes", "build_mdd",
-    "check_occurrence", "classify", "dump_info_tsv", "export_dot",
-    "format_attribute_tsv", "format_constraint", "generate_attributes",
-    "make_database", "med_extendable", "mine", "mine_bruteforce", "mine_mpp",
-    "mine_ppcc", "parse_attribute_tsv", "parse_constraint", "parse_spmf",
-    "propagate", "prop5_prune", "span_extendable", "stats",
+    "GE", "InfoStore", "Kind", "LE", "Mdd", "MiningCounters",
+    "Monotonicity", "Pattern", "PatternSet", "ProjectedDb", "Sequence",
+    "StatPlan", "attach_attributes", "build_mdd", "check_occurrence",
+    "classify", "dump_info_tsv", "export_dot", "format_attribute_tsv",
+    "format_constraint", "generate_attributes", "generate_sessions",
+    "make_database", "med_extendable", "mine", "mine_bruteforce",
+    "mine_mpp", "mine_ppcc", "parse_attribute_tsv", "parse_constraint",
+    "parse_spmf", "propagate", "prop5_prune", "span_extendable", "stats",
     "support_of", "to_spmf", "validate",
 ]
 

@@ -20,6 +20,12 @@ sequences own an occurrence that passes the reference evaluator for every
 constraint; entries that are not witnesses yet stay in the projection in
 case an extension completes them.  The search is one depth-first traversal
 in the calling thread.
+
+Statistics, admission and the scan gate are the functions ``StatPlan``
+compiles for the spec list (and, for the diagram miner, the store); an
+admission verdict is the index of the first failing spec, which the plan's
+prefix tables turn into constraint checks and information probes.  A scan
+keeps its counts in locals and adds them to ``MiningCounters`` once.
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ from typing import Iterable, Sequence as SequenceT
 
 from .constraints import ConstraintSpec
 from .mdd import Mdd, build_mdd
-from .nodeinfo import FeasibilityChecker, InfoStore, StatPlan, propagate
+from .nodeinfo import InfoStore, StatPlan, propagate
 from .seqdb import AttributedDatabase
 
 
@@ -121,7 +127,7 @@ class _ProjectionMiner:
         db: AttributedDatabase,
         specs: SequenceT[ConstraintSpec],
         theta: int,
-        checker: FeasibilityChecker,
+        plan: StatPlan,
         counters: MiningCounters | None = None,
         use_prop5: bool = True,
     ):
@@ -130,8 +136,7 @@ class _ProjectionMiner:
         self.db = db
         self.specs = tuple(specs)
         self.theta = theta
-        self.checker = checker
-        self.plan = checker.plan
+        self.plan = plan
         self.counters = counters if counters is not None else MiningCounters()
         self.use_prop5 = use_prop5
         self._items = [seq.items for seq in db.sequences]
@@ -158,54 +163,70 @@ class _ProjectionMiner:
 
     def _scan_candidates(self, per_sid_parents, sup_p: int):
         theta = self.theta
-        counters = self.counters
+        use_prop5 = self.use_prop5
         plan = self.plan
-        checker = self.checker
+        initial, extend, admit, gate = plan.initial, plan.extend, plan.admit, plan.gate
+        checks_at, probes_at = plan.constraint_checks, plan.info_probes
+        passed = len(plan.specs)
+        start_positions, next_positions = self._start_positions, self._next_positions
         candidates: dict[int, dict[int, list]] = {}
         item_support: dict[int, int] = {}
         dead: set[int] = set()
-        n = 0
+        n = visited = created = scanned = checks = probes = 0
         for si, parents in per_sid_parents:
             n += 1
             items = self._items[si]
             fresh: dict[int, list] = {}
             seen: set = set()
             for positions, stats in parents:
-                if positions is None:
-                    nexts = self._start_positions(si)
-                else:
-                    if not checker.scan_gate(si, positions[-1], stats):
+                if positions is not None:
+                    last = positions[-1]
+                    if not gate(si, last, stats):
                         continue
-                    nexts = self._next_positions(si, positions[-1])
+                    nexts = next_positions(si, last)
+                else:
+                    nexts = start_positions(si)
                 for nxt in nexts:
-                    counters.nodes_visited += 1
+                    visited += 1
                     item = items[nxt]
                     if item in dead:
                         continue
-                    if positions is None:
-                        new_positions = (nxt,)
-                        new_stats = plan.initial(si, nxt)
-                    else:
+                    if positions is not None:
                         new_positions = positions + (nxt,)
-                        new_stats = plan.extend(stats, si, positions[-1], nxt)
+                        new_stats = extend(stats, si, last, nxt)
+                    else:
+                        new_positions = (nxt,)
+                        new_stats = initial(si, nxt)
                     key = (nxt, new_stats)
                     if key in seen:
                         continue
                     seen.add(key)
-                    if not checker.admit(si, nxt, new_stats, new_positions):
+                    verdict = admit(si, nxt, new_stats, new_positions)
+                    checks += checks_at[verdict]
+                    probes += probes_at[verdict]
+                    if verdict != passed:
                         continue
-                    fresh.setdefault(item, []).append((new_positions, new_stats))
-                    counters.entries_created += 1
+                    if item in fresh:
+                        fresh[item].append((new_positions, new_stats))
+                    else:
+                        fresh[item] = [(new_positions, new_stats)]
+                    created += 1
             for item in sorted(fresh):
                 sup_i = item_support.get(item, 0) + 1
-                if self.use_prop5 and prop5_prune(n, sup_i, sup_p, theta):
+                if use_prop5 and prop5_prune(n, sup_i, sup_p, theta):
                     dead.add(item)
                     candidates.pop(item, None)
                     item_support.pop(item, None)
                     continue
                 item_support[item] = sup_i
                 candidates.setdefault(item, {})[si + 1] = fresh[item]
-                counters.scanned_sequences += 1
+                scanned += 1
+        counters = self.counters
+        counters.nodes_visited += visited
+        counters.entries_created += created
+        counters.scanned_sequences += scanned
+        counters.constraint_checks += checks
+        counters.info_probes += probes
         return [
             (item, ProjectedDb(candidates[item]))
             for item in sorted(candidates)
@@ -220,16 +241,22 @@ class _ProjectionMiner:
         Returns 0 as soon as the threshold is out of reach; the exact count
         matters only for emitted patterns.
         """
-        witness = self.checker.witness
-        count = 0
+        witness = self.plan.witness
+        passed = len(self.specs)
+        count = checks = 0
         left = pdb.support
         for sid, entries in pdb.entries.items():
             left -= 1
-            si = sid - 1
-            if any(witness(si, positions) for positions, _ in entries):
-                count += 1
+            for positions, _ in entries:
+                verdict = witness(sid - 1, positions)
+                checks += min(verdict + 1, passed)
+                if verdict == passed:
+                    count += 1
+                    break
             if count + left < self.theta:
-                return 0
+                count = 0
+                break
+        self.counters.constraint_checks += checks
         return count
 
     def mine_patterns(self) -> PatternSet:
@@ -273,12 +300,8 @@ class MppMiner(_ProjectionMiner):
         use_prop5: bool = True,
         med_observer=None,
     ):
-        counters = counters if counters is not None else MiningCounters()
-        plan = StatPlan(db, specs)
-        checker = FeasibilityChecker(
-            db, plan, store, counters, med_observer=med_observer,
-        )
-        super().__init__(db, specs, theta, checker, counters, use_prop5)
+        plan = StatPlan(db, specs, store, med_observer)
+        super().__init__(db, specs, theta, plan, counters, use_prop5)
         self.mdd = mdd
         self.store = store
 

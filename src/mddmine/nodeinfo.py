@@ -23,6 +23,13 @@ the information stored at its final event.  The stored values include that
 event's own attribute value, so the tests subtract it from the pattern side
 (idempotent for min/max).  Median pattern triples are therefore maintained
 over the occurrence excluding its final event.
+
+``StatPlan`` compiles a spec list once into straight-line Python: the
+statistics are one flat tuple, and ``initial``, ``extend``, ``admit`` and
+``gate`` are generated with columns, bounds and store arrays bound as
+constants, so no per-entry work dispatches on the constraint kind.
+``span_extendable``, ``med_extendable``, ``med_fold`` and ``med_dominates``
+are the reference forms of the tests the generated code inlines.
 """
 from __future__ import annotations
 
@@ -300,23 +307,48 @@ def dump_info_tsv(store: InfoStore, db: AttributedDatabase) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- running statistics of one occurrence ---------------------------------------
-
-#: admission tags of the anti-monotone range constraints, each a bound on one
-#: statistic of the occurrence's own (min, max) window
-_ANTI_RANGE_TAGS = {Kind.SPAN: "span_le", Kind.MAX: "max_le", Kind.MIN: "min_ge"}
-
+# --- the compiled plan ------------------------------------------------------------
 
 class StatPlan:
-    """Layout of the running statistics entries carry for a spec list.
+    """Running statistics and admission for one spec list, compiled once.
 
-    A stats value is a nested tuple ``(length, spans, sums, meds)``:
-    per-attribute (min, max) pairs, oriented sums shared by sum and average
-    constraints, and oriented median triples over the occurrence excluding
-    its final event.  Each component updates in O(1) per appended event.
+    A stats value is one flat tuple ``(length, lo_0, hi_0, ..., sum_0, ...,
+    m1_0, m2_0, m3_0, ...)``: the occurrence's (min, max) per span attribute,
+    its oriented sum per (attribute, sign), shared by sum and average
+    constraints, and its oriented median triple per median key over the
+    occurrence excluding its final event.  ``span_at``, ``sum_at`` and
+    ``med_at`` map each key to its first slot.
+
+    Four functions are generated as Python source (kept in ``source``) with
+    columns, signs, bounds and the store's arrays bound as constants:
+
+    * ``initial(si, pos)`` and ``extend(stats, si, old, new)`` build stats in
+      O(1) per appended event, with median folds inlined;
+    * ``admit(si, pos, stats, positions)`` returns the index of the first
+      spec whose test fails, or ``len(specs)`` when the entry stays.  The
+      test follows ``classify``: anti-monotone constraints must hold on the
+      occurrence now, monotone and non-monotone ones must stay reachable by
+      the store (``span_extendable``, ``med_extendable`` and the sum and
+      average bounds; without a store, as in the raw-database baseline,
+      these are left to emission), and gap and item-set rules are enforced
+      by arcs or the baseline's step scan;
+    * ``gate(si, pos, stats)`` is false when no extension of the entry can
+      pass a ``length<=`` or ``span<=`` constraint.
+
+    A verdict ``r`` of ``admit`` ran the tests of specs 0..r; it costs
+    ``constraint_checks[r]`` occurrence-level checks and ``info_probes[r]``
+    information lookups, counted apart because lookups replace checks and
+    the relative cost of the two is what the miners are compared on.
+    ``med_observer``, when given, is called with every median verdict.
     """
 
-    def __init__(self, db: AttributedDatabase, specs: SequenceT[ConstraintSpec]):
+    def __init__(
+        self,
+        db: AttributedDatabase,
+        specs: SequenceT[ConstraintSpec],
+        store: InfoStore | None = None,
+        med_observer: Callable | None = None,
+    ):
         require_known_attributes(specs, db.attribute_names)
         self.db = db
         self.specs = tuple(specs)
@@ -324,94 +356,151 @@ class StatPlan:
         self.span_attrs = needs.span_attrs
         self.sum_keys = needs.stat_sum_keys
         self.med_keys = needs.med_keys
-        self._span_cols = [db.columns(attr) for attr in self.span_attrs]
-        self._sum_cols = [db.columns(attr) for attr, _ in self.sum_keys]
-        self._med_cols = [db.columns(attr) for attr, _, _ in self.med_keys]
-        self._med_sentinels: list[list[tuple[int, int]]] = []
-        for (attr, sign, _), cols in zip(self.med_keys, self._med_cols):
-            self._med_sentinels.append(
-                [oriented_sentinels([sign * v for v in col]) for col in cols]
-            )
-        self.bindings = self._bind(specs)
-
-    def _bind(self, specs: SequenceT[ConstraintSpec]) -> list[tuple]:
-        """One admission step per spec, its tag chosen by ``classify``."""
-        bindings: list[tuple] = []
-        for spec in specs:
-            kind = spec.kind
-            anti = classify(spec) is Monotonicity.ANTI_MONOTONE
-            if kind in (Kind.GAP, Kind.ITEM_SET):
-                # pairwise rules: the diagram's arcs (or the baseline's step
-                # scan) already enforce them
-                bindings.append(("skip",))
-            elif kind is Kind.LENGTH:
-                bindings.append(("len_le" if anti else "len_ge", spec.c))
-            elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN):
-                slot = self.span_attrs.index(spec.attribute)
-                if anti:
-                    bindings.append((_ANTI_RANGE_TAGS[kind], slot, spec.c))
-                else:
-                    bindings.append(("range", slot, spec))
-            elif kind is Kind.SUM:
-                sign = _sign(spec.direction)
-                slot = self.sum_keys.index((spec.attribute, sign))
-                bindings.append(("sum", slot, sign, spec))
-            elif kind is Kind.AVG:
-                sign = _sign(spec.direction)
-                slot = self.sum_keys.index((spec.attribute, sign))
-                key = (spec.attribute, sign, sign * spec.c)
-                bindings.append(("avg", slot, sign, key, spec))
-            elif kind is Kind.MED:
-                sign = _sign(spec.direction)
-                key = (spec.attribute, sign, sign * spec.c)
-                slot = self.med_keys.index(key)
-                bindings.append(("med", slot, key, spec))
-            else:
-                raise AssertionError(f"unhandled kind {kind!r}")
-        return bindings
-
-    def initial(self, si: int, pos: int):
-        spans = tuple(
-            (col[si][pos], col[si][pos]) for col in self._span_cols
-        )
-        sums = tuple(
-            sign * col[si][pos]
-            for (_, sign), col in zip(self.sum_keys, self._sum_cols)
-        )
-        # median triples start empty: (0, sentinel_low, sentinel_high)
-        meds = tuple(
-            (0, self._med_sentinels[slot][si][0], self._med_sentinels[slot][si][1])
-            for slot in range(len(self.med_keys))
-        )
-        return (1, spans, sums, meds)
-
-    def extend(self, stats, si: int, old_pos: int, new_pos: int):
-        length, spans, sums, meds = stats
-        new_spans = tuple(
-            (
-                min(lo, col[si][new_pos]),
-                max(hi, col[si][new_pos]),
-            )
-            for (lo, hi), col in zip(spans, self._span_cols)
-        )
-        new_sums = tuple(
-            acc + sign * col[si][new_pos]
-            for acc, (_, sign), col in zip(sums, self.sum_keys, self._sum_cols)
-        )
-        # the median triple tracks the occurrence minus its final event, so
-        # extending folds in the value at the previous endpoint
-        new_meds = tuple(
-            med_fold(sign * col[si][old_pos], bound, triple)
-            for triple, (_, sign, bound), col in zip(meds, self.med_keys, self._med_cols)
-        )
-        return (length + 1, new_spans, new_sums, new_meds)
+        self.span_at = {a: 1 + 2 * i for i, a in enumerate(self.span_attrs)}
+        first = 1 + 2 * len(self.span_attrs)
+        self.sum_at = {k: first + j for j, k in enumerate(self.sum_keys)}
+        first += len(self.sum_keys)
+        self.med_at = {k: first + 3 * j for j, k in enumerate(self.med_keys)}
+        _compile(self, store, med_observer)
 
     def recompute(self, si: int, positions: SequenceT[int]):
-        """Statistics rebuilt from scratch; reference for the O(1) updates."""
+        """Statistics folded from scratch through ``initial`` and ``extend``."""
         stats = self.initial(si, positions[0])
         for prev, pos in zip(positions, positions[1:]):
             stats = self.extend(stats, si, prev, pos)
         return stats
+
+    def witness(self, si: int, positions: SequenceT[int]) -> int:
+        """Index of the first spec the occurrence fails under the reference
+        evaluator, or ``len(specs)``; emission counts only full passes."""
+        seq = self.db.sequences[si]
+        for i, spec in enumerate(self.specs):
+            if not check_occurrence(seq, positions, spec):
+                return i
+        return len(self.specs)
+
+
+def _compile(plan: StatPlan, store: InfoStore | None, med_observer) -> None:
+    """Generate, ``exec`` and attach the plan's four functions and tables."""
+    consts: list = []
+
+    def const(obj) -> str:
+        consts.append(obj)
+        return f"k{len(consts) - 1}"
+
+    attrs = dict.fromkeys(spec.attribute for spec in plan.specs if spec.attribute)
+    columns = {a: plan.db.columns(a) for a in attrs}
+    col = {a: const(columns[a]) for a in attrs}
+    x = {a: f"x{i}" for i, a in enumerate(attrs)}  # a column's value at one position
+    lo = {a: f"lo{i}" for i, a in enumerate(plan.span_attrs)}
+    hi = {a: f"hi{i}" for i, a in enumerate(plan.span_attrs)}
+    acc = {k: f"s{j}" for j, k in enumerate(plan.sum_keys)}
+    med = {k: (f"m{j}a", f"m{j}b", f"m{j}c") for j, k in enumerate(plan.med_keys)}
+    fields = ["ln"] + [f for a in plan.span_attrs for f in (lo[a], hi[a])]
+    fields += list(acc.values()) + [f for k in plan.med_keys for f in med[k]]
+    row = "(" + ", ".join(fields) + ",)"
+    unpack = f"        {row[1:-1]} = st"
+    value_attrs = dict.fromkeys(list(plan.span_attrs) + [a for a, _ in plan.sum_keys])
+
+    def fetch(at: str) -> list[str]:
+        return [f"        {x[a]} = {col[a]}[si][{at}]" for a in value_attrs]
+
+    init = fetch("pos")
+    for k in plan.med_keys:
+        sentinels = [oriented_sentinels([k[1] * v for v in c]) for c in columns[k[0]]]
+        init.append(f"        {med[k][1]}, {med[k][2]} = {const(sentinels)}[si]")
+    init.append("        ln = 1")
+    init += [f"        {lo[a]} = {hi[a]} = {x[a]}" for a in plan.span_attrs]
+    init += [f"        {acc[a, s]} = {'' if s > 0 else '-'}{x[a]}" for a, s in plan.sum_keys]
+    init += [f"        {med[k][0]} = 0" for k in plan.med_keys]
+
+    ext = [unpack, "        ln += 1"] + fetch("new")
+    for a in plan.span_attrs:
+        ext.append(f"        if {x[a]} < {lo[a]}: {lo[a]} = {x[a]}")
+        ext.append(f"        if {x[a]} > {hi[a]}: {hi[a]} = {x[a]}")
+    ext += [f"        {acc[a, s]} {'+' if s > 0 else '-'}= {x[a]}" for a, s in plan.sum_keys]
+    for k in plan.med_keys:
+        (attr, sign, bound), (t1, t2, t3) = k, med[k]
+        # the triple excludes the final event, so the old endpoint folds in
+        ext += [f"        v = {'' if sign > 0 else '-'}{col[attr]}[si][old]",
+                f"        if v >= {bound}:",
+                f"            {t1} += 1",
+                f"            if v < {t3}: {t3} = v",
+                "        else:",
+                f"            {t1} -= 1",
+                f"            if v > {t2}: {t2} = v"]
+
+    adm, gate = [unpack], []
+    checks, probes, fetched = [0], [0], set()
+    for i, spec in enumerate(plan.specs):
+        kind, c, attr = spec.kind, spec.c, spec.attribute
+        anti = classify(spec) is Monotonicity.ANTI_MONOTONE
+        sign = _sign(spec.direction) if spec.direction else 0
+        test = None
+        if kind is Kind.LENGTH and anti:
+            test = f"ln > {c}"
+            gate.append(f"        if st[0] >= {c}: return False")
+        elif kind is Kind.LENGTH and store is not None and store.maxlen is not None:
+            test = f"ln - 1 + {const(store.maxlen)}[si][pos] < {c}"
+        elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and anti:
+            test = {Kind.SPAN: f"{hi[attr]} - {lo[attr]} > {c}",
+                    Kind.MAX: f"{hi[attr]} > {c}", Kind.MIN: f"{lo[attr]} < {c}"}[kind]
+            if kind is Kind.SPAN and store is not None:
+                # the reachable window must overlap [max - c, min + c]
+                gate += [f"        L, H = {const(store.span[attr])}[si][pos]",
+                         f"        l, h = st[{plan.span_at[attr]}], st[{plan.span_at[attr] + 1}]",
+                         f"        if (L if L > h - {c} else h - {c}) > "
+                         f"(H if H < l + {c} else l + {c}): return False"]
+        elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and store is not None:
+            adm.append(f"        L, H = {const(store.span[attr])}[si][pos]")
+            top = f"({hi[attr]} if {hi[attr]} > H else H)"
+            bottom = f"({lo[attr]} if {lo[attr]} < L else L)"
+            test = {Kind.SPAN: f"{top} - {bottom} < {c}",
+                    Kind.MAX: f"{top} < {c}", Kind.MIN: f"{bottom} > {c}"}[kind]
+        elif kind in (Kind.SUM, Kind.AVG) and store is not None:
+            if attr not in fetched:
+                adm.append(f"        {x[attr]} = {col[attr]}[si][pos]")
+                fetched.add(attr)
+            # the stored value counts the final event again: take it off
+            prefix = f"{acc[attr, sign]} {'-' if sign > 0 else '+'} {x[attr]}"
+            if kind is Kind.SUM:
+                test = f"{prefix} + {const(store.sums[attr, sign])}[si][pos] < {sign * c}"
+            else:
+                adm.append(f"        b1, b2 = {const(store.avg[attr, sign, sign * c])}[si][pos]")
+                test = f"{prefix} + b1 < {sign * c} * (ln - 1 + b2)"
+        elif kind is Kind.MED and store is not None:
+            key = (attr, sign, sign * c)
+            p1, p2, p3 = med[key]
+            adm += [f"        t1, t2, t3 = {const(store.med[key])}[si][pos]",
+                    f"        t1 += {p1}"]
+            ok = (f"t1 > 0 or t1 == 0 and ({p2} if {p2} > t2 else t2) + "
+                  f"({p3} if {p3} < t3 else t3) >= {2 * sign * c}")
+            if med_observer is None:
+                test = f"not ({ok})"
+            else:
+                adm += [f"        ok = {ok}",
+                        f"        {const(med_observer)}(si, pos, {const(key)}, "
+                        f"({p1}, {p2}, {p3}), ok, positions)"]
+                test = "not ok"
+        if test is not None:
+            adm.append(f"        if {test}: return {i}")
+        checks.append(checks[-1] + (test is not None and anti))
+        probes.append(probes[-1] + (test is not None and not anti))
+    n = len(plan.specs)
+    plan.constraint_checks = tuple(checks[1:]) + (checks[-1],)
+    plan.info_probes = tuple(probes[1:]) + (probes[-1],)
+
+    plan.source = "\n".join([
+        f"def _make({', '.join(f'k{i}' for i in range(len(consts)))}):",
+        "    def initial(si, pos):", *init, f"        return {row}",
+        "    def extend(st, si, old, new):", *ext, f"        return {row}",
+        "    def admit(si, pos, st, positions):", *adm, f"        return {n}",
+        "    def gate(si, pos, st):", *gate, "        return True",
+        "    return initial, extend, admit, gate",
+    ]) + "\n"
+    namespace: dict = {}
+    exec(plan.source, namespace)
+    plan.initial, plan.extend, plan.admit, plan.gate = namespace["_make"](*consts)
 
 
 # --- extension tests -------------------------------------------------------------
@@ -464,141 +553,3 @@ def med_extendable(pattern_triple: MedTriple, info: MedTriple, spec: ConstraintS
     if total > 0:
         return True
     return total == 0 and max(p2, t2) + min(p3, t3) >= 2 * bound
-
-
-# --- the combined checker ---------------------------------------------------------
-
-class FeasibilityChecker:
-    """Entry admission and witness checks shared by the miners.
-
-    ``admit`` decides whether a freshly extended occurrence stays in the
-    projection: anti-monotone constraints must hold on the occurrence right
-    now, while monotone and non-monotone constraints must still be reachable
-    according to the stored information.  Without a store (the raw-database
-    baseline) only the anti-monotone checks run.  ``witness`` re-verifies a
-    complete occurrence against every constraint through the reference
-    evaluator; emission counts only witnesses.
-    """
-
-    def __init__(
-        self,
-        db: AttributedDatabase,
-        plan: StatPlan,
-        store: InfoStore | None = None,
-        counters=None,
-        med_observer: Callable | None = None,
-    ):
-        self.db = db
-        self.plan = plan
-        self.store = store
-        self.counters = counters
-        self.med_observer = med_observer
-
-    def _count(self, n: int = 1) -> None:
-        if self.counters is not None:
-            self.counters.constraint_checks += n
-
-    def _probe(self) -> None:
-        # information-table lookups are counted apart from occurrence-level
-        # constraint evaluations; they replace them, and the relative cost of
-        # the two is exactly what the miners are compared on
-        if self.counters is not None:
-            self.counters.info_probes += 1
-
-    def admit(self, si: int, pos: int, stats, positions=None) -> bool:
-        length, spans, sums, meds = stats
-        store = self.store
-        plan = self.plan
-        for binding in plan.bindings:
-            tag = binding[0]
-            if tag == "skip":
-                continue
-            if tag == "len_le":
-                self._count()
-                if length > binding[1]:
-                    return False
-            elif tag == "len_ge":
-                if store is not None and store.maxlen is not None:
-                    self._probe()
-                    if (length - 1) + store.maxlen[si][pos] < binding[1]:
-                        return False
-            elif tag == "span_le":
-                self._count()
-                p_lo, p_hi = spans[binding[1]]
-                if p_hi - p_lo > binding[2]:
-                    return False
-            elif tag == "max_le":
-                self._count()
-                if spans[binding[1]][1] > binding[2]:
-                    return False
-            elif tag == "min_ge":
-                self._count()
-                if spans[binding[1]][0] < binding[2]:
-                    return False
-            elif tag == "range":
-                if store is None:
-                    continue
-                _, slot, spec = binding
-                self._probe()
-                p_lo, p_hi = spans[slot]
-                info = store.span[spec.attribute][si][pos]
-                if not span_extendable(p_lo, p_hi, info, spec):
-                    return False
-            elif tag == "sum":
-                if store is None:
-                    continue
-                _, slot, sign, spec = binding
-                self._probe()
-                beta = store.sums[(spec.attribute, sign)][si][pos]
-                current = sign * plan._sum_cols[slot][si][pos]
-                # oriented comparison; reuse the natural-space op via sign
-                total = (sums[slot] - current) + beta
-                if total < sign * spec.c:
-                    return False
-            elif tag == "avg":
-                if store is None:
-                    continue
-                _, slot, sign, key, spec = binding
-                self._probe()
-                b1, b2 = store.avg[key][si][pos]
-                current = sign * plan._sum_cols[slot][si][pos]
-                total = (sums[slot] - current) + b1
-                count = (length - 1) + b2
-                if total < sign * spec.c * count:
-                    return False
-            elif tag == "med":
-                if store is None:
-                    continue
-                _, slot, key, spec = binding
-                self._probe()
-                info = store.med[key][si][pos]
-                verdict = med_extendable(meds[slot], info, spec)
-                if self.med_observer is not None:
-                    self.med_observer(si, pos, key, meds[slot], verdict, positions)
-                if not verdict:
-                    return False
-        return True
-
-    def scan_gate(self, si: int, pos: int, stats) -> bool:
-        """Cheap test whether extensions of this entry can possibly survive."""
-        length, spans, _, _ = stats
-        store = self.store
-        for binding in self.plan.bindings:
-            tag = binding[0]
-            if tag == "len_le" and length >= binding[1]:
-                return False
-            if tag == "span_le" and store is not None:
-                _, slot, c = binding
-                p_lo, p_hi = spans[slot]
-                lo, hi = store.span[self.plan.span_attrs[slot]][si][pos]
-                if max(lo, p_hi - c) > min(hi, p_lo + c):
-                    return False
-        return True
-
-    def witness(self, si: int, positions: SequenceT[int]) -> bool:
-        seq = self.db.sequences[si]
-        for spec in self.plan.specs:
-            self._count()
-            if not check_occurrence(seq, positions, spec):
-                return False
-        return True

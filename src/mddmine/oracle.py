@@ -15,7 +15,7 @@ from typing import Iterable, Sequence as SequenceT
 
 from .constraints import ConstraintSpec, pairwise_rules, support_of
 from .miner import MiningCounters, PatternSet, _ProjectionMiner
-from .nodeinfo import FeasibilityChecker, StatPlan
+from .nodeinfo import StatPlan
 from .seqdb import AttributedDatabase
 
 
@@ -31,10 +31,7 @@ class PpccMiner(_ProjectionMiner):
         counters: MiningCounters | None = None,
         use_prop5: bool = True,
     ):
-        counters = counters if counters is not None else MiningCounters()
-        plan = StatPlan(db, specs)
-        checker = FeasibilityChecker(db, plan, store=None, counters=counters)
-        super().__init__(db, specs, theta, checker, counters, use_prop5)
+        super().__init__(db, specs, theta, StatPlan(db, specs), counters, use_prop5)
         rules = pairwise_rules(specs)
         self._rules = rules
         self._gap_cols = {

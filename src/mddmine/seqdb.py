@@ -22,8 +22,10 @@ Two on-disk formats are understood:
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence as SequenceT
 
 
@@ -254,14 +256,20 @@ def attach_attributes(
 ) -> AttributedDatabase:
     """Return a new database holding the table's attributes as columns.
 
-    The table must cover every (sid, pos) pair exactly once.  Any attributes
-    already present on the database are replaced.
+    The table must cover every (sid, pos) pair exactly once, with one value
+    per attribute name.  Any attributes already present on the database are
+    replaced.
     """
     by_key: dict[tuple[int, int], tuple[int, ...]] = {}
     for sid, pos, values in table.rows:
         key = (sid, pos)
         if key in by_key:
             raise AttributeCoverageError(f"duplicate attribute row for sid {sid} pos {pos}")
+        if len(values) != len(table.names):
+            raise AttributeCoverageError(
+                f"attribute row for sid {sid} pos {pos} has {len(values)} values "
+                f"for {len(table.names)} attributes"
+            )
         by_key[key] = values
     expected = {(seq.sid, pos) for seq in db.sequences for pos in range(1, len(seq) + 1)}
     missing = expected - set(by_key)
@@ -277,6 +285,30 @@ def attach_attributes(
         rows = [by_key[(seq.sid, pos)] for pos in range(1, len(seq) + 1)]
         sequences.append(Sequence(seq.sid, seq.items, dict(zip(table.names, zip(*rows)))))
     return AttributedDatabase(sequences, table.names, ordering_attribute)
+
+
+# --- synthetic data -------------------------------------------------------------
+
+def generate_sessions(
+    n_sequences: int,
+    n_items: int,
+    seed: int,
+    zipf: float = 1.2,
+    lengths: tuple[int, int] = (5, 15),
+) -> AttributedDatabase:
+    """Click sessions without attributes, deterministically for a given seed.
+
+    Each session draws its length uniformly from ``lengths`` and each click
+    from a Zipf-like popularity over items 1..n_items: item of rank r has
+    weight 1 / r**zipf, so a handful of items dominate the clicks.
+    """
+    cumulative = list(accumulate(1.0 / (r ** zipf) for r in range(1, n_items + 1)))
+    total = cumulative[-1]
+    rng = random.Random(seed)
+    return make_database([
+        [bisect(cumulative, rng.random() * total) + 1 for _ in range(rng.randint(*lengths))]
+        for _ in range(n_sequences)
+    ])
 
 
 # --- attribute generation -----------------------------------------------------

@@ -6,8 +6,7 @@ update rules they check.
 """
 from __future__ import annotations
 
-from mddmine import GE, ConstraintSpec, Kind
-from mddmine.constraints import exact_median
+from mddmine import ConstraintSpec, check_occurrence
 
 
 def iter_ut_paths(mdd, si: int, pos: int):
@@ -62,18 +61,14 @@ def maxlen_ground_truth(mdd, si: int, pos: int):
     return max(len(path) for path in iter_ut_paths(mdd, si, pos))
 
 
-def med_extension_exists(db, mdd, si, positions, spec: ConstraintSpec) -> bool:
+def extension_exists(db, mdd, si, positions, spec: ConstraintSpec) -> bool:
     """Brute force: can the occurrence, extended along arcs (possibly not at
-    all), satisfy the median constraint?"""
-    assert spec.kind is Kind.MED
-    col = db.columns(spec.attribute)[si]
-    occ = [col[p] for p in positions]
-    for path in iter_ut_paths(mdd, si, positions[-1]):
-        combined = occ + [col[p] for p in path[1:]]
-        med = exact_median(combined)
-        if (med >= spec.c) if spec.direction == GE else (med <= spec.c):
-            return True
-    return False
+    all), satisfy the constraint under the reference evaluator?"""
+    seq = db.sequences[si]
+    return any(
+        check_occurrence(seq, tuple(positions) + path[1:], spec)
+        for path in iter_ut_paths(mdd, si, positions[-1])
+    )
 
 
 def iter_arc_consistent_occurrences(mdd, si: int, max_len: int | None = None):

@@ -5,11 +5,8 @@ Criteria 2 through 5 share one corpus of 500 randomized instances
 random constraint sets over all nine kinds and both directions, thresholds
 within [1, N]); the corpus is generated once per session.
 """
-import random
 import time
-from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import pytest
 
@@ -22,6 +19,7 @@ from mddmine import (
     attach_attributes,
     build_mdd,
     generate_attributes,
+    generate_sessions,
     make_database,
     mine,
     mine_bruteforce,
@@ -35,7 +33,7 @@ from mddmine.cli import SCENARIOS
 
 from conftest import A, B, C, build_click_db
 from dbgen import random_instance
-from oracles import med_extension_exists
+from oracles import extension_exists
 
 N_INSTANCES = 500
 
@@ -166,7 +164,7 @@ def corpus() -> CorpusResults:
         for (si, key, positions), verdict in recorded.items():
             spec = _spec_for_key(key)
             results.med_verdicts_checked += 1
-            if verdict != med_extension_exists(db, mdd, si, positions, spec):
+            if verdict != extension_exists(db, mdd, si, positions, spec):
                 results.med_verdict_errors.append((seed, si, positions, verdict))
 
         _check_structure(db, results, seed)
@@ -219,23 +217,10 @@ def test_criterion_5_prop5_neutrality(corpus):
 
 # --- criterion 6: relative performance at scale -----------------------------------
 
-def _synthetic_clickstream(rng, n_seq, n_items, zipf=1.2):
-    weights = [1.0 / (r ** zipf) for r in range(1, n_items + 1)]
-    cumulative = list(accumulate(weights))
-    total = cumulative[-1]
-    lists = [
-        [bisect(cumulative, rng.random() * total) + 1
-         for _ in range(rng.randint(5, 15))]
-        for _ in range(n_seq)
-    ]
-    return make_database(lists)
-
-
 def test_criterion_6_relative_performance_smoke():
     started = time.perf_counter()
-    rng = random.Random(2024)
     n = 50_000
-    base = _synthetic_clickstream(rng, n, 1000)
+    base = generate_sessions(n, 1000, seed=2024)
     table = generate_attributes(base, seed=99)
     db = attach_attributes(base, table, ordering_attribute="time")
     lengths = [len(s) for s in db.sequences]

@@ -1,21 +1,27 @@
 import random
+from dataclasses import astuple
 
 import pytest
 
 from mddmine import (
     MiningCounters,
     PatternSet,
+    attach_attributes,
     build_mdd,
+    generate_attributes,
+    generate_sessions,
     mine,
     mine_mpp,
+    mine_ppcc,
     parse_constraint,
     prop5_prune,
     propagate,
 )
+from mddmine.cli import SCENARIOS
 from mddmine.miner import MppMiner
 
 from conftest import A, B, C
-from dbgen import random_db, random_specs, random_theta
+from dbgen import random_db, random_instance, random_specs, random_theta
 
 
 def as_pairs(patterns):
@@ -145,3 +151,45 @@ class TestMonotoneHandling:
                     prefix = items[:k]
                     assert prefix in supports
                     assert supports[prefix] >= support
+
+
+#: MiningCounters fields of mine and of mine_ppcc, in declaration order
+#: (nodes_visited, entries_created, scanned_sequences, constraint_checks,
+#: info_probes, patterns_emitted, peak_entries), recorded while admission
+#: still counted one call per check; the compiled plan's prefix tables must
+#: reproduce them exactly
+PINNED_COUNTERS = {
+    40: ((1268, 1002, 313, 1785, 2010, 15, 204), (1268, 1005, 315, 1791, 0, 15, 207)),
+    96: ((1223, 1094, 653, 1303, 3407, 130, 112), (1268, 1258, 710, 1410, 0, 130, 156)),
+    261: ((773, 497, 220, 1143, 1360, 24, 83), (1316, 1155, 381, 2496, 0, 24, 234)),
+    328: ((2167, 2097, 415, 3141, 2117, 30, 350), (2268, 2207, 429, 3361, 0, 30, 354)),
+    349: ((583, 497, 248, 819, 1044, 7, 131), (669, 598, 276, 966, 0, 7, 145)),
+    "click_db": ((8, 0, 0, 0, 8, 0, 0), (13, 13, 9, 60, 0, 0, 8)),
+    "sessions": ((18503, 12160, 8041, 36383, 133414, 26, 2252),
+                 (30772, 30370, 18324, 117888, 0, 26, 5169)),
+}
+
+
+class TestPinnedCounters:
+    def _counters(self, db, specs, theta):
+        mdd = build_mdd(db, specs)
+        store = propagate(mdd, db, specs)
+        mpp, ppcc = MiningCounters(), MiningCounters()
+        assert mine(mdd, store, db, specs, theta, counters=mpp) == mine_ppcc(
+            db, specs, theta, counters=ppcc)
+        return astuple(mpp), astuple(ppcc)
+
+    @pytest.mark.parametrize("seed", [k for k in PINNED_COUNTERS if isinstance(k, int)])
+    def test_random_instances(self, seed):
+        assert self._counters(*random_instance(seed)) == PINNED_COUNTERS[seed]
+
+    @pytest.mark.parametrize("name", ["click_db", "sessions"])
+    def test_scenario_3(self, name, click_db):
+        # the click database declares no quality, so both inputs take their
+        # attributes from the generator
+        base = click_db if name == "click_db" else generate_sessions(400, 100, seed=2024)
+        table = generate_attributes(base, seed=1 if name == "click_db" else 99)
+        db = attach_attributes(base, table, ordering_attribute="time")
+        specs = tuple(parse_constraint(t) for t in SCENARIOS[3])
+        theta = 1 if name == "click_db" else 4
+        assert self._counters(db, specs, theta) == PINNED_COUNTERS[name]

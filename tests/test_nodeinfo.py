@@ -11,7 +11,10 @@ from mddmine import (
     StatPlan,
     build_mdd,
     dump_info_tsv,
+    make_database,
     med_extendable,
+    mine,
+    mine_bruteforce,
     parse_constraint,
     propagate,
     span_extendable,
@@ -22,9 +25,9 @@ from conftest import A, B, C
 from dbgen import random_db, random_specs
 from oracles import (
     avg_objective_ground_truth,
+    extension_exists,
     iter_arc_consistent_occurrences,
     maxlen_ground_truth,
-    med_extension_exists,
     span_ground_truth,
     sum_ground_truth,
 )
@@ -229,37 +232,37 @@ class TestOracleEquivalence:
             plan = StatPlan(db, specs)
             sign = 1 if direction == GE else -1
             key = (attr, sign, sign * med.c)
-            slot = plan.med_keys.index(key)
+            slot = plan.med_at[key]
             for si in range(len(db)):
                 for occ in iter_arc_consistent_occurrences(mdd, si, max_len=4):
                     stats = plan.recompute(si, occ)
-                    triple = stats[3][slot]
+                    triple = stats[slot:slot + 3]
                     last = occ[-1]
                     verdict = med_extendable(triple, store.med[key][si][last], med)
-                    assert verdict == med_extension_exists(db, mdd, si, occ, med)
+                    assert verdict == extension_exists(db, mdd, si, occ, med)
 
 
 class TestStatPlan:
     def _definition_stats(self, plan, db, si, positions):
-        length = len(positions)
-        spans = []
-        for attr in plan.span_attrs:
+        """Each slot of the flat stats tuple, by its definition, placed at
+        the plan's offset for its key."""
+        slots = {0: len(positions)}
+        for attr, at in plan.span_at.items():
             vals = [db.columns(attr)[si][p] for p in positions]
-            spans.append((min(vals), max(vals)))
-        sums = []
-        for attr, sign in plan.sum_keys:
+            slots[at], slots[at + 1] = min(vals), max(vals)
+        for (attr, sign), at in plan.sum_at.items():
             vals = [db.columns(attr)[si][p] for p in positions]
-            sums.append(sign * sum(vals))
-        meds = []
-        for attr, sign, bound in plan.med_keys:
+            slots[at] = sign * sum(vals)
+        for (attr, sign, bound), at in plan.med_at.items():
             col = db.columns(attr)[si]
             oriented = [sign * v for v in col]
             lo, hi = oriented_sentinels(oriented)
             triple = (0, lo, hi)
             for p in positions[:-1]:
                 triple = med_fold(oriented[p], bound, triple)
-            meds.append(triple)
-        return (length, tuple(spans), tuple(sums), tuple(meds))
+            slots[at], slots[at + 1], slots[at + 2] = triple
+        assert sorted(slots) == list(range(len(slots)))  # offsets tile the tuple
+        return tuple(slots[i] for i in range(len(slots)))
 
     def test_incremental_matches_definition(self):
         rng = random.Random(17)
@@ -274,6 +277,60 @@ class TestStatPlan:
             assert plan.recompute(si, positions) == self._definition_stats(
                 plan, db, si, positions
             )
+
+    def test_source_is_kept(self, click_db):
+        plan = StatPlan(click_db, (parse_constraint("span(time)<=4"),))
+        assert "def admit(si, pos, st, positions):" in plan.source
+        assert "hi0 - lo0 > 4" in plan.source
+
+
+class TestAdmission:
+    """``admit`` against path enumeration on every arc-consistent occurrence:
+    a spec that fails has no satisfying extension, and with a store the
+    verdict is exact for every kind but ``span>=``."""
+
+    def test_sound_and_exact_against_enumeration(self):
+        rng = random.Random(19)
+        occurrences = 0
+        for _ in range(200):
+            db = random_db(rng, n_max=8, len_max=6)
+            specs = random_specs(rng, db, max_specs=4)
+            mdd = build_mdd(db, specs)
+            store = propagate(mdd, db, specs)
+            plans = (StatPlan(db, specs, store), StatPlan(db, specs))
+            singles = [StatPlan(db, (spec,), store) for spec in specs]
+            for si in range(len(db)):
+                for occ in iter_arc_consistent_occurrences(mdd, si, max_len=4):
+                    occurrences += 1
+                    exists = [extension_exists(db, mdd, si, occ, s) for s in specs]
+                    for plan in plans:
+                        verdict = plan.admit(si, occ[-1], plan.recompute(si, occ), occ)
+                        if all(exists):
+                            assert verdict == len(specs)
+                        else:
+                            assert verdict == len(specs) or not exists[verdict]
+                    for spec, single, truth in zip(specs, singles, exists):
+                        stats = single.recompute(si, occ)
+                        passed = single.admit(si, occ[-1], stats, occ) == 1
+                        if (spec.kind, spec.direction) != (Kind.SPAN, GE):
+                            assert passed == truth, (spec, occ)
+        assert occurrences > 15000
+
+    def test_span_lower_bound_is_relaxed(self):
+        """The reachable minimum (0) and maximum (100) of position 0 lie on
+        different paths: 0->2 reaches span 50, 0->3 too.  ``admit`` accepts
+        the entry anyway, so emission must re-check with the reference
+        evaluator, and then the miner agrees with brute force."""
+        db = make_database([[1, 2, 3, 4]],
+                           {"time": [[0, 1, 2, 3]], "v": [[50, 60, 0, 100]]},
+                           ordering_attribute="time")
+        specs = (parse_constraint("gap(time)>=2"), parse_constraint("span(v)>=100"))
+        mdd = build_mdd(db, specs)
+        store = propagate(mdd, db, specs)
+        plan = StatPlan(db, specs, store)
+        assert not extension_exists(db, mdd, 0, (0,), specs[1])
+        assert plan.admit(0, 0, plan.initial(0, 0), (0,)) == len(specs)
+        assert mine(mdd, store, db, specs, 1) == mine_bruteforce(db, specs, 1)
 
 
 def test_dump_info_tsv_smoke(click_db):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mddmine import (
+    AttributeTable,
     attach_attributes,
     format_attribute_tsv,
     generate_attributes,
+    generate_sessions,
     make_database,
     parse_attribute_tsv,
     parse_spmf,
@@ -116,6 +118,15 @@ class TestAttachAttributes:
         with pytest.raises(AttributeCoverageError):
             attach_attributes(db, table)
 
+    @pytest.mark.parametrize("rows", [
+        [(1, 1, (5, 9)), (1, 2, (6, 7))],  # wider than the names
+        [(1, 1, (5,)), (1, 2, ())],        # narrower than the names
+    ])
+    def test_ragged_row_rejected(self, rows):
+        db = parse_spmf("1 -1 2 -1 -2")
+        with pytest.raises(AttributeCoverageError, match="sid 1 pos [12] has"):
+            attach_attributes(db, AttributeTable(("t",), rows))
+
     def test_non_increasing_ordering(self):
         db = parse_spmf("1 -1 2 -1 -2")
         table = parse_attribute_tsv("sid\tpos\ttime\n1\t1\t5\n1\t2\t5\n")
@@ -162,6 +173,24 @@ class TestMakeDatabaseShapes:
     def test_extra_value_list_rejected(self):
         with pytest.raises(SeqDbError, match=r"'t'.*sid 2"):
             make_database([[5]], {"t": [[1], [2]]})
+
+
+class TestGenerateSessions:
+    def test_first_sessions_of_criterion_6(self):
+        # the draws of a session do not depend on how many sessions follow,
+        # so these are the first two of acceptance criterion 6's 50,000
+        db = generate_sessions(2, 1000, seed=2024)
+        assert [s.items for s in db.sequences] == [
+            (1, 11, 1, 35, 48, 48, 8, 17, 39, 3, 8, 15),
+            (2, 30, 8, 38, 995, 1, 46, 5),
+        ]
+
+    def test_shape(self):
+        db = generate_sessions(300, 20, seed=3, zipf=1.0, lengths=(2, 4))
+        assert len(db) == 300
+        assert all(2 <= len(s) <= 4 for s in db.sequences)
+        assert db.item_universe <= set(range(1, 21))
+        assert db.attribute_names == ()
 
 
 class TestGenerateAttributes:
