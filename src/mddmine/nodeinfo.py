@@ -356,11 +356,6 @@ class StatPlan:
         self.span_attrs = needs.span_attrs
         self.sum_keys = needs.stat_sum_keys
         self.med_keys = needs.med_keys
-        self.span_at = {a: 1 + 2 * i for i, a in enumerate(self.span_attrs)}
-        first = 1 + 2 * len(self.span_attrs)
-        self.sum_at = {k: first + j for j, k in enumerate(self.sum_keys)}
-        first += len(self.sum_keys)
-        self.med_at = {k: first + 3 * j for j, k in enumerate(self.med_keys)}
         _compile(self, store, med_observer)
 
     def recompute(self, si: int, positions: SequenceT[int]):
@@ -381,7 +376,11 @@ class StatPlan:
 
 
 def _compile(plan: StatPlan, store: InfoStore | None, med_observer) -> None:
-    """Generate, ``exec`` and attach the plan's four functions and tables."""
+    """Generate, ``exec`` and attach the plan's four functions and tables.
+
+    ``fields`` fixes the order of the stats tuple; the slot offsets
+    ``span_at``, ``sum_at`` and ``med_at`` are read off it.
+    """
     consts: list = []
 
     def const(obj) -> str:
@@ -398,6 +397,9 @@ def _compile(plan: StatPlan, store: InfoStore | None, med_observer) -> None:
     med = {k: (f"m{j}a", f"m{j}b", f"m{j}c") for j, k in enumerate(plan.med_keys)}
     fields = ["ln"] + [f for a in plan.span_attrs for f in (lo[a], hi[a])]
     fields += list(acc.values()) + [f for k in plan.med_keys for f in med[k]]
+    plan.span_at = {a: fields.index(lo[a]) for a in plan.span_attrs}
+    plan.sum_at = {k: fields.index(acc[k]) for k in plan.sum_keys}
+    plan.med_at = {k: fields.index(med[k][0]) for k in plan.med_keys}
     row = "(" + ", ".join(fields) + ",)"
     unpack = f"        {row[1:-1]} = st"
     value_attrs = dict.fromkeys(list(plan.span_attrs) + [a for a, _ in plan.sum_keys])

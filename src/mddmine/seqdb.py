@@ -289,24 +289,24 @@ def attach_attributes(
 
 # --- synthetic data -------------------------------------------------------------
 
-def generate_sessions(
-    n_sequences: int,
-    n_items: int,
-    seed: int,
-    zipf: float = 1.2,
-    lengths: tuple[int, int] = (5, 15),
-) -> AttributedDatabase:
+#: rank r of the generated click popularity has weight 1 / r**SESSION_ZIPF
+SESSION_ZIPF = 1.2
+SESSION_LENGTHS = (5, 15)
+
+
+def generate_sessions(n_sequences: int, n_items: int, seed: int) -> AttributedDatabase:
     """Click sessions without attributes, deterministically for a given seed.
 
-    Each session draws its length uniformly from ``lengths`` and each click
-    from a Zipf-like popularity over items 1..n_items: item of rank r has
-    weight 1 / r**zipf, so a handful of items dominate the clicks.
+    Each session draws its length uniformly from ``SESSION_LENGTHS`` and each
+    click from a Zipf-like popularity over items 1..n_items: the item of rank
+    r has weight 1 / r**SESSION_ZIPF, so a handful of items dominate.
     """
-    cumulative = list(accumulate(1.0 / (r ** zipf) for r in range(1, n_items + 1)))
+    cumulative = list(accumulate(1.0 / (r ** SESSION_ZIPF) for r in range(1, n_items + 1)))
     total = cumulative[-1]
     rng = random.Random(seed)
     return make_database([
-        [bisect(cumulative, rng.random() * total) + 1 for _ in range(rng.randint(*lengths))]
+        [bisect(cumulative, rng.random() * total) + 1
+         for _ in range(rng.randint(*SESSION_LENGTHS))]
         for _ in range(n_sequences)
     ])
 

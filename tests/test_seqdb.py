@@ -186,9 +186,9 @@ class TestGenerateSessions:
         ]
 
     def test_shape(self):
-        db = generate_sessions(300, 20, seed=3, zipf=1.0, lengths=(2, 4))
+        db = generate_sessions(300, 20, seed=3)
         assert len(db) == 300
-        assert all(2 <= len(s) <= 4 for s in db.sequences)
+        assert {len(s) for s in db.sequences} == set(range(5, 16))
         assert db.item_universe <= set(range(1, 21))
         assert db.attribute_names == ()
 
