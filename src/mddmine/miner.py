@@ -3,9 +3,9 @@
 A projected database is a set of cursors into the diagram: per sequence, one
 entry for every live occurrence endpoint of the current pattern, because
 under gap-style constraints the minimal occurrence may be a dead end while a
-later one still extends.  Entries carry the occurrence positions and the
-O(1)-updatable statistics the feasibility checks need; entries agreeing on
-endpoint and statistics are interchangeable and deduplicated.  Admission
+later one still extends.  An entry is just (endpoint, O(1)-updatable
+statistics): the pair decides every constraint, so no positions are kept
+and entries agreeing on it are interchangeable and deduplicated.  Admission
 follows each constraint's monotonicity class (``classify``): anti-monotone
 constraints must hold on the occurrence itself, monotone and non-monotone
 ones must stay reachable according to the node information, and gap and
@@ -16,23 +16,23 @@ entry's successors, sequence by sequence in ascending id order.  While
 scanning, an item whose remaining attainable support provably falls below
 the threshold is abandoned early (`prop5_prune`); this is a pure work saving
 and never changes the mined output.  A pattern is emitted when enough
-sequences own an occurrence that passes the reference evaluator for every
-constraint; entries that are not witnesses yet stay in the projection in
-case an extension completes them.  The search is one depth-first traversal
-in the calling thread.
+sequences own an entry whose ``witness`` verdict passes every constraint;
+entries that are not witnesses yet stay in the projection in case an
+extension completes them.  The search is one depth-first traversal in the
+calling thread.
 
-Statistics, admission and the scan gate are the functions ``StatPlan``
-compiles for the spec list (and, for the diagram miner, the store); an
-admission verdict is the index of the first failing spec, which the plan's
-prefix tables turn into constraint checks and information probes.  A scan
-keeps its counts in locals and adds them to ``MiningCounters`` once.
+Statistics, admission, the scan gate and ``witness`` are compiled by
+``StatPlan`` for the spec list (and the diagram miner's store); an admission
+verdict is the index of the first failing spec, which the plan's prefix
+tables turn into constraint checks and information probes.  A scan keeps
+its counts in locals and adds them to ``MiningCounters`` once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence as SequenceT
 
-from .constraints import ConstraintSpec
+from .constraints import ConstraintSpec, imposable
 from .mdd import Mdd, build_mdd
 from .nodeinfo import InfoStore, StatPlan, propagate
 from .seqdb import AttributedDatabase
@@ -106,9 +106,9 @@ class PatternSet:
 
 @dataclass
 class ProjectedDb:
-    """Entries per sequence id: (occurrence positions, running statistics)."""
+    """Entries per sequence id: (occurrence endpoint, running statistics)."""
 
-    entries: dict[int, list[tuple[tuple[int, ...], tuple]]]
+    entries: dict[int, list[tuple[int, tuple]]]
 
     @property
     def support(self) -> int:
@@ -178,9 +178,8 @@ class _ProjectionMiner:
             items = self._items[si]
             fresh: dict[int, list] = {}
             seen: set = set()
-            for positions, stats in parents:
-                if positions is not None:
-                    last = positions[-1]
+            for last, stats in parents:
+                if last is not None:
                     if not gate(si, last, stats):
                         continue
                     nexts = next_positions(si, last)
@@ -191,25 +190,23 @@ class _ProjectionMiner:
                     item = items[nxt]
                     if item in dead:
                         continue
-                    if positions is not None:
-                        new_positions = positions + (nxt,)
+                    if last is not None:
                         new_stats = extend(stats, si, last, nxt)
                     else:
-                        new_positions = (nxt,)
                         new_stats = initial(si, nxt)
-                    key = (nxt, new_stats)
-                    if key in seen:
+                    entry = (nxt, new_stats)
+                    if entry in seen:
                         continue
-                    seen.add(key)
-                    verdict = admit(si, nxt, new_stats, new_positions)
+                    seen.add(entry)
+                    verdict = admit(si, nxt, new_stats)
                     checks += checks_at[verdict]
                     probes += probes_at[verdict]
                     if verdict != passed:
                         continue
                     if item in fresh:
-                        fresh[item].append((new_positions, new_stats))
+                        fresh[item].append(entry)
                     else:
-                        fresh[item] = [(new_positions, new_stats)]
+                        fresh[item] = [entry]
                     created += 1
             for item in sorted(fresh):
                 sup_i = item_support.get(item, 0) + 1
@@ -247,8 +244,8 @@ class _ProjectionMiner:
         left = pdb.support
         for sid, entries in pdb.entries.items():
             left -= 1
-            for positions, _ in entries:
-                verdict = witness(sid - 1, positions)
+            for pos, stats in entries:
+                verdict = witness(sid - 1, pos, stats)
                 checks += min(verdict + 1, passed)
                 if verdict == passed:
                     count += 1
@@ -298,9 +295,10 @@ class MppMiner(_ProjectionMiner):
         *,
         counters: MiningCounters | None = None,
         use_prop5: bool = True,
-        med_observer=None,
     ):
-        plan = StatPlan(db, specs, store, med_observer)
+        if set(mdd.imposed) != set(imposable(specs)):  # emission trusts the arcs
+            raise ValueError("the diagram was built for other gap or item-set specs")
+        plan = StatPlan(db, specs, store)
         super().__init__(db, specs, theta, plan, counters, use_prop5)
         self.mdd = mdd
         self.store = store
@@ -322,23 +320,18 @@ def mine(
     use_prop5: bool = True,
     counters: MiningCounters | None = None,
     threads: int = 1,
-    med_observer=None,
 ) -> PatternSet:
     """Mine all frequent constraint-satisfying patterns from a built diagram.
 
     The diagram must have been built with the pairwise-checkable subset of
-    ``specs`` imposed, and ``store`` propagated for ``specs``.  Mining runs
-    in the calling thread.  ``med_observer``, when given, is called with
-    every median admission verdict.
+    ``specs`` imposed (a ``ValueError`` otherwise), and ``store`` propagated
+    for ``specs``.  Mining runs in the calling thread.
     """
     # threads stays as a parameter only because perfbench/worker.py passes 1
     if threads != 1:
         raise ValueError("mining runs single-threaded; threads must be 1")
-    miner = MppMiner(
-        mdd, store, db, specs, theta,
-        counters=counters, use_prop5=use_prop5, med_observer=med_observer,
-    )
-    return miner.mine_patterns()
+    return MppMiner(mdd, store, db, specs, theta, counters=counters,
+                    use_prop5=use_prop5).mine_patterns()
 
 
 def mine_mpp(

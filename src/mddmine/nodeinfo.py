@@ -25,9 +25,9 @@ event's own attribute value, so the tests subtract it from the pattern side
 over the occurrence excluding its final event.
 
 ``StatPlan`` compiles a spec list once into straight-line Python: the
-statistics are one flat tuple, and ``initial``, ``extend``, ``admit`` and
-``gate`` are generated with columns, bounds and store arrays bound as
-constants, so no per-entry work dispatches on the constraint kind.
+statistics are one flat tuple, and ``initial``, ``extend``, ``admit``,
+``gate`` and ``witness`` are generated with columns, bounds and store arrays
+bound as constants, so no per-entry work dispatches on the constraint kind.
 ``span_extendable``, ``med_extendable``, ``med_fold`` and ``med_dominates``
 are the reference forms of the tests the generated code inlines.
 """
@@ -41,7 +41,6 @@ from .constraints import (
     ConstraintSpec,
     Kind,
     Monotonicity,
-    check_occurrence,
     classify,
     require_known_attributes,
 )
@@ -310,7 +309,7 @@ def dump_info_tsv(store: InfoStore, db: AttributedDatabase) -> str:
 # --- the compiled plan ------------------------------------------------------------
 
 class StatPlan:
-    """Running statistics and admission for one spec list, compiled once.
+    """Statistics, admission and emission for one spec list, compiled once.
 
     A stats value is one flat tuple ``(length, lo_0, hi_0, ..., sum_0, ...,
     m1_0, m2_0, m3_0, ...)``: the occurrence's (min, max) per span attribute,
@@ -319,27 +318,41 @@ class StatPlan:
     occurrence excluding its final event.  ``span_at``, ``sum_at`` and
     ``med_at`` map each key to its first slot.
 
-    Four functions are generated as Python source (kept in ``source``) with
+    Five functions are generated as Python source (kept in ``source``) with
     columns, signs, bounds and the store's arrays bound as constants:
 
     * ``initial(si, pos)`` and ``extend(stats, si, old, new)`` build stats in
       O(1) per appended event, with median folds inlined;
-    * ``admit(si, pos, stats, positions)`` returns the index of the first
-      spec whose test fails, or ``len(specs)`` when the entry stays.  The
-      test follows ``classify``: anti-monotone constraints must hold on the
-      occurrence now, monotone and non-monotone ones must stay reachable by
-      the store (``span_extendable``, ``med_extendable`` and the sum and
-      average bounds; without a store, as in the raw-database baseline,
-      these are left to emission), and gap and item-set rules are enforced
-      by arcs or the baseline's step scan;
+    * ``admit(si, pos, stats)`` returns the index of the first spec whose
+      test fails, or ``len(specs)`` when the entry stays.  The test follows
+      ``classify``: anti-monotone constraints must hold on the occurrence
+      now, monotone and non-monotone ones must stay reachable by the store
+      (``span_extendable``, ``med_extendable`` and the sum and average
+      bounds; without a store, as in the raw-database baseline, these are
+      left to emission), and gap and item-set rules are enforced by arcs or
+      the baseline's step scan;
     * ``gate(si, pos, stats)`` is false when no extension of the entry can
-      pass a ``length<=`` or ``span<=`` constraint.
+      pass a ``length<=`` or ``span<=`` constraint;
+    * ``witness(si, pos, stats)`` returns the index of the first spec the
+      occurrence itself fails, or ``len(specs)``, exactly as
+      ``check_occurrence`` would decide it.
+
+    ``witness`` needs only the endpoint and the stats: on an occurrence that
+    follows arcs (or the baseline's step scan) every gap and item-set rule
+    holds, and each other kind is a function of the slots.  Length, span,
+    max and min read ``ln``, ``lo`` and ``hi``; a sum compares its oriented
+    slot with ``s*c`` and an average, as ``ln > 0``, with ``s*c*ln``.  The
+    endpoint's oriented value folded into the stored triple gives the whole
+    occurrence's triple, whose median reaches the oriented bound ``b`` iff
+    more values lie at or above ``b`` than below (``t1 > 0``), or the counts
+    tie and the two middle values, the largest below and the smallest at or
+    above ``b``, average at least ``b`` (``t2 + t3 >= 2b``).  ``span>=`` is
+    exact here; its relaxation is an admission matter only.
 
     A verdict ``r`` of ``admit`` ran the tests of specs 0..r; it costs
     ``constraint_checks[r]`` occurrence-level checks and ``info_probes[r]``
     information lookups, counted apart because lookups replace checks and
     the relative cost of the two is what the miners are compared on.
-    ``med_observer``, when given, is called with every median verdict.
     """
 
     def __init__(
@@ -347,7 +360,6 @@ class StatPlan:
         db: AttributedDatabase,
         specs: SequenceT[ConstraintSpec],
         store: InfoStore | None = None,
-        med_observer: Callable | None = None,
     ):
         require_known_attributes(specs, db.attribute_names)
         self.db = db
@@ -356,7 +368,7 @@ class StatPlan:
         self.span_attrs = needs.span_attrs
         self.sum_keys = needs.stat_sum_keys
         self.med_keys = needs.med_keys
-        _compile(self, store, med_observer)
+        _compile(self, store)
 
     def recompute(self, si: int, positions: SequenceT[int]):
         """Statistics folded from scratch through ``initial`` and ``extend``."""
@@ -365,18 +377,9 @@ class StatPlan:
             stats = self.extend(stats, si, prev, pos)
         return stats
 
-    def witness(self, si: int, positions: SequenceT[int]) -> int:
-        """Index of the first spec the occurrence fails under the reference
-        evaluator, or ``len(specs)``; emission counts only full passes."""
-        seq = self.db.sequences[si]
-        for i, spec in enumerate(self.specs):
-            if not check_occurrence(seq, positions, spec):
-                return i
-        return len(self.specs)
 
-
-def _compile(plan: StatPlan, store: InfoStore | None, med_observer) -> None:
-    """Generate, ``exec`` and attach the plan's four functions and tables.
+def _compile(plan: StatPlan, store: InfoStore | None) -> None:
+    """Generate, ``exec`` and attach the plan's five functions and tables.
 
     ``fields`` fixes the order of the stats tuple; the slot offsets
     ``span_at``, ``sum_at`` and ``med_at`` are read off it.
@@ -432,21 +435,35 @@ def _compile(plan: StatPlan, store: InfoStore | None, med_observer) -> None:
                 f"            {t1} -= 1",
                 f"            if v > {t2}: {t2} = v"]
 
-    adm, gate = [unpack], []
+    adm, gate, wit = [unpack], [], [unpack]
     checks, probes, fetched = [0], [0], set()
     for i, spec in enumerate(plan.specs):
         kind, c, attr = spec.kind, spec.c, spec.attribute
         anti = classify(spec) is Monotonicity.ANTI_MONOTONE
         sign = _sign(spec.direction) if spec.direction else 0
-        test = None
+        # ``exact`` fails the occurrence itself; arcs enforce gap and item-set rules
+        exact = {Kind.LENGTH: "ln", Kind.SPAN: f"{hi.get(attr)} - {lo.get(attr)}",
+                 Kind.MAX: hi.get(attr), Kind.MIN: lo.get(attr)}.get(kind)
+        if exact is not None:
+            exact += f" {'<' if sign > 0 else '>'} {c}"
+        elif kind in (Kind.SUM, Kind.AVG):
+            exact = f"{acc[attr, sign]} < {sign * c}{' * ln' if kind is Kind.AVG else ''}"
+        elif kind is Kind.MED:
+            p1, p2, p3 = med[attr, sign, sign * c]
+            # the endpoint folded in gives the whole occurrence's triple
+            wit += [f"        v = {'' if sign > 0 else '-'}{col[attr]}[si][pos]",
+                    f"        if v >= {sign * c}: t1, t2, t3 = {p1} + 1, {p2}, "
+                    f"({p3} if {p3} < v else v)",
+                    f"        else: t1, t2, t3 = {p1} - 1, ({p2} if {p2} > v else v), {p3}"]
+            exact = f"not (t1 > 0 or t1 == 0 and t2 + t3 >= {2 * sign * c})"
+        if exact is not None:
+            wit.append(f"        if {exact}: return {i}")
+        test = exact if anti else None
         if kind is Kind.LENGTH and anti:
-            test = f"ln > {c}"
             gate.append(f"        if st[0] >= {c}: return False")
         elif kind is Kind.LENGTH and store is not None and store.maxlen is not None:
             test = f"ln - 1 + {const(store.maxlen)}[si][pos] < {c}"
         elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and anti:
-            test = {Kind.SPAN: f"{hi[attr]} - {lo[attr]} > {c}",
-                    Kind.MAX: f"{hi[attr]} > {c}", Kind.MIN: f"{lo[attr]} < {c}"}[kind]
             if kind is Kind.SPAN and store is not None:
                 # the reachable window must overlap [max - c, min + c]
                 gate += [f"        L, H = {const(store.span[attr])}[si][pos]",
@@ -475,15 +492,8 @@ def _compile(plan: StatPlan, store: InfoStore | None, med_observer) -> None:
             p1, p2, p3 = med[key]
             adm += [f"        t1, t2, t3 = {const(store.med[key])}[si][pos]",
                     f"        t1 += {p1}"]
-            ok = (f"t1 > 0 or t1 == 0 and ({p2} if {p2} > t2 else t2) + "
-                  f"({p3} if {p3} < t3 else t3) >= {2 * sign * c}")
-            if med_observer is None:
-                test = f"not ({ok})"
-            else:
-                adm += [f"        ok = {ok}",
-                        f"        {const(med_observer)}(si, pos, {const(key)}, "
-                        f"({p1}, {p2}, {p3}), ok, positions)"]
-                test = "not ok"
+            test = (f"not (t1 > 0 or t1 == 0 and ({p2} if {p2} > t2 else t2) + "
+                    f"({p3} if {p3} < t3 else t3) >= {2 * sign * c})")
         if test is not None:
             adm.append(f"        if {test}: return {i}")
         checks.append(checks[-1] + (test is not None and anti))
@@ -496,13 +506,14 @@ def _compile(plan: StatPlan, store: InfoStore | None, med_observer) -> None:
         f"def _make({', '.join(f'k{i}' for i in range(len(consts)))}):",
         "    def initial(si, pos):", *init, f"        return {row}",
         "    def extend(st, si, old, new):", *ext, f"        return {row}",
-        "    def admit(si, pos, st, positions):", *adm, f"        return {n}",
+        "    def admit(si, pos, st):", *adm, f"        return {n}",
         "    def gate(si, pos, st):", *gate, "        return True",
-        "    return initial, extend, admit, gate",
+        "    def witness(si, pos, st):", *wit, f"        return {n}",
+        "    return initial, extend, admit, gate, witness",
     ]) + "\n"
     namespace: dict = {}
     exec(plan.source, namespace)
-    plan.initial, plan.extend, plan.admit, plan.gate = namespace["_make"](*consts)
+    plan.initial, plan.extend, plan.admit, plan.gate, plan.witness = namespace["_make"](*consts)
 
 
 # --- extension tests -------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Reference miners that define ground truth for equivalence testing.
 
 ``mine_ppcc`` is prefix projection directly over the database rows: no
-diagram, no lookahead information.  Anti-monotone constraints prune entries
-the moment an occurrence violates them; non-monotone and monotone ones are
-carried along hopefully and only enforced by the final occurrence check at
-emission.  ``mine_bruteforce`` enumerates every distinct subsequence and
-counts constrained support by exhaustive embedding enumeration; it is the
-slow, obviously-correct baseline for small instances.
+diagram, no lookahead information.  Gap, item-set and anti-monotone rules
+are checked per step; the rest are enforced at emission by the compiled
+``witness`` test the diagram miner uses too.  ``mine_bruteforce``, the
+slow, obviously-correct baseline for small instances, enumerates every
+distinct subsequence and counts constrained support by exhaustive
+embedding enumeration through ``check_occurrence``, independently of both.
 """
 from __future__ import annotations
 

@@ -11,11 +11,9 @@ from dataclasses import dataclass, field
 import pytest
 
 from mddmine import (
-    GE,
-    LE,
-    ConstraintSpec,
     Kind,
     MiningCounters,
+    StatPlan,
     attach_attributes,
     build_mdd,
     generate_attributes,
@@ -33,7 +31,7 @@ from mddmine.cli import SCENARIOS
 
 from conftest import A, B, C, build_click_db
 from dbgen import random_instance
-from oracles import extension_exists
+from oracles import extension_exists, iter_arc_consistent_occurrences
 
 N_INSTANCES = 500
 
@@ -72,18 +70,10 @@ class CorpusResults:
     prop5_output_diffs: list = field(default_factory=list)
     prop5_counter_violations: list = field(default_factory=list)
     beta_value_errors: list = field(default_factory=list)
-    med_verdicts_checked: int = 0
+    med_occurrences_checked: int = 0
     med_verdict_errors: list = field(default_factory=list)
     structural_errors: list = field(default_factory=list)
     elapsed: float = 0.0
-
-
-def _spec_for_key(key) -> ConstraintSpec:
-    attr, sign, bound = key
-    return ConstraintSpec(
-        Kind.MED, attribute=attr,
-        direction=GE if sign > 0 else LE, c=sign * bound,
-    )
 
 
 def _check_beta_values(db, mdd, store, results, seed):
@@ -111,6 +101,21 @@ def _check_beta_values(db, mdd, store, results, seed):
                     results.beta_value_errors.append((seed, "avg", si, pos))
 
 
+def _check_med_verdicts(db, specs, mdd, store, results, seed):
+    """Every median spec's admission verdict on every arc-consistent
+    occurrence, against path enumeration."""
+    for spec in specs:
+        if spec.kind is not Kind.MED:
+            continue
+        plan = StatPlan(db, (spec,), store)
+        for si in range(len(db)):
+            for occ in iter_arc_consistent_occurrences(mdd, si):
+                results.med_occurrences_checked += 1
+                verdict = plan.admit(si, occ[-1], plan.recompute(si, occ)) == 1
+                if verdict != extension_exists(db, mdd, si, occ, spec):
+                    results.med_verdict_errors.append((seed, spec, si, occ, verdict))
+
+
 def _check_structure(db, results, seed):
     free = build_mdd(db)
     report = validate(free, db)
@@ -135,14 +140,8 @@ def corpus() -> CorpusResults:
         mdd = build_mdd(db, specs)
         store = propagate(mdd, db, specs)
 
-        recorded: dict = {}
-
-        def observe(si, pos, key, triple, verdict, positions, _rec=recorded):
-            _rec[(si, key, positions)] = verdict
-
         with_counters = MiningCounters()
-        mpp = mine(mdd, store, db, specs, theta,
-                   counters=with_counters, med_observer=observe)
+        mpp = mine(mdd, store, db, specs, theta, counters=with_counters)
         ppcc = mine_ppcc(db, specs, theta)
         brute = mine_bruteforce(db, specs, theta)
 
@@ -161,11 +160,7 @@ def corpus() -> CorpusResults:
 
         _check_beta_values(db, mdd, store, results, seed)
 
-        for (si, key, positions), verdict in recorded.items():
-            spec = _spec_for_key(key)
-            results.med_verdicts_checked += 1
-            if verdict != extension_exists(db, mdd, si, positions, spec):
-                results.med_verdict_errors.append((seed, si, positions, verdict))
+        _check_med_verdicts(db, specs, mdd, store, results, seed)
 
         _check_structure(db, results, seed)
 
@@ -191,8 +186,9 @@ def test_criterion_3_beta_oracle_equivalence(corpus):
     assert corpus.beta_value_errors == []
     assert corpus.med_verdict_errors == []
     _ok(
-        f"beta-oracle equivalence ({corpus.med_verdicts_checked} median "
-        "verdicts, each equal to brute force)"
+        f"beta-oracle equivalence (median verdicts on all "
+        f"{corpus.med_occurrences_checked} arc-consistent occurrences, "
+        "each equal to brute force)"
     )
 
 

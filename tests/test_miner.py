@@ -54,7 +54,7 @@ class TestExtend:
         base = dict(miner.root_candidates())
         pdb = base[B]
         assert {sid: [pos for pos, _ in entries] for sid, entries in pdb.entries.items()} \
-            == {1: [(0,), (1,)], 2: [(0,), (2,)]}
+            == {1: [0, 1], 2: [0, 2]}
         candidates = miner.extend(pdb)
         # A reaches only sequence 2, so with theta=2 just B..B survives
         assert [item for item, _ in candidates] == [B]
@@ -67,7 +67,7 @@ class TestExtend:
         base = dict(miner.root_candidates())
         candidates = dict(miner.extend(base[C]))
         # A is reachable only through the larger prefix ending at position 2
-        assert [pos for pos, _ in candidates[A].entries[3]] == [(1, 2)]
+        assert [pos for pos, _ in candidates[A].entries[3]] == [2]
 
     def test_no_out_arcs_yields_nothing(self, click_db):
         from mddmine import ProjectedDb
@@ -112,6 +112,13 @@ class TestArguments:
     def test_theta_zero_rejected(self, click_db):
         with pytest.raises(ValueError):
             mine_mpp(click_db, (), 0)
+
+    def test_diagram_built_for_other_specs_rejected(self, click_db):
+        # emission trusts the arcs for gap and item-set rules
+        specs = (parse_constraint("gap(time)>=3"),)
+        free = build_mdd(click_db)
+        with pytest.raises(ValueError):
+            mine(free, propagate(free, click_db, specs), click_db, specs, 2)
 
     def test_more_than_one_thread_rejected(self, click_db):
         assert mine_mpp(click_db, (), 2, threads=1) == mine_mpp(click_db, (), 2)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -10,6 +11,7 @@ from mddmine import (
     Kind,
     StatPlan,
     build_mdd,
+    check_occurrence,
     dump_info_tsv,
     make_database,
     med_extendable,
@@ -19,6 +21,7 @@ from mddmine import (
     propagate,
     span_extendable,
 )
+from mddmine.constraints import exact_median
 from mddmine.nodeinfo import med_dominates, med_fold, oriented_sentinels
 
 from conftest import A, B, C
@@ -280,7 +283,8 @@ class TestStatPlan:
 
     def test_source_is_kept(self, click_db):
         plan = StatPlan(click_db, (parse_constraint("span(time)<=4"),))
-        assert "def admit(si, pos, st, positions):" in plan.source
+        assert "def admit(si, pos, st):" in plan.source
+        assert "def witness(si, pos, st):" in plan.source
         assert "hi0 - lo0 > 4" in plan.source
 
 
@@ -304,14 +308,14 @@ class TestAdmission:
                     occurrences += 1
                     exists = [extension_exists(db, mdd, si, occ, s) for s in specs]
                     for plan in plans:
-                        verdict = plan.admit(si, occ[-1], plan.recompute(si, occ), occ)
+                        verdict = plan.admit(si, occ[-1], plan.recompute(si, occ))
                         if all(exists):
                             assert verdict == len(specs)
                         else:
                             assert verdict == len(specs) or not exists[verdict]
                     for spec, single, truth in zip(specs, singles, exists):
                         stats = single.recompute(si, occ)
-                        passed = single.admit(si, occ[-1], stats, occ) == 1
+                        passed = single.admit(si, occ[-1], stats) == 1
                         if (spec.kind, spec.direction) != (Kind.SPAN, GE):
                             assert passed == truth, (spec, occ)
         assert occurrences > 15000
@@ -329,8 +333,58 @@ class TestAdmission:
         store = propagate(mdd, db, specs)
         plan = StatPlan(db, specs, store)
         assert not extension_exists(db, mdd, 0, (0,), specs[1])
-        assert plan.admit(0, 0, plan.initial(0, 0), (0,)) == len(specs)
+        assert plan.admit(0, 0, plan.initial(0, 0)) == len(specs)
         assert mine(mdd, store, db, specs, 1) == mine_bruteforce(db, specs, 1)
+
+
+class TestWitness:
+    """``witness`` decides emission from the endpoint and the stats alone;
+    the argument is in the ``StatPlan`` docstring."""
+
+    def test_equals_reference_on_arc_consistent_occurrences(self):
+        rng = random.Random(29)
+        kinds, occurrences = set(), 0
+        for _ in range(200):
+            db = random_db(rng, n_max=8, len_max=6)
+            specs = random_specs(rng, db, max_specs=4)
+            kinds.update(spec.kind for spec in specs)
+            mdd = build_mdd(db, specs)
+            plans = (StatPlan(db, specs), StatPlan(db, specs, propagate(mdd, db, specs)))
+            for si, seq in enumerate(db.sequences):
+                for occ in iter_arc_consistent_occurrences(mdd, si):
+                    occurrences += 1
+                    truth = next((i for i, spec in enumerate(specs)
+                                  if not check_occurrence(seq, occ, spec)), len(specs))
+                    for plan in plans:
+                        verdict = plan.witness(si, occ[-1], plan.recompute(si, occ))
+                        assert verdict == truth, (specs, occ)
+        assert {Kind.GAP, Kind.ITEM_SET} <= kinds
+        assert occurrences > 15000
+
+    @pytest.mark.parametrize("window", [range(0, 7), range(-3, 4)])
+    def test_median_and_average_rules_exhaustive(self, window):
+        """Every multiset of 1-4 values, each distinct value once as the
+        endpoint, against bounds from two below to two above the window."""
+        lists = []
+        for size in range(1, 5):
+            for values in combinations_with_replacement(window, size):
+                for last in sorted(set(values)):
+                    rest = list(values)
+                    rest.remove(last)
+                    lists.append(rest + [last])
+        db = make_database([[1] * len(values) for values in lists], {"v": lists})
+        for kind in (Kind.MED, Kind.AVG):
+            for direction in (GE, LE):
+                for c in range(window.start - 2, window.stop + 2):
+                    spec = ConstraintSpec(kind, attribute="v", direction=direction, c=c)
+                    plan = StatPlan(db, (spec,))
+                    for si, values in enumerate(lists):
+                        stat = (exact_median(values) if kind is Kind.MED
+                                else Fraction(sum(values), len(values)))
+                        truth = stat >= c if direction == GE else stat <= c
+                        occ = tuple(range(len(values)))
+                        verdict = plan.witness(si, occ[-1], plan.recompute(si, occ))
+                        assert (verdict == 1) == truth, (spec, values)
 
 
 def test_dump_info_tsv_smoke(click_db):
