@@ -13,6 +13,9 @@ when it contains a decimal point (converted by ceiling, so 4% of 80 rounds
 up to 4).  Scenario presets install fixed constraint sets over time, price,
 and quality attributes.  With ``--emit-stats`` a run report (phase wall
 times and miner counters, tab-separated) is written next to the output.
+An option the selected path would ignore (``--max-len`` without ``--miner
+brute``, ``--disable-prop5`` with it, ``--ordering-attr`` without
+``--attrs``) is an argument error.
 """
 from __future__ import annotations
 
@@ -271,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--attrs", help="attribute TSV to attach")
         p.add_argument("--ordering-attr",
                        help="ordering attribute name, or 'none' (default: "
-                            "'time' when present)")
+                            "'time' when present); needs --attrs")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
 
     p = sub.add_parser("mine", help="mine frequent constrained patterns")
@@ -284,11 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="install a preset constraint set")
     p.add_argument("--miner", choices=("mpp", "ppcc", "brute"), default="mpp")
     p.add_argument("--disable-prop5", action="store_true",
-                   help="disable early candidate abandonment")
+                   help="disable early candidate abandonment (mpp and ppcc)")
     p.add_argument("--emit-stats", action="store_true",
                    help="write a run report (phase times and counters)")
     p.add_argument("--report", help="run report path (implies --emit-stats)")
-    p.add_argument("--max-len", type=int, help="pattern length cap (brute miner)")
+    p.add_argument("--max-len", type=int, help="pattern length cap (--miner brute only)")
 
     p = sub.add_parser("gen-attrs", help="generate synthetic attributes")
     p.add_argument("--db", required=True)
@@ -329,11 +332,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # an option the selected path would silently ignore is an argument error
+    if getattr(args, "ordering_attr", None) is not None and args.attrs is None:
+        parser.error("--ordering-attr needs --attrs")
     if args.command == "mine":
         try:
             _parse_min_support(args.min_sup)
         except ValueError as exc:
             parser.error(str(exc))
+        if args.max_len is not None and args.miner != "brute":
+            parser.error("--max-len applies only to --miner brute")
+        if args.disable_prop5 and args.miner == "brute":
+            parser.error("--disable-prop5 has no effect with --miner brute")
     return run(_config_from_args(args))
 
 

@@ -12,14 +12,15 @@ ones must stay reachable according to the node information, and gap and
 item-set rules are already enforced by the diagram's arcs.
 
 Candidate items for extending a pattern are collected by scanning each live
-entry's successors, sequence by sequence in ascending id order.  While
-scanning, an item whose remaining attainable support provably falls below
-the threshold is abandoned early (`prop5_prune`); this is a pure work saving
-and never changes the mined output.  A pattern is emitted when enough
-sequences own an entry whose ``witness`` verdict passes every constraint;
-entries that are not witnesses yet stay in the projection in case an
-extension completes them.  The search is one depth-first traversal in the
-calling thread.
+entry's successors, sequence by sequence in ascending id order.  Items whose
+plain sequence support is below the threshold are abandoned before any scan,
+and while scanning, an item whose remaining attainable support provably
+falls below the threshold is abandoned too (`prop5_prune`).  An abandoned
+successor costs one set lookup and gets no entry; neither rule changes the
+mined output.  A pattern is emitted when enough sequences own an entry
+whose ``witness`` verdict passes every constraint; entries that are not
+witnesses yet stay in the projection in case an extension completes them.
+The search is one depth-first traversal in the calling thread.
 
 Statistics, admission, the scan gate and ``witness`` are compiled by
 ``StatPlan`` for the spec list (and the diagram miner's store); an admission
@@ -29,6 +30,7 @@ its counts in locals and adds them to ``MiningCounters`` once.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence as SequenceT
 
@@ -54,6 +56,14 @@ def prop5_prune(n: int, sup_i: int, sup_p: int, theta: int) -> bool:
 
     n sequences have been searched so far and sup_i of them contained i; the
     projection spans sup_p sequences, so i can gain at most sup_p - n more.
+
+    The miner also applies this bound before any scan, with the item's plain
+    sequence support in place of the running count: a scan returns an item
+    only when its ``item_support`` reaches theta, and that count (sequences
+    holding an admitted entry for the item) never exceeds the item's plain
+    support.  An item below theta in the database is therefore abandoned
+    up front, which changes no returned candidate, no emitted pattern and no
+    descendant.
     """
     return n - sup_i > sup_p - theta
 
@@ -140,6 +150,8 @@ class _ProjectionMiner:
         self.counters = counters if counters is not None else MiningCounters()
         self.use_prop5 = use_prop5
         self._items = [seq.items for seq in db.sequences]
+        plain = Counter(item for items in self._items for item in set(items))
+        self._infrequent = frozenset(i for i, sup in plain.items() if sup < theta)
 
     # -- hooks -------------------------------------------------------------
 
@@ -171,7 +183,7 @@ class _ProjectionMiner:
         start_positions, next_positions = self._start_positions, self._next_positions
         candidates: dict[int, dict[int, list]] = {}
         item_support: dict[int, int] = {}
-        dead: set[int] = set()
+        dead: set[int] = set(self._infrequent) if use_prop5 else set()
         n = visited = created = scanned = checks = probes = 0
         for si, parents in per_sid_parents:
             n += 1

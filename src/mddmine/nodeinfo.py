@@ -178,7 +178,9 @@ def propagate(
     order, so successor information is final before a position is processed.
     Average and median information depend on the constraint bound and are
     computed per constraint instance; span and sum information are shared per
-    attribute (and direction).
+    attribute (and direction).  The median loop inlines ``med_fold`` and
+    ``med_dominates``, as the generated ``extend`` does, and stores exactly
+    the triples a fold through those reference forms would.
     """
     needs = _derive_needs(specs)
     store = InfoStore()
@@ -241,21 +243,42 @@ def propagate(
 
     for attr, sign, bound in needs.med_keys:
         cols = db.columns(attr)
+        two_bound = 2 * bound
         per_med: list[list[MedTriple]] = []
         for si, col in enumerate(cols):
             succ = succ_tables[si]
             oriented = [sign * v for v in col]
             sent_lo, sent_hi = oriented_sentinels(oriented)
-            empty = (0, sent_lo, sent_hi)
             arr: list[MedTriple] = [None] * len(col)  # type: ignore[list-item]
             for j in range(len(col) - 1, -1, -1):
+                # med_fold of v into the empty triple, then into each
+                # successor's, replacing the best only by a triple that
+                # med_dominates it; v lies strictly between the sentinels
                 v = oriented[j]
-                best = med_fold(v, bound, empty)
+                up = v >= bound
+                b1, b2, b3 = (1, sent_lo, v) if up else (-1, v, sent_hi)
+                b_ok = b2 + b3 >= two_bound
                 for k in succ[j]:
-                    cand = med_fold(v, bound, arr[k])
-                    if med_dominates(cand, best, bound):
-                        best = cand
-                arr[j] = best
+                    c1, c2, c3 = arr[k]
+                    if up:
+                        c1 += 1
+                        if v < c3:
+                            c3 = v
+                    else:
+                        c1 -= 1
+                        if v > c2:
+                            c2 = v
+                    if c1 != b1:
+                        if c1 < b1:
+                            continue
+                    elif c2 + c3 >= two_bound:
+                        if b_ok and c2 <= b2:
+                            continue
+                    elif b_ok or c3 <= b3:
+                        continue
+                    b1, b2, b3 = c1, c2, c3
+                    b_ok = b2 + b3 >= two_bound
+                arr[j] = (b1, b2, b3)
             per_med.append(arr)
         store.med[(attr, sign, bound)] = per_med
 

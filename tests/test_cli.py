@@ -92,6 +92,37 @@ class TestMine:
                   "--min-sup", "1", *option])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("option, named", [
+        (["--max-len", "1"], "--max-len"),
+        (["--max-len", "1", "--miner", "ppcc"], "--max-len"),
+        (["--disable-prop5", "--miner", "brute"], "--disable-prop5"),
+    ])
+    def test_ignored_options_are_argument_errors(self, click_files, capsys,
+                                                 option, named):
+        spmf, attrs = click_files
+        with pytest.raises(SystemExit) as err:
+            main(["mine", "--db", str(spmf), "--attrs", str(attrs),
+                  "--min-sup", "1", *option])
+        assert err.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_max_len_caps_the_brute_miner(self, click_files, tmp_path):
+        text = run_mine(click_files, tmp_path, "--min-sup", "1",
+                        "--miner", "brute", "--max-len", "1")
+        assert text == "1\t#SUP: 2\n2\t#SUP: 2\n3\t#SUP: 1\n"
+
+    @pytest.mark.parametrize("command", [
+        ["mine", "--min-sup", "1"], ["stats"], ["export-dot"],
+    ])
+    def test_ordering_attr_without_attrs_is_an_argument_error(
+            self, click_files, capsys, command):
+        spmf, _ = click_files
+        with pytest.raises(SystemExit) as err:
+            main([command[0], "--db", str(spmf), "--ordering-attr", "time",
+                  *command[1:]])
+        assert err.value.code == 2
+        assert "--ordering-attr" in capsys.readouterr().err
+
     def test_failed_write_keeps_previous_output(self, click_files, tmp_path,
                                                 monkeypatch):
         spmf, attrs = click_files

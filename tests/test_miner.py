@@ -10,7 +10,9 @@ from mddmine import (
     build_mdd,
     generate_attributes,
     generate_sessions,
+    make_database,
     mine,
+    mine_bruteforce,
     mine_mpp,
     mine_ppcc,
     parse_constraint,
@@ -108,6 +110,41 @@ class TestProp5:
             assert with_c.scanned_sequences <= without_c.scanned_sequences
 
 
+class TestPlainSupportAbandonment:
+    """Items below theta in the database are abandoned before the first scan."""
+
+    def test_item_below_theta_gets_no_entry(self):
+        # theta 3: A is in 2 sequences (theta - 1), B and C in exactly 3
+        db = make_database([[A, B, C], [A, B], [B, C], [C]])
+        events_of_a = 2
+        on, off = MiningCounters(), MiningCounters()
+        with_rule = MppMiner(build_mdd(db), None, db, (), 3, counters=on)
+        without = MppMiner(build_mdd(db), None, db, (), 3, counters=off,
+                           use_prop5=False)
+        assert with_rule._infrequent == {A}
+        roots = dict(with_rule.root_candidates())
+        assert dict(without.root_candidates()).keys() == roots.keys() == {B, C}
+        assert on.entries_created == off.entries_created - events_of_a == 8 - events_of_a
+        assert roots[B].support == 3  # reaching theta exactly is enough
+        out = mine_mpp(db, (), 3)
+        assert out == mine_bruteforce(db, (), 3)
+        assert out.support((B,)) == 3 and (A,) not in out
+
+    def test_theta_sweep_agrees_with_every_reference(self):
+        fired = 0
+        for seed in (3, 14, 27, 58):
+            db, specs, _ = random_instance(seed)
+            mdd = build_mdd(db, specs)
+            store = propagate(mdd, db, specs)
+            for theta in range(1, len(db) + 1):
+                out = mine(mdd, store, db, specs, theta)
+                assert out == mine(mdd, store, db, specs, theta, use_prop5=False)
+                assert out == mine_ppcc(db, specs, theta)
+                assert out == mine_bruteforce(db, specs, theta)
+                fired += bool(MppMiner(mdd, store, db, specs, theta)._infrequent)
+        assert fired > 0
+
+
 class TestArguments:
     def test_theta_zero_rejected(self, click_db):
         with pytest.raises(ValueError):
@@ -164,7 +201,8 @@ class TestMonotoneHandling:
 #: (nodes_visited, entries_created, scanned_sequences, constraint_checks,
 #: info_probes, patterns_emitted, peak_entries), recorded while admission
 #: still counted one call per check; the compiled plan's prefix tables must
-#: reproduce them exactly
+#: reproduce them exactly.  The session cases count items abandoned up front
+#: for plain support below theta: they get no entry and no admission.
 PINNED_COUNTERS = {
     40: ((1268, 1002, 313, 1785, 2010, 15, 204), (1268, 1005, 315, 1791, 0, 15, 207)),
     96: ((1223, 1094, 653, 1303, 3407, 130, 112), (1268, 1258, 710, 1410, 0, 130, 156)),
@@ -172,8 +210,10 @@ PINNED_COUNTERS = {
     328: ((2167, 2097, 415, 3141, 2117, 30, 350), (2268, 2207, 429, 3361, 0, 30, 354)),
     349: ((583, 497, 248, 819, 1044, 7, 131), (669, 598, 276, 966, 0, 7, 145)),
     "click_db": ((8, 0, 0, 0, 8, 0, 0), (13, 13, 9, 60, 0, 0, 8)),
-    "sessions": ((18503, 12160, 8041, 36383, 133414, 26, 2252),
-                 (30772, 30370, 18324, 117888, 0, 26, 5169)),
+    "sessions": ((18503, 12154, 8037, 36374, 133343, 26, 2252),
+                 (30772, 30313, 18288, 117831, 0, 26, 5169)),
+    "sessions_s1": ((13837, 8670, 5655, 18257, 10243, 13, 2064),
+                    (17510, 13257, 8504, 48994, 0, 13, 3755)),
 }
 
 
@@ -200,3 +240,14 @@ class TestPinnedCounters:
         specs = tuple(parse_constraint(t) for t in SCENARIOS[3])
         theta = 1 if name == "click_db" else 4
         assert self._counters(db, specs, theta) == PINNED_COUNTERS[name]
+
+    def test_scenario_1_abandons_items_at_the_root(self):
+        # theta 20 leaves 26 of the 100 items frequent, so the plain-support
+        # rule removes items before the root scan
+        base = generate_sessions(400, 100, seed=2024)
+        table = generate_attributes(base, seed=99)
+        db = attach_attributes(base, table, ordering_attribute="time")
+        specs = tuple(parse_constraint(t) for t in SCENARIOS[1])
+        miner = MppMiner(build_mdd(db, specs), None, db, specs, 20)
+        assert 0 < len(miner._infrequent) < len(db.item_universe)
+        assert self._counters(db, specs, 20) == PINNED_COUNTERS["sessions_s1"]

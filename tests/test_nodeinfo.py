@@ -244,6 +244,40 @@ class TestOracleEquivalence:
                     verdict = med_extendable(triple, store.med[key][si][last], med)
                     assert verdict == extension_exists(db, mdd, si, occ, med)
 
+    def test_med_arrays_equal_reference_fold(self):
+        # propagate inlines the fold and the dominance test; its arrays must
+        # be those of a backward fold through the reference forms, keeping
+        # the first triple that no later one dominates.  Values 0..4 and
+        # bounds around them make balances and deciding values tie often,
+        # and a gap rule on the same values gives irregular successor sets.
+        rng = random.Random(17)
+        for _ in range(150):
+            lengths = [rng.randint(1, 8) for _ in range(rng.randint(3, 10))]
+            db = make_database(
+                [[rng.randint(1, 3) for _ in range(k)] for k in lengths],
+                {"x": [[rng.randint(0, 4) for _ in range(k)] for k in lengths]},
+            )
+            specs = tuple(
+                ConstraintSpec(Kind.MED, attribute="x", direction=direction, c=c)
+                for direction in (GE, LE) for c in range(-1, 6)
+            ) + (ConstraintSpec(Kind.GAP, attribute="x", direction=rng.choice((GE, LE)),
+                                c=rng.randint(-2, 2)),)
+            mdd = build_mdd(db, specs)
+            store = propagate(mdd, db, specs)
+            for (attr, sign, bound), arrays in store.med.items():
+                for si, col in enumerate(db.columns(attr)):
+                    oriented = [sign * v for v in col]
+                    lo, hi = oriented_sentinels(oriented)
+                    ref = [None] * len(col)
+                    for j in range(len(col) - 1, -1, -1):
+                        best = med_fold(oriented[j], bound, (0, lo, hi))
+                        for k in mdd.succ[si][j]:
+                            cand = med_fold(oriented[j], bound, ref[k])
+                            if med_dominates(cand, best, bound):
+                                best = cand
+                        ref[j] = best
+                    assert arrays[si] == ref
+
 
 class TestStatPlan:
     def _definition_stats(self, plan, db, si, positions):
