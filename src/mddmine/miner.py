@@ -336,8 +336,9 @@ def mine(
     """Mine all frequent constraint-satisfying patterns from a built diagram.
 
     The diagram must have been built with the pairwise-checkable subset of
-    ``specs`` imposed (a ``ValueError`` otherwise), and ``store`` propagated
-    for ``specs``.  Mining runs in the calling thread.
+    ``specs`` imposed, and ``store`` must hold the information ``specs``
+    need (``propagate`` for them or a superset); either mismatch is a
+    ``ValueError``.  Mining runs in the calling thread.
     """
     # threads stays as a parameter only because perfbench/worker.py passes 1
     if threads != 1:

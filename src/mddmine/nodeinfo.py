@@ -18,6 +18,11 @@ medians, so sums, average pairs, and median triples are stored in "oriented"
 form, over s*value with s = +1 for >= and s = -1 for <=.  Everything is exact
 integer arithmetic; division never happens in a feasibility decision.
 
+Each event's information is one flat record tuple holding every key's slots
+at fixed offsets: (lo, hi) per span key, one oriented sum, an avg pair
+(b1, b2), a median triple, and maxlen.  ``propagate`` generates one backward
+pass per spec list that builds all of them at once.
+
 The extension tests combine a pattern occurrence's running statistics with
 the information stored at its final event.  The stored values include that
 event's own attribute value, so the tests subtract it from the pattern side
@@ -26,18 +31,20 @@ over the occurrence excluding its final event.
 
 ``StatPlan`` compiles a spec list once into straight-line Python: the
 statistics are one flat tuple, and ``initial``, ``extend``, ``admit``,
-``gate`` and ``witness`` are generated with columns, bounds and store arrays
-bound as constants, so no per-entry work dispatches on the constraint kind.
-``span_extendable``, ``med_extendable``, ``med_fold`` and ``med_dominates``
-are the reference forms of the tests the generated code inlines.
+``gate`` and ``witness`` are generated with columns, bounds and the store's
+records bound as constants, so no per-entry work dispatches on the
+constraint kind.  ``span_extendable``, ``med_extendable``, ``med_fold`` and
+``med_dominates`` are the reference forms of the tests the generated code
+inlines.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence as SequenceT
+from typing import Sequence as SequenceT
 
 from .constraints import (
     GE,
+    LE,
     ConstraintSpec,
     Kind,
     Monotonicity,
@@ -108,45 +115,33 @@ def med_dominates(a: MedTriple, b: MedTriple, bound: int) -> bool:
 
 # --- derived needs -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Needs:
-    span_attrs: tuple[str, ...]
-    sum_keys: tuple[tuple[str, int], ...]            # (attr, sign), sum specs only
-    avg_keys: tuple[tuple[str, int, int], ...]       # (attr, sign, oriented bound)
-    med_keys: tuple[tuple[str, int, int], ...]
-    stat_sum_keys: tuple[tuple[str, int], ...]       # (attr, sign), sum and avg specs
-    need_maxlen: bool
+#: information kinds in record order, with their slot counts
+_WIDTH = {"span": 2, "sum": 1, "avg": 2, "med": 3, "maxlen": 1}
 
 
-def _derive_needs(specs: SequenceT[ConstraintSpec]) -> _Needs:
-    span: list[str] = []
-    sums: list[tuple[str, int]] = []
-    avgs: list[tuple[str, int, int]] = []
-    meds: list[tuple[str, int, int]] = []
-    stat_sums: list[tuple[str, int]] = []
-    need_maxlen = False
-
-    def push(seq: list, key) -> None:
-        if key not in seq:
-            seq.append(key)
-
+def _derive_needs(specs: SequenceT[ConstraintSpec]) -> tuple[tuple, ...]:
+    """The information keys the specs call for, in record order."""
+    keys: set[tuple] = set()
     for spec in specs:
-        if spec.kind in (Kind.SPAN, Kind.MAX, Kind.MIN):
-            push(span, spec.attribute)
-        elif spec.kind is Kind.SUM:
-            push(sums, (spec.attribute, _sign(spec.direction)))
-            push(stat_sums, (spec.attribute, _sign(spec.direction)))
-        elif spec.kind is Kind.AVG:
-            s = _sign(spec.direction)
-            push(avgs, (spec.attribute, s, s * spec.c))
-            push(stat_sums, (spec.attribute, s))
-        elif spec.kind is Kind.MED:
-            s = _sign(spec.direction)
-            push(meds, (spec.attribute, s, s * spec.c))
-        elif spec.kind is Kind.LENGTH and spec.direction == GE:
-            need_maxlen = True
-    return _Needs(tuple(span), tuple(sums), tuple(avgs), tuple(meds),
-                  tuple(stat_sums), need_maxlen)
+        attr, kind, s = spec.attribute, spec.kind, _sign(spec.direction)
+        if kind in (Kind.SPAN, Kind.MAX, Kind.MIN):
+            keys.add(("span", attr))
+        elif kind is Kind.SUM:
+            keys.add(("sum", attr, s))
+        elif kind in (Kind.AVG, Kind.MED):
+            keys.add((kind.value, attr, s, s * spec.c))
+        elif kind is Kind.LENGTH and spec.direction == GE:
+            keys.add(("maxlen",))
+    return tuple(sorted(keys, key=lambda k: (list(_WIDTH).index(k[0]), k)))
+
+
+def _info_label(key: tuple) -> str:
+    """An information key as text: ``span(time)``, ``avg(price,<=70)``, ..."""
+    kind, *rest = key
+    if len(rest) < 2:
+        return f"{kind}({rest[0]})" if rest else kind
+    attr, sign, *bound = rest
+    return f"{kind}({attr},{GE if sign > 0 else LE}{''.join(str(sign * b) for b in bound)})"
 
 
 def oriented_sentinels(values: SequenceT[int]) -> tuple[int, int]:
@@ -154,17 +149,33 @@ def oriented_sentinels(values: SequenceT[int]) -> tuple[int, int]:
     return min(values) - 1, max(values) + 1
 
 
+def _sentinel_table(columns, sign: int) -> list[tuple[int, int]]:
+    return [oriented_sentinels([sign * v for v in col]) for col in columns]
+
+
 # --- the information store ------------------------------------------------------
 
 @dataclass
 class InfoStore:
-    """Arrays of per-event information, indexed [sequence index][position]."""
+    """One information record per event, ``records[si][pos]``.
 
-    span: dict[str, list[list[tuple[int, int]]]] = field(default_factory=dict)
-    sums: dict[tuple[str, int], list[list[int]]] = field(default_factory=dict)
-    avg: dict[tuple[str, int, int], list[list[tuple[int, int]]]] = field(default_factory=dict)
-    med: dict[tuple[str, int, int], list[list[MedTriple]]] = field(default_factory=dict)
-    maxlen: list[list[int]] | None = None
+    A record is a flat tuple: key ``k``'s information starts at slot
+    ``layout[k]``.  ``("span", attr)`` holds (lo, hi), ``("sum", attr, s)``
+    the oriented sum, ``("avg", attr, s, b)`` the pair (b1, b2), ``("med",
+    attr, s, b)`` the triple and ``("maxlen",)`` the longest path ahead;
+    keys are ordered by kind in that order, then sorted.  A spec list that
+    needs no information gets an empty layout and no records.
+    """
+
+    layout: dict[tuple, int] = field(default_factory=dict)
+    records: list[list[tuple]] = field(default_factory=list)
+
+    def info(self, key: tuple) -> list[list]:
+        """One key's values per sequence and position; a tuple if several slots."""
+        at, width = self.layout[key], _WIDTH[key[0]]
+        if width == 1:
+            return [[r[at] for r in seq] for seq in self.records]
+        return [[r[at:at + width] for r in seq] for seq in self.records]
 
 
 def propagate(
@@ -174,158 +185,129 @@ def propagate(
 ) -> InfoStore:
     """Compute all per-event information the spec list calls for.
 
-    Runs backward over each sequence, mirroring the diagram construction
-    order, so successor information is final before a position is processed.
-    Average and median information depend on the constraint bound and are
-    computed per constraint instance; span and sum information are shared per
-    attribute (and direction).  The median loop inlines ``med_fold`` and
-    ``med_dominates``, as the generated ``extend`` does, and stores exactly
-    the triples a fold through those reference forms would.
+    One generated backward pass per sequence, mirroring the diagram
+    construction order, so successor records are final before a position is
+    processed.  Average and median information depend on the constraint
+    bound and are computed per constraint instance; span and sum information
+    are shared per attribute (and direction).  A spec list that needs no
+    information visits no event.
     """
-    needs = _derive_needs(specs)
-    store = InfoStore()
-    succ_tables = mdd.succ
+    keys = _derive_needs(specs)
+    if not keys:
+        return InfoStore()
+    walk, layout = _compile_propagate(db, keys)
+    return InfoStore(layout, walk(mdd.succ))
 
-    for attr in needs.span_attrs:
-        cols = db.columns(attr)
-        per_sid: list[list[tuple[int, int]]] = []
-        for si, col in enumerate(cols):
-            succ = succ_tables[si]
-            arr: list[tuple[int, int]] = [None] * len(col)  # type: ignore[list-item]
-            for j in range(len(col) - 1, -1, -1):
-                lo = hi = col[j]
-                for k in succ[j]:
-                    k_lo, k_hi = arr[k]
-                    if k_lo < lo:
-                        lo = k_lo
-                    if k_hi > hi:
-                        hi = k_hi
-                arr[j] = (lo, hi)
-            per_sid.append(arr)
-        store.span[attr] = per_sid
 
-    for attr, sign in needs.sum_keys:
-        cols = db.columns(attr)
-        per_sums: list[list[int]] = []
-        for si, col in enumerate(cols):
-            succ = succ_tables[si]
-            arr: list[int] = [0] * len(col)
-            for j in range(len(col) - 1, -1, -1):
-                v = sign * col[j]
-                best = v
-                for k in succ[j]:
-                    cand = v + arr[k]
-                    if cand > best:
-                        best = cand
-                arr[j] = best
-            per_sums.append(arr)
-        store.sums[(attr, sign)] = per_sums
+def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
+    """Generate and ``exec`` the fused backward pass; returns it and the layout.
 
-    for attr, sign, bound in needs.avg_keys:
-        cols = db.columns(attr)
-        per_avg: list[list[tuple[int, int]]] = []
-        for si, col in enumerate(cols):
-            succ = succ_tables[si]
-            arr: list[tuple[int, int]] = [None] * len(col)  # type: ignore[list-item]
-            for j in range(len(col) - 1, -1, -1):
-                v = sign * col[j]
-                b1, b2 = v, 1
-                score = b1 - bound * b2
-                for k in succ[j]:
-                    k1, k2 = arr[k]
-                    c1, c2 = v + k1, 1 + k2
-                    c_score = c1 - bound * c2
-                    if c_score > score:
-                        b1, b2, score = c1, c2, c_score
-                arr[j] = (b1, b2)
-            per_avg.append(arr)
-        store.avg[(attr, sign, bound)] = per_avg
+    ``fields`` lists the record's slot expressions; each key's offset is the
+    length of the list when its slots are appended.  Per successor the
+    record is unpacked once and each key folds its slots in:
 
-    for attr, sign, bound in needs.med_keys:
-        cols = db.columns(attr)
-        two_bound = 2 * bound
-        per_med: list[list[MedTriple]] = []
-        for si, col in enumerate(cols):
-            succ = succ_tables[si]
-            oriented = [sign * v for v in col]
-            sent_lo, sent_hi = oriented_sentinels(oriented)
-            arr: list[MedTriple] = [None] * len(col)  # type: ignore[list-item]
-            for j in range(len(col) - 1, -1, -1):
-                # med_fold of v into the empty triple, then into each
-                # successor's, replacing the best only by a triple that
-                # med_dominates it; v lies strictly between the sentinels
-                v = oriented[j]
-                up = v >= bound
-                b1, b2, b3 = (1, sent_lo, v) if up else (-1, v, sent_hi)
-                b_ok = b2 + b3 >= two_bound
-                for k in succ[j]:
-                    c1, c2, c3 = arr[k]
-                    if up:
-                        c1 += 1
-                        if v < c3:
-                            c3 = v
-                    else:
-                        c1 -= 1
-                        if v > c2:
-                            c2 = v
-                    if c1 != b1:
-                        if c1 < b1:
-                            continue
-                    elif c2 + c3 >= two_bound:
-                        if b_ok and c2 <= b2:
-                            continue
-                    elif b_ok or c3 <= b3:
-                        continue
-                    b1, b2, b3 = c1, c2, c3
-                    b_ok = b2 + b3 >= two_bound
-                arr[j] = (b1, b2, b3)
-            per_med.append(arr)
-        store.med[(attr, sign, bound)] = per_med
+    * span keeps the smallest ``lo`` and largest ``hi``;
+    * sum and maxlen keep the largest successor value, against 0 for the
+      path that stops here, and add the event's own;
+    * avg keeps the first successor pair of highest ``b1 - b*b2``, against
+      (0, 0) for stopping here, and adds (v, 1);
+    * med starts from the event alone and folds the event's value into each
+      successor triple, keeping the first that no later one beats
+      (``med_fold`` and ``med_dominates`` inlined).
+    """
+    consts: list = []
 
-    if needs.need_maxlen:
-        per_len: list[list[int]] = []
-        for si in range(len(db.sequences)):
-            succ = succ_tables[si]
-            length = len(succ)
-            arr = [1] * length
-            for j in range(length - 1, -1, -1):
-                best = 0
-                for k in succ[j]:
-                    if arr[k] > best:
-                        best = arr[k]
-                arr[j] = 1 + best
-            per_len.append(arr)
-        store.maxlen = per_len
+    def const(obj) -> str:
+        consts.append(obj)
+        return f"k{len(consts) - 1}"
 
-    return store
+    attrs = dict.fromkeys(key[1] for key in keys if key[0] != "maxlen")
+    x = {a: f"x{i}" for i, a in enumerate(attrs)}
+    seq = [f"            c{i} = {const(db.columns(a))}[si]" for i, a in enumerate(attrs)]
+    own = [f"                x{i} = c{i}[j]" for i in range(len(attrs))]
+    step: list[str] = []
+    fields: list[str] = []
+    layout: dict[tuple, int] = {}
+    for n, key in enumerate(keys):
+        kind = key[0]
+        layout[key] = len(fields)
+        u = [f"u{len(fields) + w}" for w in range(_WIDTH[kind])]
+        if kind == "span":
+            lo, hi = f"lo{n}", f"hi{n}"
+            own.append(f"                {lo} = {hi} = {x[key[1]]}")
+            step += [f"                    if {u[0]} < {lo}: {lo} = {u[0]}",
+                     f"                    if {u[1]} > {hi}: {hi} = {u[1]}"]
+            fields += [lo, hi]
+            continue
+        # maxlen is the longest path's sum of ones
+        v = "1" if kind == "maxlen" else f"{'' if key[2] > 0 else '-'}{x[key[1]]}"
+        if kind in ("sum", "maxlen"):
+            own.append(f"                g{n} = 0")
+            step.append(f"                    if {u[0]} > g{n}: g{n} = {u[0]}")
+            fields.append(f"{v} + g{n}")
+        elif kind == "avg":
+            own.append(f"                p{n} = q{n} = g{n} = 0")
+            step += [f"                    g = {u[0]} - {key[3]} * {u[1]}",
+                     f"                    if g > g{n}: p{n}, q{n}, g{n} = {u[0]}, {u[1]}, g"]
+            fields += [f"{v} + p{n}", f"1 + q{n}"]
+        else:
+            bound, two = key[3], 2 * key[3]
+            b1, b2, b3, ok = f"m{n}a", f"m{n}b", f"m{n}c", f"ok{n}"
+            seq.append(f"            e{n}, f{n} = "
+                       f"{const(_sentinel_table(db.columns(key[1]), key[2]))}[si]")
+            own += [f"                v{n} = {v}",
+                    f"                up{n} = v{n} >= {bound}",
+                    f"                {b1}, {b2}, {b3} = "
+                    f"(1, e{n}, v{n}) if up{n} else (-1, v{n}, f{n})",
+                    f"                {ok} = {b2} + {b3} >= {two}"]
+            # a folded triple of lower balance loses whatever its values
+            step += [f"                    t1 = {u[0]} + 1 if up{n} else {u[0]} - 1",
+                     f"                    if t1 >= {b1}:",
+                     f"                        if up{n}:",
+                     f"                            t2 = {u[1]}",
+                     f"                            t3 = {u[2]} if {u[2]} < v{n} else v{n}",
+                     "                        else:",
+                     f"                            t2 = {u[1]} if {u[1]} > v{n} else v{n}",
+                     f"                            t3 = {u[2]}",
+                     f"                        if t1 > {b1} or ((not {ok} or t2 > {b2}) "
+                     f"if t2 + t3 >= {two} else not {ok} and t3 > {b3}):",
+                     f"                            {b1}, {b2}, {b3} = t1, t2, t3",
+                     f"                            {ok} = t2 + t3 >= {two}"]
+            fields += [b1, b2, b3]
+    source = "\n".join([
+        f"def _make({', '.join(f'k{i}' for i in range(len(consts)))}):",
+        "    def walk(succ_tables):",
+        "        out = []",
+        "        for si, succ in enumerate(succ_tables):", *seq,
+        "            R = [None] * len(succ)",
+        "            for j in range(len(succ) - 1, -1, -1):", *own,
+        "                for k in succ[j]:",
+        f"                    {', '.join(f'u{i}' for i in range(len(fields)))}, = R[k]",
+        *step,
+        f"                R[j] = ({', '.join(fields)},)",
+        "            out.append(R)",
+        "        return out",
+        "    return walk",
+    ]) + "\n"
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["_make"](*consts), layout
 
 
 def dump_info_tsv(store: InfoStore, db: AttributedDatabase) -> str:
     """Flatten the store for inspection: sid, pos, info label, beta values.
 
-    Sum, average, and median entries are reported in oriented form (values
-    negated for <= bounds); the label records the natural bound.
+    One block per key, in layout order.  Sum, average, and median entries
+    are reported in oriented form (values negated for <= bounds); the label
+    records the natural bound.
     """
     lines = ["sid\tpos\tinfo\tvalues"]
-
-    def emit(label: str, arrays, render: Callable) -> None:
-        for si, arr in enumerate(arrays):
+    for key in store.layout:
+        label = _info_label(key)
+        for si, arr in enumerate(store.info(key)):
             for pos, value in enumerate(arr):
-                lines.append(f"{si + 1}\t{pos + 1}\t{label}\t{render(value)}")
-
-    for attr, arrays in sorted(store.span.items()):
-        emit(f"span({attr})", arrays, lambda v: f"{v[0]},{v[1]}")
-    for (attr, sign), arrays in sorted(store.sums.items()):
-        op = GE if sign > 0 else "<="
-        emit(f"sum({attr},{op})", arrays, lambda v: str(v))
-    for (attr, sign, bound), arrays in sorted(store.avg.items()):
-        op = GE if sign > 0 else "<="
-        emit(f"avg({attr},{op}{sign * bound})", arrays, lambda v: f"{v[0]},{v[1]}")
-    for (attr, sign, bound), arrays in sorted(store.med.items()):
-        op = GE if sign > 0 else "<="
-        emit(f"med({attr},{op}{sign * bound})", arrays, lambda v: f"{v[0]},{v[1]},{v[2]}")
-    if store.maxlen is not None:
-        emit("maxlen", store.maxlen, str)
+                text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+                lines.append(f"{si + 1}\t{pos + 1}\t{label}\t{text}")
     return "\n".join(lines) + "\n"
 
 
@@ -342,7 +324,9 @@ class StatPlan:
     ``med_at`` map each key to its first slot.
 
     Five functions are generated as Python source (kept in ``source``) with
-    columns, signs, bounds and the store's arrays bound as constants:
+    columns, signs, bounds and the store's records bound as constants;
+    ``admit`` and ``gate`` look the endpoint's record up once and read the
+    slots its layout gives:
 
     * ``initial(si, pos)`` and ``extend(stats, si, old, new)`` build stats in
       O(1) per appended event, with median folds inlined;
@@ -376,6 +360,9 @@ class StatPlan:
     ``constraint_checks[r]`` occurrence-level checks and ``info_probes[r]``
     information lookups, counted apart because lookups replace checks and
     the relative cost of the two is what the miners are compared on.
+
+    A store that lacks information the specs need, because it was
+    propagated for other specs, is rejected with a ``ValueError``.
     """
 
     def __init__(
@@ -387,10 +374,15 @@ class StatPlan:
         require_known_attributes(specs, db.attribute_names)
         self.db = db
         self.specs = tuple(specs)
-        needs = _derive_needs(specs)
-        self.span_attrs = needs.span_attrs
-        self.sum_keys = needs.stat_sum_keys
-        self.med_keys = needs.med_keys
+        keys = _derive_needs(specs)
+        if store is not None:
+            missing = [_info_label(k) for k in keys if k not in store.layout]
+            if missing:
+                raise ValueError("the information store was propagated for other "
+                                 f"specs; it lacks {', '.join(missing)}")
+        self.span_attrs = tuple(k[1] for k in keys if k[0] == "span")
+        self.sum_keys = tuple(dict.fromkeys(k[1:3] for k in keys if k[0] in ("sum", "avg")))
+        self.med_keys = tuple(k[1:] for k in keys if k[0] == "med")
         _compile(self, store)
 
     def recompute(self, si: int, positions: SequenceT[int]):
@@ -435,7 +427,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
 
     init = fetch("pos")
     for k in plan.med_keys:
-        sentinels = [oriented_sentinels([k[1] * v for v in c]) for c in columns[k[0]]]
+        sentinels = _sentinel_table(columns[k[0]], k[1])
         init.append(f"        {med[k][1]}, {med[k][2]} = {const(sentinels)}[si]")
     init.append("        ln = 1")
     init += [f"        {lo[a]} = {hi[a]} = {x[a]}" for a in plan.span_attrs]
@@ -460,6 +452,15 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
 
     adm, gate, wit = [unpack], [], [unpack]
     checks, probes, fetched = [0], [0], set()
+    records = const(store.records) if store is not None else None
+
+    def slot(lines: list[str], key: tuple, j: int = 0) -> str:
+        # the endpoint's record is looked up once per function, before its first read
+        lookup = f"        r = {records}[si][pos]"
+        if lookup not in lines:
+            lines.append(lookup)
+        return f"r[{store.layout[key] + j}]"
+
     for i, spec in enumerate(plan.specs):
         kind, c, attr = spec.kind, spec.c, spec.attribute
         anti = classify(spec) is Monotonicity.ANTI_MONOTONE
@@ -484,17 +485,19 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
         test = exact if anti else None
         if kind is Kind.LENGTH and anti:
             gate.append(f"        if st[0] >= {c}: return False")
-        elif kind is Kind.LENGTH and store is not None and store.maxlen is not None:
-            test = f"ln - 1 + {const(store.maxlen)}[si][pos] < {c}"
+        elif kind is Kind.LENGTH and store is not None:
+            test = f"ln - 1 + {slot(adm, ('maxlen',))} < {c}"
         elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and anti:
             if kind is Kind.SPAN and store is not None:
                 # the reachable window must overlap [max - c, min + c]
-                gate += [f"        L, H = {const(store.span[attr])}[si][pos]",
+                key = ("span", attr)
+                gate += [f"        L, H = {slot(gate, key)}, {slot(gate, key, 1)}",
                          f"        l, h = st[{plan.span_at[attr]}], st[{plan.span_at[attr] + 1}]",
                          f"        if (L if L > h - {c} else h - {c}) > "
                          f"(H if H < l + {c} else l + {c}): return False"]
         elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and store is not None:
-            adm.append(f"        L, H = {const(store.span[attr])}[si][pos]")
+            key = ("span", attr)
+            adm.append(f"        L, H = {slot(adm, key)}, {slot(adm, key, 1)}")
             top = f"({hi[attr]} if {hi[attr]} > H else H)"
             bottom = f"({lo[attr]} if {lo[attr]} < L else L)"
             test = {Kind.SPAN: f"{top} - {bottom} < {c}",
@@ -506,14 +509,16 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             # the stored value counts the final event again: take it off
             prefix = f"{acc[attr, sign]} {'-' if sign > 0 else '+'} {x[attr]}"
             if kind is Kind.SUM:
-                test = f"{prefix} + {const(store.sums[attr, sign])}[si][pos] < {sign * c}"
+                test = f"{prefix} + {slot(adm, ('sum', attr, sign))} < {sign * c}"
             else:
-                adm.append(f"        b1, b2 = {const(store.avg[attr, sign, sign * c])}[si][pos]")
+                key = ("avg", attr, sign, sign * c)
+                adm.append(f"        b1, b2 = {slot(adm, key)}, {slot(adm, key, 1)}")
                 test = f"{prefix} + b1 < {sign * c} * (ln - 1 + b2)"
         elif kind is Kind.MED and store is not None:
-            key = (attr, sign, sign * c)
-            p1, p2, p3 = med[key]
-            adm += [f"        t1, t2, t3 = {const(store.med[key])}[si][pos]",
+            p1, p2, p3 = med[attr, sign, sign * c]
+            key = ("med", attr, sign, sign * c)
+            adm += [f"        t1, t2, t3 = {slot(adm, key)}, {slot(adm, key, 1)}, "
+                    f"{slot(adm, key, 2)}",
                     f"        t1 += {p1}"]
             test = (f"not (t1 > 0 or t1 == 0 and ({p2} if {p2} > t2 else t2) + "
                     f"({p3} if {p3} < t3 else t3) >= {2 * sign * c})")

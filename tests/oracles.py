@@ -9,6 +9,15 @@ from __future__ import annotations
 from mddmine import ConstraintSpec, check_occurrence
 
 
+def store_arrays(store, kind: str) -> dict:
+    """One kind's information as per-sequence arrays, keyed as before the
+    record layout: the attribute for span, the rest of the key otherwise."""
+    return {
+        key[1] if kind == "span" else key[1:]: store.info(key)
+        for key in store.layout if key[0] == kind
+    }
+
+
 def iter_ut_paths(mdd, si: int, pos: int):
     """Every extension path from an event: position tuples following that
     sequence's successor arcs, starting with the event itself."""

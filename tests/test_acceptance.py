@@ -77,21 +77,22 @@ class CorpusResults:
 
 
 def _check_beta_values(db, mdd, store, results, seed):
-    from oracles import iter_ut_paths
+    from oracles import iter_ut_paths, store_arrays
 
+    span, sums, avg = (store_arrays(store, kind) for kind in ("span", "sum", "avg"))
     for si in range(len(db)):
         cols = {a: db.columns(a)[si] for a in db.attribute_names}
         for pos in range(len(db.sequences[si])):
             paths = list(iter_ut_paths(mdd, si, pos))
-            for attr, arrays in store.span.items():
+            for attr, arrays in span.items():
                 values = [cols[attr][q] for p in paths for q in p]
                 if arrays[si][pos] != (min(values), max(values)):
                     results.beta_value_errors.append((seed, "span", si, pos))
-            for (attr, sign), arrays in store.sums.items():
+            for (attr, sign), arrays in sums.items():
                 best = max(sign * sum(cols[attr][q] for q in p) for p in paths)
                 if arrays[si][pos] != best:
                     results.beta_value_errors.append((seed, "sum", si, pos))
-            for (attr, sign, bound), arrays in store.avg.items():
+            for (attr, sign, bound), arrays in avg.items():
                 best = max(
                     sign * sum(cols[attr][q] for q in p) - bound * len(p)
                     for p in paths

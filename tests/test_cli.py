@@ -72,6 +72,27 @@ class TestMine:
             assert key in rows
         assert rows["patterns_written"] == "3"
 
+    @pytest.mark.parametrize("miner, rows", [
+        ("mpp", ["mdd_build_seconds", "info_prop_seconds", "mining_seconds",
+                 "nodes_visited", "entries_created", "scanned_sequences",
+                 "constraint_checks", "info_probes", "patterns_emitted",
+                 "peak_entries", "patterns_written"]),
+        ("ppcc", ["mining_seconds", "nodes_visited", "entries_created",
+                  "scanned_sequences", "constraint_checks", "info_probes",
+                  "patterns_emitted", "peak_entries", "patterns_written"]),
+        ("brute", ["mining_seconds", "patterns_written"]),
+    ])
+    def test_report_leaves_out_what_the_miner_does_not_measure(
+            self, click_files, tmp_path, miner, rows):
+        report = tmp_path / "run.tsv"
+        run_mine(click_files, tmp_path, "--min-sup", "2", "--miner", miner,
+                 "--report", str(report))
+        lines = [line.split("\t") for line in report.read_text().splitlines()]
+        assert [name for name, _ in lines] == rows
+        assert dict(lines)["patterns_written"] == "3"
+        if miner != "brute":
+            assert dict(lines)["patterns_emitted"] == "3"
+
     def test_scenario_preset(self, click_files, tmp_path):
         # severe time constraints: nothing qualifies, but the preset must run
         text = run_mine(click_files, tmp_path, "--min-sup", "1", "--scenario", "1")

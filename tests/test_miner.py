@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import astuple
 
 import pytest
@@ -156,6 +157,20 @@ class TestArguments:
         free = build_mdd(click_db)
         with pytest.raises(ValueError):
             mine(free, propagate(free, click_db, specs), click_db, specs, 2)
+
+    @pytest.mark.parametrize("propagated, mined, lacks", [
+        ("span(time)>=5", "avg(price)>=3", "avg(price,>=3)"),
+        ("span(time)>=5", "length>=2", "maxlen"),
+    ])
+    def test_store_propagated_for_other_specs_rejected(self, click_db, propagated,
+                                                       mined, lacks):
+        specs = (parse_constraint("span(time)>=5"), parse_constraint(mined))
+        mdd = build_mdd(click_db, specs)
+        store = propagate(mdd, click_db, (parse_constraint(propagated),))
+        with pytest.raises(ValueError, match=rf"lacks {re.escape(lacks)}$"):
+            mine(mdd, store, click_db, specs, 1)
+        full = propagate(mdd, click_db, specs)
+        assert mine(mdd, full, click_db, specs, 1) == mine_bruteforce(click_db, specs, 1)
 
     def test_more_than_one_thread_rejected(self, click_db):
         assert mine_mpp(click_db, (), 2, threads=1) == mine_mpp(click_db, (), 2)

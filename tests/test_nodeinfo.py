@@ -32,6 +32,7 @@ from oracles import (
     iter_arc_consistent_occurrences,
     maxlen_ground_truth,
     span_ground_truth,
+    store_arrays,
     sum_ground_truth,
 )
 
@@ -47,26 +48,26 @@ class TestPropagateOnClickDb:
         mdd = build_mdd(click_db)
         spec = parse_constraint("span(time)>=5")
         store = propagate(mdd, click_db, (spec,))
-        assert store.span["time"][SECOND][0] == (3, 9)
+        assert store.info(("span", "time"))[SECOND][0] == (3, 9)
 
     def test_sum_price_max(self, click_db):
         mdd = build_mdd(click_db)
         spec = parse_constraint("sum(price)>=7")
         store = propagate(mdd, click_db, (spec,))
-        assert store.sums[("price", 1)][SECOND][0] == 7
+        assert store.info(("sum", "price", 1))[SECOND][0] == 7
 
     def test_avg_price_objective_zero_at_bound_three(self, click_db):
         mdd = build_mdd(click_db)
         spec = parse_constraint("avg(price)>=3")
         store = propagate(mdd, click_db, (spec,))
-        b1, b2 = store.avg[("price", 1, 3)][SECOND][0]
+        b1, b2 = store.info(("avg", "price", 1, 3))[SECOND][0]
         assert b1 - 3 * b2 == 0
 
     def test_avg_price_objective_minus_one_at_bound_four(self, click_db):
         mdd = build_mdd(click_db)
         spec = parse_constraint("avg(price)>=4")
         store = propagate(mdd, click_db, (spec,))
-        b1, b2 = store.avg[("price", 1, 4)][SECOND][0]
+        b1, b2 = store.info(("avg", "price", 1, 4))[SECOND][0]
         assert b1 - 4 * b2 == -1
 
 
@@ -98,7 +99,7 @@ class TestExtendableExamples:
         mdd = build_mdd(click_db)
         spec = parse_constraint("med(price)>=3")
         store = propagate(mdd, click_db, (spec,))
-        info = store.med[("price", 1, 3)][SECOND][0]
+        info = store.info(("med", "price", 1, 3))[SECOND][0]
         assert info == (2, 0, 3)  # achieved by the price path {3, 3}
         empty = (0, *oriented_sentinels(click_db.columns("price")[SECOND]))
         assert med_extendable(empty, info, spec)
@@ -107,7 +108,7 @@ class TestExtendableExamples:
         mdd = build_mdd(click_db)
         spec = parse_constraint("med(price)>=3")
         store = propagate(mdd, click_db, (spec,))
-        info = store.med[("price", 1, 3)][SECOND][1]  # the price-1 event
+        info = store.info(("med", "price", 1, 3))[SECOND][1]  # the price-1 event
         empty = (0, *oriented_sentinels(click_db.columns("price")[SECOND]))
         assert not med_extendable(empty, info, spec)
 
@@ -203,20 +204,20 @@ class TestOracleEquivalence:
             )
             mdd = build_mdd(db, specs)
             store = propagate(mdd, db, specs)
-            for attr, arrays in store.span.items():
+            for attr, arrays in store_arrays(store, "span").items():
                 for si, arr in enumerate(arrays):
                     for pos, pair in enumerate(arr):
                         assert pair == span_ground_truth(db, mdd, si, pos, attr)
-            for (attr, sign), arrays in store.sums.items():
+            for (attr, sign), arrays in store_arrays(store, "sum").items():
                 for si, arr in enumerate(arrays):
                     for pos, beta in enumerate(arr):
                         assert beta == sum_ground_truth(db, mdd, si, pos, attr, sign)
-            for (attr, sign, bound), arrays in store.avg.items():
+            for (attr, sign, bound), arrays in store_arrays(store, "avg").items():
                 for si, arr in enumerate(arrays):
                     for pos, (b1, b2) in enumerate(arr):
                         truth = avg_objective_ground_truth(db, mdd, si, pos, attr, sign, bound)
                         assert b1 - bound * b2 == truth
-            for si, arr in enumerate(store.maxlen):
+            for si, arr in enumerate(store.info(("maxlen",))):
                 for pos, value in enumerate(arr):
                     assert value == maxlen_ground_truth(mdd, si, pos)
 
@@ -236,12 +237,13 @@ class TestOracleEquivalence:
             sign = 1 if direction == GE else -1
             key = (attr, sign, sign * med.c)
             slot = plan.med_at[key]
+            med_info = store.info(("med",) + key)
             for si in range(len(db)):
                 for occ in iter_arc_consistent_occurrences(mdd, si, max_len=4):
                     stats = plan.recompute(si, occ)
                     triple = stats[slot:slot + 3]
                     last = occ[-1]
-                    verdict = med_extendable(triple, store.med[key][si][last], med)
+                    verdict = med_extendable(triple, med_info[si][last], med)
                     assert verdict == extension_exists(db, mdd, si, occ, med)
 
     def test_med_arrays_equal_reference_fold(self):
@@ -264,7 +266,7 @@ class TestOracleEquivalence:
                                 c=rng.randint(-2, 2)),)
             mdd = build_mdd(db, specs)
             store = propagate(mdd, db, specs)
-            for (attr, sign, bound), arrays in store.med.items():
+            for (attr, sign, bound), arrays in store_arrays(store, "med").items():
                 for si, col in enumerate(db.columns(attr)):
                     oriented = [sign * v for v in col]
                     lo, hi = oriented_sentinels(oriented)
@@ -419,6 +421,91 @@ class TestWitness:
                         occ = tuple(range(len(values)))
                         verdict = plan.witness(si, occ[-1], plan.recompute(si, occ))
                         assert (verdict == 1) == truth, (spec, values)
+
+
+#: ``dump_info_tsv`` of the click database under ``DUMP_SPECS``, as rendered
+#: from the per-kind arrays that preceded the record layout
+DUMP_TEXT = (
+    "sid\tpos\tinfo\tvalues\n"
+    "1\t1\tspan(time)\t1,3\n"
+    "1\t2\tspan(time)\t3,3\n"
+    "2\t1\tspan(time)\t3,9\n"
+    "2\t2\tspan(time)\t8,9\n"
+    "2\t3\tspan(time)\t9,9\n"
+    "3\t1\tspan(time)\t2,8\n"
+    "3\t2\tspan(time)\t5,8\n"
+    "3\t3\tspan(time)\t8,8\n"
+    "1\t1\tsum(price,<=)\t-5\n"
+    "1\t2\tsum(price,<=)\t-3\n"
+    "2\t1\tsum(price,<=)\t-3\n"
+    "2\t2\tsum(price,<=)\t-1\n"
+    "2\t3\tsum(price,<=)\t-3\n"
+    "3\t1\tsum(price,<=)\t-1\n"
+    "3\t2\tsum(price,<=)\t-2\n"
+    "3\t3\tsum(price,<=)\t-3\n"
+    "1\t1\tavg(price,>=3)\t5,1\n"
+    "1\t2\tavg(price,>=3)\t3,1\n"
+    "2\t1\tavg(price,>=3)\t3,1\n"
+    "2\t2\tavg(price,>=3)\t1,1\n"
+    "2\t3\tavg(price,>=3)\t3,1\n"
+    "3\t1\tavg(price,>=3)\t1,1\n"
+    "3\t2\tavg(price,>=3)\t2,1\n"
+    "3\t3\tavg(price,>=3)\t3,1\n"
+    "1\t1\tmed(price,<=2)\t-1,-5,-2\n"
+    "1\t2\tmed(price,<=2)\t-1,-3,-2\n"
+    "2\t1\tmed(price,<=2)\t0,-3,-1\n"
+    "2\t2\tmed(price,<=2)\t1,-4,-1\n"
+    "2\t3\tmed(price,<=2)\t-1,-3,0\n"
+    "3\t1\tmed(price,<=2)\t2,-4,-2\n"
+    "3\t2\tmed(price,<=2)\t1,-4,-2\n"
+    "3\t3\tmed(price,<=2)\t-1,-3,0\n"
+    "1\t1\tmaxlen\t2\n"
+    "1\t2\tmaxlen\t1\n"
+    "2\t1\tmaxlen\t3\n"
+    "2\t2\tmaxlen\t2\n"
+    "2\t3\tmaxlen\t1\n"
+    "3\t1\tmaxlen\t3\n"
+    "3\t2\tmaxlen\t2\n"
+    "3\t3\tmaxlen\t1\n"
+)
+DUMP_SPECS = ("span(time)>=5", "sum(price)<=9", "avg(price)>=3", "med(price)<=2",
+              "length>=2")
+
+
+class TestRecordLayout:
+    def test_dump_info_tsv_is_unchanged(self, click_db):
+        specs = tuple(parse_constraint(t) for t in DUMP_SPECS)
+        store = propagate(build_mdd(click_db, specs), click_db, specs)
+        assert dump_info_tsv(store, click_db) == DUMP_TEXT
+
+    def test_no_information_walks_nothing(self, click_db):
+        class Untouchable:
+            @property
+            def succ(self):
+                raise AssertionError("propagate walked the diagram")
+
+        specs = (parse_constraint("gap(time)>=3"), parse_constraint("length<=2"),
+                 parse_constraint("itemset{1,2}"))
+        store = propagate(Untouchable(), click_db, specs)
+        assert store.layout == {} and store.records == []
+        assert dump_info_tsv(store, click_db) == "sid\tpos\tinfo\tvalues\n"
+
+    def test_subset_slots_equal_full_store(self):
+        # perfbench's per-kind propagate metrics run on spec subsets and must
+        # measure the same information as the full run
+        rng = random.Random(31)
+        for _ in range(60):
+            db = random_db(rng, n_max=8, len_max=6)
+            specs = random_specs(rng, db, max_specs=5) + (
+                ConstraintSpec(Kind.LENGTH, direction=GE, c=2),
+            )
+            mdd = build_mdd(db, specs)
+            full = propagate(mdd, db, specs)
+            subset = tuple(spec for spec in specs if rng.random() < 0.5)
+            part = propagate(mdd, db, subset)
+            assert set(part.layout) <= set(full.layout)
+            for key in part.layout:
+                assert part.info(key) == full.info(key), key
 
 
 def test_dump_info_tsv_smoke(click_db):
