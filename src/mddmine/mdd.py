@@ -12,12 +12,16 @@ live event reaches the terminal.
 
 ``build_mdd`` computes only the compact per-sequence successor tables
 (`succ`, `starts`, `alive`) over the database's columns; mining walks those
-and never touches a node.  The node/arc object graph, labels included, is
-derived from the tables and the database on first use, for the structure
-accessors, validation and DOT export.
+and never touches a node.  Since the ordering attribute strictly increases,
+the gap bounds on it cut each successor row out of the later positions as
+one window, found by bisection rather than by testing each later event.
+The node/arc object graph, labels included, is derived from the tables and
+the database on first use, for the structure accessors, validation and DOT
+export.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence as SequenceT
 
@@ -147,46 +151,51 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
     """Encode the database, imposing the pairwise-checkable specs as arc rules.
 
     Only gap and item_set specs shape the arc set; every other constraint is
-    ignored here and handled by node information or by the miner.  For a gap
-    upper bound on the ordering attribute, the scan over later positions stops
-    at the first violation since the deltas can only grow.  No node object is
-    created here; see ``Mdd.ensure_arcs``.
+    ignored here and handled by node information or by the miner.  The
+    ordering attribute is strictly increasing in every sequence (the database
+    rejects it otherwise), so the gap bounds ``[lo, hi]`` on it admit exactly
+    the later positions ``k`` with ``x_j + lo <= x_k <= x_j + hi``: one
+    contiguous window ``[a, b)`` of the column, found by two bisections.  A
+    row is that window, filtered by liveness and by the gap bounds on other
+    attributes only when an item set or such a bound is imposed.  No node
+    object is created here; see ``Mdd.ensure_arcs``.
     """
     require_known_attributes(specs, db.attribute_names)
     rules = pairwise_rules(specs)
     mdd = Mdd(db, imposable(specs))
-    gap_attrs = [attr for attr, _, _ in rules.gap_bounds]
     ordering = db.ordering_attribute
-    ord_hi: int | None = None
-    for attr, _, hi in rules.gap_bounds:
-        if attr == ordering and hi is not None:
-            ord_hi = hi
+    ord_lo = ord_hi = None
+    others = []
+    for attr, lo, hi in rules.gap_bounds:
+        if attr == ordering:
+            ord_lo, ord_hi = lo, hi
+        else:
+            others.append((attr, lo, hi))
+    filtered = rules.allowed_items is not None or bool(others)
 
     for seq in db.sequences:
         items = seq.items
         length = len(items)
-        cols = {attr: seq.attr_values(attr) for attr in gap_attrs}
-        ord_col = cols.get(ordering) if ordering is not None else None
+        ord_col = seq.attr_values(ordering) if ordering is not None else None
+        checks = [(seq.attr_values(attr), lo, hi) for attr, lo, hi in others]
         alive = tuple(rules.item_ok(item) for item in items)
         succ_rows: list[tuple[int, ...]] = [()] * length
         for j in range(length):
             if not alive[j]:
                 continue
-            nexts: list[int] = []
-            for k in range(j + 1, length):
-                if ord_hi is not None and ord_col[k] - ord_col[j] > ord_hi:
-                    break  # ordering attribute is increasing; later gaps only grow
-                if not alive[k]:
-                    continue
-                ok = True
-                for attr, lo, hi in rules.gap_bounds:
-                    delta = cols[attr][k] - cols[attr][j]
-                    if (lo is not None and delta < lo) or (hi is not None and delta > hi):
-                        ok = False
-                        break
-                if ok:
-                    nexts.append(k)
-            succ_rows[j] = tuple(nexts)
+            a, b = j + 1, length
+            if ord_lo is not None:
+                a = bisect_left(ord_col, ord_col[j] + ord_lo, a)
+            if ord_hi is not None:
+                b = bisect_right(ord_col, ord_col[j] + ord_hi, a)
+            if filtered:
+                succ_rows[j] = tuple(
+                    k for k in range(a, b) if alive[k] and all(
+                        (lo is None or col[k] - col[j] >= lo)
+                        and (hi is None or col[k] - col[j] <= hi)
+                        for col, lo, hi in checks))
+            else:
+                succ_rows[j] = tuple(range(a, b))
         mdd.succ.append(tuple(succ_rows))
         mdd.starts.append(tuple(j for j in range(length) if alive[j]))
         mdd.alive.append(alive)

@@ -150,7 +150,10 @@ def oriented_sentinels(values: SequenceT[int]) -> tuple[int, int]:
 
 
 def _sentinel_table(columns, sign: int) -> list[tuple[int, int]]:
-    return [oriented_sentinels([sign * v for v in col]) for col in columns]
+    """``oriented_sentinels`` of each column times ``sign``, without the copy."""
+    if sign > 0:
+        return [oriented_sentinels(col) for col in columns]
+    return [(-max(col) - 1, -min(col) + 1) for col in columns]
 
 
 # --- the information store ------------------------------------------------------
@@ -294,12 +297,13 @@ def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
     return namespace["_make"](*consts), layout
 
 
-def dump_info_tsv(store: InfoStore, db: AttributedDatabase) -> str:
+def dump_info_tsv(store: InfoStore) -> str:
     """Flatten the store for inspection: sid, pos, info label, beta values.
 
-    One block per key, in layout order.  Sum, average, and median entries
-    are reported in oriented form (values negated for <= bounds); the label
-    records the natural bound.
+    Reads the store alone: sid and pos are the 1-based sequence index and
+    position.  One block per key, in layout order.  Sum, average, and median
+    entries are reported in oriented form (values negated for <= bounds); the
+    label records the natural bound.
     """
     lines = ["sid\tpos\tinfo\tvalues"]
     for key in store.layout:

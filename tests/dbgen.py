@@ -26,7 +26,7 @@ def random_db(
     in [1, items_max], and 1-3 integer attributes with values in [0, 20].
 
     Half the time the first attribute is strictly increasing and declared as
-    the ordering attribute, exercising the scan-abort path for gap bounds.
+    the ordering attribute, exercising the bisected rows for gap bounds.
     """
     n = rng.randint(n_min, n_max)
     if n_attrs is None:

@@ -1,9 +1,22 @@
 import random
 from dataclasses import replace
 
+import pytest
+
 import mddmine.mdd as mdd_module
-from mddmine import build_mdd, export_dot, make_database, parse_constraint, parse_spmf, validate
-from mddmine.constraints import pairwise_rules
+from mddmine import (
+    GE,
+    LE,
+    ConstraintSpec,
+    Kind,
+    build_mdd,
+    export_dot,
+    make_database,
+    parse_constraint,
+    parse_spmf,
+    validate,
+)
+from mddmine.constraints import check_occurrence, imposable, pairwise_rules
 
 from conftest import A, B, C, build_click_db
 from dbgen import random_db, random_specs
@@ -107,6 +120,53 @@ class TestBuildConstrained:
                             delta = cols[attr][nxt] - cols[attr][pos]
                             assert lo is None or delta >= lo
                             assert hi is None or delta <= hi
+
+
+class TestWindowBuild:
+    """Rows bisected out of the ordering attribute equal the per-pair rule."""
+
+    #: gap bounds on the first attribute: lower only, upper only, both,
+    #: bounds at or below 0, and upper bounds below every delta
+    BOUNDS = ((3, None), (None, 5), (2, 7), (-4, None), (0, 3), (-2, -1),
+              (None, 0), (None, -3), (6, 2))
+
+    @staticmethod
+    def _pairwise_table(db, specs):
+        imposed = imposable(specs)
+        return [
+            tuple(
+                tuple(k for k in range(j + 1, len(seq))
+                      if all(check_occurrence(seq, (j, k), s) for s in imposed))
+                for j in range(len(seq)))
+            for seq in db.sequences
+        ]
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_rows_equal_the_pairwise_rule(self, ordered):
+        rng = random.Random(13)
+        arcs = 0
+        for lo, hi in self.BOUNDS:
+            for _ in range(8):
+                db = random_db(rng, n_max=8, len_max=9, n_attrs=2, with_ordering=ordered)
+                specs = [ConstraintSpec(Kind.GAP, attribute="t", direction=direction, c=c)
+                         for direction, c in ((GE, lo), (LE, hi)) if c is not None]
+                if rng.random() < 0.5:
+                    universe = sorted(db.item_universe)
+                    items = rng.sample(universe, rng.randint(1, len(universe)))
+                    specs.append(ConstraintSpec(Kind.ITEM_SET, items=frozenset(items)))
+                if rng.random() < 0.5:
+                    specs.append(ConstraintSpec(Kind.GAP, attribute="p",
+                                                direction=rng.choice((GE, LE)),
+                                                c=rng.randint(-8, 8)))
+                mdd = build_mdd(db, specs)
+                report = validate(mdd, db)
+                assert report.ok, report.problems
+                assert mdd.succ == self._pairwise_table(db, specs)
+                rows = [row for table in mdd.succ for row in table]
+                if ordered and hi is not None and hi <= 0:
+                    assert not any(rows)  # the ordering deltas are all >= 1
+                arcs += sum(map(len, rows))
+        assert arcs > 0
 
 
 class TestValidate:

@@ -22,7 +22,7 @@ from mddmine import (
     span_extendable,
 )
 from mddmine.constraints import exact_median
-from mddmine.nodeinfo import med_dominates, med_fold, oriented_sentinels
+from mddmine.nodeinfo import _sentinel_table, med_dominates, med_fold, oriented_sentinels
 
 from conftest import A, B, C
 from dbgen import random_db, random_specs
@@ -134,6 +134,14 @@ class TestMedHelpers:
         assert med_dominates((0, 1, 8), (0, 1, 6), bound=5)
         # incomparable tie: neither dominates
         assert not med_dominates((0, 4, 6), (0, 4, 6), bound=5)
+
+    def test_sentinel_table_equals_sentinels_of_the_oriented_copy(self):
+        rng = random.Random(12)
+        columns = [tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 8)))
+                   for _ in range(200)]
+        for sign in (1, -1):
+            expected = [oriented_sentinels([sign * v for v in col]) for col in columns]
+            assert _sentinel_table(columns, sign) == expected
 
 
 def _med_triple(values, bound, sentinels):
@@ -476,7 +484,7 @@ class TestRecordLayout:
     def test_dump_info_tsv_is_unchanged(self, click_db):
         specs = tuple(parse_constraint(t) for t in DUMP_SPECS)
         store = propagate(build_mdd(click_db, specs), click_db, specs)
-        assert dump_info_tsv(store, click_db) == DUMP_TEXT
+        assert dump_info_tsv(store) == DUMP_TEXT
 
     def test_no_information_walks_nothing(self, click_db):
         class Untouchable:
@@ -488,7 +496,7 @@ class TestRecordLayout:
                  parse_constraint("itemset{1,2}"))
         store = propagate(Untouchable(), click_db, specs)
         assert store.layout == {} and store.records == []
-        assert dump_info_tsv(store, click_db) == "sid\tpos\tinfo\tvalues\n"
+        assert dump_info_tsv(store) == "sid\tpos\tinfo\tvalues\n"
 
     def test_subset_slots_equal_full_store(self):
         # perfbench's per-kind propagate metrics run on spec subsets and must
@@ -518,7 +526,7 @@ def test_dump_info_tsv_smoke(click_db):
     )
     mdd = build_mdd(click_db, specs)
     store = propagate(mdd, click_db, specs)
-    text = dump_info_tsv(store, click_db)
+    text = dump_info_tsv(store)
     lines = text.splitlines()
     assert lines[0] == "sid\tpos\tinfo\tvalues"
     # 8 events, one row each for span, sum, avg, med, maxlen
