@@ -12,26 +12,33 @@ ones must stay reachable according to the node information, and gap and
 item-set rules are already enforced by the diagram's arcs.
 
 Candidate items for extending a pattern are collected by scanning each live
-entry's successors, sequence by sequence in ascending id order.  Items whose
-plain sequence support is below the threshold are abandoned before any scan,
-and while scanning, an item whose remaining attainable support provably
-falls below the threshold is abandoned too (`prop5_prune`).  An abandoned
-successor costs one set lookup and gets no entry; neither rule changes the
-mined output.  A pattern is emitted when enough sequences own an entry
-whose ``witness`` verdict passes every constraint; entries that are not
-witnesses yet stay in the projection in case an extension completes them.
-The search is one depth-first traversal in the calling thread.
+entry's successors, sequence by sequence in ascending id order.  One call
+of the plan's generated ``scan`` kernel does a sequence: it extends every
+parent entry along the successor source (the diagram's tables here, the
+raw-row step scan in ``mine_ppcc``), deduplicates, admits, and returns the
+admitted entries per item; the root scan runs it from the empty occurrence.
+Items whose plain sequence support is below the threshold are abandoned
+before any scan, and between sequences an item whose remaining attainable
+support provably falls below the threshold is abandoned too
+(`prop5_prune`).  An abandoned successor costs one set lookup and gets no
+entry; neither rule changes the mined output.  A pattern is emitted when
+enough sequences own an entry whose ``witness`` verdict passes every
+constraint; entries that are not witnesses yet stay in the projection in
+case an extension completes them.  The search is one depth-first traversal
+in the calling thread.
 
-Statistics, admission, the scan gate and ``witness`` are compiled by
-``StatPlan`` for the spec list (and the diagram miner's store); an admission
-verdict is the index of the first failing spec, which the plan's prefix
-tables turn into constraint checks and information probes.  A scan keeps
-its counts in locals and adds them to ``MiningCounters`` once.
+Statistics, admission, the scan gate, ``witness`` and the kernel are
+compiled by ``StatPlan`` for the spec list (and the diagram miner's store).
+An admission verdict is the index of the first failing spec; the kernel
+counts verdicts in a histogram, which the plan's prefix tables turn into
+constraint checks and information probes once per scan.  The only
+per-entry call left in mining is ``witness`` at emission.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence as SequenceT
 
 from .constraints import ConstraintSpec, imposable
@@ -59,9 +66,9 @@ def prop5_prune(n: int, sup_i: int, sup_p: int, theta: int) -> bool:
 
     The miner also applies this bound before any scan, with the item's plain
     sequence support in place of the running count: a scan returns an item
-    only when its ``item_support`` reaches theta, and that count (sequences
-    holding an admitted entry for the item) never exceeds the item's plain
-    support.  An item below theta in the database is therefore abandoned
+    only when its support in the scan reaches theta, and that count
+    (sequences holding an admitted entry for the item) never exceeds the
+    item's plain support.  An item below theta in the database is therefore abandoned
     up front, which changes no returned candidate, no emitted pattern and no
     descendant.
     """
@@ -129,6 +136,10 @@ class ProjectedDb:
         return sum(len(v) for v in self.entries.values())
 
 
+#: the parents of a root scan: one identity parent, the empty occurrence
+_ROOT = ((None, None),)
+
+
 class _ProjectionMiner:
     """Shared pseudo-projection skeleton; subclasses supply the step source."""
 
@@ -155,17 +166,17 @@ class _ProjectionMiner:
 
     # -- hooks -------------------------------------------------------------
 
-    def _start_positions(self, si: int) -> Iterable[int]:
-        raise NotImplementedError
-
-    def _next_positions(self, si: int, pos: int) -> Iterable[int]:
+    def _successors(self, si: int, dead: set[int]):
+        """``(starts, nexts)`` of sequence ``si`` for ``StatPlan.scan``: the
+        root scan's positions, and ``nexts[pos]`` the positions one step
+        after ``pos``.  Positions of items in ``dead`` may be left out."""
         raise NotImplementedError
 
     # -- candidate generation ----------------------------------------------
 
     def root_candidates(self) -> list[tuple[int, ProjectedDb]]:
         """Frequent single items with their projections."""
-        per_sid = ((si, ((None, None),)) for si in range(len(self._items)))
+        per_sid = ((si, _ROOT) for si in range(len(self._items)))
         return self._scan_candidates(per_sid, len(self._items))
 
     def extend(self, pdb: ProjectedDb) -> list[tuple[int, ProjectedDb]]:
@@ -177,69 +188,41 @@ class _ProjectionMiner:
         theta = self.theta
         use_prop5 = self.use_prop5
         plan = self.plan
-        initial, extend, admit, gate = plan.initial, plan.extend, plan.admit, plan.gate
-        checks_at, probes_at = plan.constraint_checks, plan.info_probes
-        passed = len(plan.specs)
-        start_positions, next_positions = self._start_positions, self._next_positions
-        candidates: dict[int, dict[int, list]] = {}
-        item_support: dict[int, int] = {}
+        scan, successors, all_items = plan.scan, self._successors, self._items
+        candidates: dict[int, dict[int, list]] = {}  # item -> sid -> entries
         dead: set[int] = set(self._infrequent) if use_prop5 else set()
-        n = visited = created = scanned = checks = probes = 0
+        hist = [0] * (len(plan.specs) + 1)  # admission verdicts
+        n = visited = created = scanned = 0
         for si, parents in per_sid_parents:
             n += 1
-            items = self._items[si]
-            fresh: dict[int, list] = {}
-            seen: set = set()
-            for last, stats in parents:
-                if last is not None:
-                    if not gate(si, last, stats):
-                        continue
-                    nexts = next_positions(si, last)
-                else:
-                    nexts = start_positions(si)
-                for nxt in nexts:
-                    visited += 1
-                    item = items[nxt]
-                    if item in dead:
-                        continue
-                    if last is not None:
-                        new_stats = extend(stats, si, last, nxt)
-                    else:
-                        new_stats = initial(si, nxt)
-                    entry = (nxt, new_stats)
-                    if entry in seen:
-                        continue
-                    seen.add(entry)
-                    verdict = admit(si, nxt, new_stats)
-                    checks += checks_at[verdict]
-                    probes += probes_at[verdict]
-                    if verdict != passed:
-                        continue
-                    if item in fresh:
-                        fresh[item].append(entry)
-                    else:
-                        fresh[item] = [entry]
-                    created += 1
-            for item in sorted(fresh):
-                sup_i = item_support.get(item, 0) + 1
+            starts, nexts = successors(si, dead)
+            fresh, visits, made = scan(si, parents, starts, nexts, all_items[si], dead, hist)
+            visited += visits
+            created += made
+            # an item's support so far is the number of sequences its
+            # candidate holds; its decision reads only that, n and sup_p, and
+            # the candidates are sorted on return, so fresh's order is free
+            for item, entries in fresh.items():
+                by_sid = candidates.get(item)
+                sup_i = 1 if by_sid is None else len(by_sid) + 1
                 if use_prop5 and prop5_prune(n, sup_i, sup_p, theta):
                     dead.add(item)
                     candidates.pop(item, None)
-                    item_support.pop(item, None)
                     continue
-                item_support[item] = sup_i
-                candidates.setdefault(item, {})[si + 1] = fresh[item]
+                if by_sid is None:
+                    candidates[item] = by_sid = {}
+                by_sid[si + 1] = entries
                 scanned += 1
         counters = self.counters
         counters.nodes_visited += visited
         counters.entries_created += created
         counters.scanned_sequences += scanned
-        counters.constraint_checks += checks
-        counters.info_probes += probes
+        counters.constraint_checks += sum(map(mul, hist, plan.constraint_checks))
+        counters.info_probes += sum(map(mul, hist, plan.info_probes))
         return [
-            (item, ProjectedDb(candidates[item]))
-            for item in sorted(candidates)
-            if item_support[item] >= theta
+            (item, ProjectedDb(by_sid))
+            for item, by_sid in sorted(candidates.items())
+            if len(by_sid) >= theta
         ]
 
     # -- emission and traversal ----------------------------------------------
@@ -258,7 +241,7 @@ class _ProjectionMiner:
             left -= 1
             for pos, stats in entries:
                 verdict = witness(sid - 1, pos, stats)
-                checks += min(verdict + 1, passed)
+                checks += verdict + 1 if verdict < passed else passed
                 if verdict == passed:
                     count += 1
                     break
@@ -275,22 +258,22 @@ class _ProjectionMiner:
 
     def _dfs(self, base: list[tuple[int, ProjectedDb]], out: PatternSet) -> None:
         counters = self.counters
-        stack: list[tuple[tuple[int, ...], ProjectedDb]] = []
+        stack: list[tuple[tuple[int, ...], ProjectedDb, int]] = []
         live = 0
         for item, pdb in reversed(base):
-            stack.append(((item,), pdb))
-            live += pdb.size
+            stack.append(((item,), pdb, pdb.size))
+            live += stack[-1][2]
         counters.peak_entries = max(counters.peak_entries, live)
         while stack:
-            items, pdb = stack.pop()
-            live -= pdb.size
+            items, pdb, size = stack.pop()
+            live -= size
             support = self._witness_support(pdb)
             if support >= self.theta:
                 out.add(items, support)
                 counters.patterns_emitted += 1
             for item, child in reversed(self.extend(pdb)):
-                stack.append((items + (item,), child))
-                live += child.size
+                stack.append((items + (item,), child, child.size))
+                live += stack[-1][2]
             counters.peak_entries = max(counters.peak_entries, live)
 
 
@@ -315,11 +298,8 @@ class MppMiner(_ProjectionMiner):
         self.mdd = mdd
         self.store = store
 
-    def _start_positions(self, si: int) -> Iterable[int]:
-        return self.mdd.starts[si]
-
-    def _next_positions(self, si: int, pos: int) -> Iterable[int]:
-        return self.mdd.succ[si][pos]
+    def _successors(self, si: int, dead: set[int]):
+        return self.mdd.starts[si], self.mdd.succ[si]
 
 
 def mine(

@@ -31,14 +31,15 @@ over the occurrence excluding its final event.
 
 ``StatPlan`` compiles a spec list once into straight-line Python: the
 statistics are one flat tuple, and ``initial``, ``extend``, ``admit``,
-``gate`` and ``witness`` are generated with columns, bounds and the store's
-records bound as constants, so no per-entry work dispatches on the
-constraint kind.  ``span_extendable``, ``med_extendable``, ``med_fold`` and
-``med_dominates`` are the reference forms of the tests the generated code
-inlines.
+``gate``, ``witness`` and the miners' per-sequence ``scan`` kernel are
+generated with columns, bounds and the store's records bound as constants,
+so no per-entry work dispatches on the constraint kind.
+``span_extendable``, ``med_extendable``, ``med_fold`` and ``med_dominates``
+are the reference forms of the tests the generated code inlines.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence as SequenceT
 
@@ -327,7 +328,7 @@ class StatPlan:
     occurrence excluding its final event.  ``span_at``, ``sum_at`` and
     ``med_at`` map each key to its first slot.
 
-    Five functions are generated as Python source (kept in ``source``) with
+    Six functions are generated as Python source (kept in ``source``) with
     columns, signs, bounds and the store's records bound as constants;
     ``admit`` and ``gate`` look the endpoint's record up once and read the
     slots its layout gives:
@@ -346,7 +347,28 @@ class StatPlan:
       pass a ``length<=`` or ``span<=`` constraint;
     * ``witness(si, pos, stats)`` returns the index of the first spec the
       occurrence itself fails, or ``len(specs)``, exactly as
-      ``check_occurrence`` would decide it.
+      ``check_occurrence`` would decide it;
+    * ``scan(si, parents, starts, nexts, items, dead, hist)`` is the miners'
+      loop over one sequence.  ``parents`` are ``(endpoint, stats)`` entries;
+      each that passes the gate is extended to every position of
+      ``nexts[endpoint]`` whose item is not in ``dead``.  New entries are
+      deduplicated with one hash when there are several parents, admitted,
+      and counted in ``hist`` by verdict.  It returns the admitted
+      ``{item: [(pos, stats), ...]}`` with the visited and created counts.
+
+    The first four are the reference forms that ``recompute`` and the tests
+    use; ``scan`` is assembled from the same line lists.  It does the
+    parent-level work once per parent: the gate, the unpack, ``ln + 1``, the
+    median folds of the old endpoint, and the thresholds admission compares
+    against (``c - pln``, ``sc - ps`` and ``sc * pln - ps``, from the
+    parent's length and oriented sum).  Each successor then costs its value
+    reads, the span and sum updates, one tuple and the admission chain.
+    The root parent ``(None, None)`` is the identity, the empty occurrence:
+    ``ln`` 0, each span's ``(lo, hi)`` (+inf, -inf), which the first
+    event replaces by its value, zero sums, and median triples ``(0, e, f)``
+    of the oriented column's sentinels with nothing to fold.  It has no
+    gate, reads ``starts`` instead of ``nexts``, and makes the entries
+    ``initial`` makes.
 
     ``witness`` needs only the endpoint and the stats: on an occurrence that
     follows arcs (or the baseline's step scan) every gap and item-set rule
@@ -398,10 +420,16 @@ class StatPlan:
 
 
 def _compile(plan: StatPlan, store: InfoStore | None) -> None:
-    """Generate, ``exec`` and attach the plan's five functions and tables.
+    """Generate, ``exec`` and attach the plan's six functions and tables.
 
     ``fields`` fixes the order of the stats tuple; the slot offsets
-    ``span_at``, ``sum_at`` and ``med_at`` are read off it.
+    ``span_at``, ``sum_at`` and ``med_at`` are read off it.  A parent's
+    slots are named with a ``p`` in front (``pln``, ``plo0``, ``ps0``),
+    except the median triples, which are folded in place.  The pieces are
+    unindented line lists shared by the reference functions and ``scan``:
+    ``identity`` (the empty occurrence), ``fold`` (the parent's endpoint
+    ``old`` into the median triples), ``step`` (the slots of the entry that
+    appends ``pos``) and ``tests`` (the gate's and admission's lines).
     """
     consts: list = []
 
@@ -423,129 +451,233 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     plan.sum_at = {k: fields.index(acc[k]) for k in plan.sum_keys}
     plan.med_at = {k: fields.index(med[k][0]) for k in plan.med_keys}
     row = "(" + ", ".join(fields) + ",)"
-    unpack = f"        {row[1:-1]} = st"
+    unpack = f"{row[1:-1]} = st"
+    punpack = ", ".join(f if f[0] == "m" else "p" + f for f in fields) + ", = st"
     value_attrs = dict.fromkeys(list(plan.span_attrs) + [a for a, _ in plan.sum_keys])
+    # scan hoists each column's row of the sequence into c<i>
+    used = dict.fromkeys(list(value_attrs) + [k[0] for k in plan.med_keys])
+    hoists = [f"c{i} = {col[a]}[si]" for i, a in enumerate(used)]
+    hoisted = {a: f"c{i}" for i, a in enumerate(used)}
 
-    def fetch(at: str) -> list[str]:
-        return [f"        {x[a]} = {col[a]}[si][{at}]" for a in value_attrs]
+    def ref(a: str, pos: str) -> str:
+        return f"{col[a]}[si][{pos}]"
 
-    init = fetch("pos")
+    def row_at(a: str, pos: str) -> str:
+        return f"{hoisted[a]}[{pos}]"
+
+    # infinite bounds make the first event both the minimum and the maximum
+    inf = const(math.inf)
+    identity = ["pln = 0"]
+    identity += [f"p{lo[a]}, p{hi[a]} = {inf}, -{inf}" for a in plan.span_attrs]
+    identity += [f"p{acc[k]} = 0" for k in plan.sum_keys]
     for k in plan.med_keys:
-        sentinels = _sentinel_table(columns[k[0]], k[1])
-        init.append(f"        {med[k][1]}, {med[k][2]} = {const(sentinels)}[si]")
-    init.append("        ln = 1")
-    init += [f"        {lo[a]} = {hi[a]} = {x[a]}" for a in plan.span_attrs]
-    init += [f"        {acc[a, s]} = {'' if s > 0 else '-'}{x[a]}" for a, s in plan.sum_keys]
-    init += [f"        {med[k][0]} = 0" for k in plan.med_keys]
+        identity += [f"{med[k][0]} = 0",
+                     f"{med[k][1]}, {med[k][2]} = "
+                     f"{const(_sentinel_table(columns[k[0]], k[1]))}[si]"]
 
-    ext = [unpack, "        ln += 1"] + fetch("new")
-    for a in plan.span_attrs:
-        ext.append(f"        if {x[a]} < {lo[a]}: {lo[a]} = {x[a]}")
-        ext.append(f"        if {x[a]} > {hi[a]}: {hi[a]} = {x[a]}")
-    ext += [f"        {acc[a, s]} {'+' if s > 0 else '-'}= {x[a]}" for a, s in plan.sum_keys]
-    for k in plan.med_keys:
-        (attr, sign, bound), (t1, t2, t3) = k, med[k]
+    def fold(at) -> list[str]:
         # the triple excludes the final event, so the old endpoint folds in
-        ext += [f"        v = {'' if sign > 0 else '-'}{col[attr]}[si][old]",
-                f"        if v >= {bound}:",
-                f"            {t1} += 1",
-                f"            if v < {t3}: {t3} = v",
-                "        else:",
-                f"            {t1} -= 1",
-                f"            if v > {t2}: {t2} = v"]
+        lines = []
+        for (attr, sign, bound), (t1, t2, t3) in med.items():
+            lines += [f"y = {'' if sign > 0 else '-'}{at(attr, 'old')}",
+                      f"if y >= {bound}:",
+                      f"    {t1} += 1",
+                      f"    if y < {t3}: {t3} = y",
+                      "else:",
+                      f"    {t1} -= 1",
+                      f"    if y > {t2}: {t2} = y"]
+        return lines
 
-    adm, gate, wit = [unpack], [], [unpack]
-    checks, probes, fetched = [0], [0], set()
+    def step(at, pos: str) -> list[str]:
+        lines = [f"{x[a]} = {at(a, pos)}" for a in value_attrs]
+        for a in plan.span_attrs:
+            lines += [f"{lo[a]} = {x[a]} if {x[a]} < p{lo[a]} else p{lo[a]}",
+                      f"{hi[a]} = {x[a]} if {x[a]} > p{hi[a]} else p{hi[a]}"]
+        lines += [f"{acc[a, s]} = p{acc[a, s]} {'+' if s > 0 else '-'} {x[a]}"
+                  for a, s in plan.sum_keys]
+        return lines
+
+    def exact(spec: ConstraintSpec) -> str | None:
+        """The test failing the occurrence itself; arcs enforce gap and
+        item-set rules, and a median reads the whole occurrence's triple
+        (t1, t2, t3) that ``witness`` folds first."""
+        kind, c, attr = spec.kind, spec.c, spec.attribute
+        sign = _sign(spec.direction) if spec.direction else 0
+        test = {Kind.LENGTH: "ln", Kind.SPAN: f"{hi.get(attr)} - {lo.get(attr)}",
+                Kind.MAX: hi.get(attr), Kind.MIN: lo.get(attr)}.get(kind)
+        if test is not None:
+            return test + f" {'<' if sign > 0 else '>'} {c}"
+        if kind in (Kind.SUM, Kind.AVG):
+            return f"{acc[attr, sign]} < {sign * c}{' * ln' if kind is Kind.AVG else ''}"
+        if kind is Kind.MED:
+            return f"not (t1 > 0 or t1 == 0 and t2 + t3 >= {2 * sign * c})"
+        return None
+
+    wit = [unpack]
+    for i, spec in enumerate(plan.specs):
+        if spec.kind is Kind.MED:
+            sign = _sign(spec.direction)
+            p1, p2, p3 = med[spec.attribute, sign, sign * spec.c]
+            # the endpoint folded in gives the whole occurrence's triple
+            wit += [f"v = {'' if sign > 0 else '-'}{ref(spec.attribute, 'pos')}",
+                    f"if v >= {sign * spec.c}: t1, t2, t3 = {p1} + 1, {p2}, "
+                    f"({p3} if {p3} < v else v)",
+                    f"else: t1, t2, t3 = {p1} - 1, ({p2} if {p2} > v else v), {p3}"]
+        test = exact(spec)
+        if test is not None:
+            wit.append(f"if {test}: return {i}")
+
     records = const(store.records) if store is not None else None
 
-    def slot(lines: list[str], key: tuple, j: int = 0) -> str:
-        # the endpoint's record is looked up once per function, before its first read
-        lookup = f"        r = {records}[si][pos]"
-        if lookup not in lines:
-            lines.append(lookup)
-        return f"r[{store.layout[key] + j}]"
+    def tests(old_record: str, new_record: str, reject: str, verdict):
+        """The gate's lines on the parent's slots and the record
+        ``old_record``, failing through ``reject``; the thresholds ``q<i>``
+        admission takes from the parent's length and sums; admission's lines
+        on the entry's slots, those thresholds and the record ``new_record``,
+        failing spec ``i`` through ``verdict(i)``."""
+        gate, head, adm = [], [], []
+        checks, probes = [0], [0]
 
-    for i, spec in enumerate(plan.specs):
-        kind, c, attr = spec.kind, spec.c, spec.attribute
-        anti = classify(spec) is Monotonicity.ANTI_MONOTONE
-        sign = _sign(spec.direction) if spec.direction else 0
-        # ``exact`` fails the occurrence itself; arcs enforce gap and item-set rules
-        exact = {Kind.LENGTH: "ln", Kind.SPAN: f"{hi.get(attr)} - {lo.get(attr)}",
-                 Kind.MAX: hi.get(attr), Kind.MIN: lo.get(attr)}.get(kind)
-        if exact is not None:
-            exact += f" {'<' if sign > 0 else '>'} {c}"
-        elif kind in (Kind.SUM, Kind.AVG):
-            exact = f"{acc[attr, sign]} < {sign * c}{' * ln' if kind is Kind.AVG else ''}"
-        elif kind is Kind.MED:
-            p1, p2, p3 = med[attr, sign, sign * c]
-            # the endpoint folded in gives the whole occurrence's triple
-            wit += [f"        v = {'' if sign > 0 else '-'}{col[attr]}[si][pos]",
-                    f"        if v >= {sign * c}: t1, t2, t3 = {p1} + 1, {p2}, "
-                    f"({p3} if {p3} < v else v)",
-                    f"        else: t1, t2, t3 = {p1} - 1, ({p2} if {p2} > v else v), {p3}"]
-            exact = f"not (t1 > 0 or t1 == 0 and t2 + t3 >= {2 * sign * c})"
-        if exact is not None:
-            wit.append(f"        if {exact}: return {i}")
-        test = exact if anti else None
-        if kind is Kind.LENGTH and anti:
-            gate.append(f"        if st[0] >= {c}: return False")
-        elif kind is Kind.LENGTH and store is not None:
-            test = f"ln - 1 + {slot(adm, ('maxlen',))} < {c}"
-        elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and anti:
-            if kind is Kind.SPAN and store is not None:
-                # the reachable window must overlap [max - c, min + c]
+        def slot(lines: list[str], record: str, key: tuple, j: int = 0) -> str:
+            # the record is looked up once, before its first read
+            if f"r = {record}" not in lines:
+                lines.append(f"r = {record}")
+            return f"r[{store.layout[key] + j}]"
+
+        for i, spec in enumerate(plan.specs):
+            kind, c, attr = spec.kind, spec.c, spec.attribute
+            anti = classify(spec) is Monotonicity.ANTI_MONOTONE
+            sign = _sign(spec.direction) if spec.direction else 0
+            test = exact(spec) if anti else None
+            if kind is Kind.LENGTH and anti:
+                gate.append(f"if pln >= {c}: {reject}")
+            elif kind is Kind.LENGTH and store is not None:
+                head.append(f"q{i} = {c} - pln")
+                test = f"{slot(adm, new_record, ('maxlen',))} < q{i}"
+            elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and anti:
+                if kind is Kind.SPAN and store is not None:
+                    # the reachable window must overlap [max - c, min + c]
+                    key, low, high = ("span", attr), f"p{lo[attr]}", f"p{hi[attr]}"
+                    gate += [f"L, H = {slot(gate, old_record, key)}, "
+                             f"{slot(gate, old_record, key, 1)}",
+                             f"if (L if L > {high} - {c} else {high} - {c}) > "
+                             f"(H if H < {low} + {c} else {low} + {c}): {reject}"]
+            elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and store is not None:
                 key = ("span", attr)
-                gate += [f"        L, H = {slot(gate, key)}, {slot(gate, key, 1)}",
-                         f"        l, h = st[{plan.span_at[attr]}], st[{plan.span_at[attr] + 1}]",
-                         f"        if (L if L > h - {c} else h - {c}) > "
-                         f"(H if H < l + {c} else l + {c}): return False"]
-        elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and store is not None:
-            key = ("span", attr)
-            adm.append(f"        L, H = {slot(adm, key)}, {slot(adm, key, 1)}")
-            top = f"({hi[attr]} if {hi[attr]} > H else H)"
-            bottom = f"({lo[attr]} if {lo[attr]} < L else L)"
-            test = {Kind.SPAN: f"{top} - {bottom} < {c}",
-                    Kind.MAX: f"{top} < {c}", Kind.MIN: f"{bottom} > {c}"}[kind]
-        elif kind in (Kind.SUM, Kind.AVG) and store is not None:
-            if attr not in fetched:
-                adm.append(f"        {x[attr]} = {col[attr]}[si][pos]")
-                fetched.add(attr)
-            # the stored value counts the final event again: take it off
-            prefix = f"{acc[attr, sign]} {'-' if sign > 0 else '+'} {x[attr]}"
-            if kind is Kind.SUM:
-                test = f"{prefix} + {slot(adm, ('sum', attr, sign))} < {sign * c}"
-            else:
-                key = ("avg", attr, sign, sign * c)
-                adm.append(f"        b1, b2 = {slot(adm, key)}, {slot(adm, key, 1)}")
-                test = f"{prefix} + b1 < {sign * c} * (ln - 1 + b2)"
-        elif kind is Kind.MED and store is not None:
-            p1, p2, p3 = med[attr, sign, sign * c]
-            key = ("med", attr, sign, sign * c)
-            adm += [f"        t1, t2, t3 = {slot(adm, key)}, {slot(adm, key, 1)}, "
-                    f"{slot(adm, key, 2)}",
-                    f"        t1 += {p1}"]
-            test = (f"not (t1 > 0 or t1 == 0 and ({p2} if {p2} > t2 else t2) + "
-                    f"({p3} if {p3} < t3 else t3) >= {2 * sign * c})")
-        if test is not None:
-            adm.append(f"        if {test}: return {i}")
-        checks.append(checks[-1] + (test is not None and anti))
-        probes.append(probes[-1] + (test is not None and not anti))
-    n = len(plan.specs)
-    plan.constraint_checks = tuple(checks[1:]) + (checks[-1],)
-    plan.info_probes = tuple(probes[1:]) + (probes[-1],)
+                adm.append(f"L, H = {slot(adm, new_record, key)}, "
+                           f"{slot(adm, new_record, key, 1)}")
+                top = f"({hi[attr]} if {hi[attr]} > H else H)"
+                bottom = f"({lo[attr]} if {lo[attr]} < L else L)"
+                test = {Kind.SPAN: f"{top} - {bottom} < {c}",
+                        Kind.MAX: f"{top} < {c}", Kind.MIN: f"{bottom} > {c}"}[kind]
+            elif kind in (Kind.SUM, Kind.AVG) and store is not None:
+                # the stored value counts the final event, so it adds to the
+                # parent's sum: ps + b1 < sc * (pln + b2) for an average
+                sc, prefix = sign * c, f"p{acc[attr, sign]}"
+                if kind is Kind.SUM:
+                    head.append(f"q{i} = {sc} - {prefix}")
+                    test = f"{slot(adm, new_record, ('sum', attr, sign))} < q{i}"
+                else:
+                    key = ("avg", attr, sign, sc)
+                    head.append(f"q{i} = {sc} * pln - {prefix}")
+                    test = (f"{slot(adm, new_record, key)} {'-' if sc >= 0 else '+'} "
+                            f"{abs(sc)} * {slot(adm, new_record, key, 1)} < q{i}")
+            elif kind is Kind.MED and store is not None:
+                p1, p2, p3 = med[attr, sign, sign * c]
+                key = ("med", attr, sign, sign * c)
+                # the deciding values are read only when the balances cancel
+                t2, t3 = slot(adm, new_record, key, 1), slot(adm, new_record, key, 2)
+                adm.append(f"t1 = {slot(adm, new_record, key)} + {p1}")
+                test = (f"t1 < 0 or t1 == 0 and ({p2} if {p2} > {t2} else {t2}) + "
+                        f"({p3} if {p3} < {t3} else {t3}) < {2 * sign * c}")
+            if test is not None:
+                adm.append(f"if {test}: {verdict(i)}")
+            checks.append(checks[-1] + (test is not None and anti))
+            probes.append(probes[-1] + (test is not None and not anti))
+        return (gate, head, adm,
+                tuple(checks[1:]) + (checks[-1],), tuple(probes[1:]) + (probes[-1],))
 
-    plan.source = "\n".join([
-        f"def _make({', '.join(f'k{i}' for i in range(len(consts)))}):",
-        "    def initial(si, pos):", *init, f"        return {row}",
-        "    def extend(st, si, old, new):", *ext, f"        return {row}",
-        "    def admit(si, pos, st):", *adm, f"        return {n}",
-        "    def gate(si, pos, st):", *gate, "        return True",
-        "    def witness(si, pos, st):", *wit, f"        return {n}",
-        "    return initial, extend, admit, gate, witness",
-    ]) + "\n"
+    n = len(plan.specs)
+    gate, head, adm, _, _ = tests(f"{records}[si][pos]", f"{records}[si][pos]", "return False",
+                            lambda i: f"return {i}")
+    # admission reads the parent's length and sums, which admit derives
+    parent = ["pln = ln - 1"]
+    parent += [f"{x[a]} = {ref(a, 'pos')}" for a in dict.fromkeys(a for a, _ in plan.sum_keys)]
+    parent += [f"p{acc[a, s]} = {acc[a, s]} {'-' if s > 0 else '+'} {x[a]}"
+               for a, s in plan.sum_keys]
+    scan_gate, scan_head, scan_adm, plan.constraint_checks, plan.info_probes = tests(
+        "R[old]", "R[new]", "continue", lambda i: f"v = {i}; break")
+    if store is not None and store.layout:  # a store for no information has no records
+        hoists.append(f"R = {records}[si]")
+
+    # parent work happens once per parent; the root's parent is the identity
+    scan = [*hoists,
+            "fresh = {}",
+            "seen = set()",
+            "add = seen.add",
+            "visited = created = 0",
+            # one parent's entries differ in their endpoints: only several repeat
+            "several = len(parents) > 1",
+            "for old, st in parents:",
+            "    if old is None:",
+            "        succs = starts",
+            *_indent(identity, 2),
+            "    else:",
+            f"        {punpack}",
+            *_indent(scan_gate, 2),
+            *_indent(fold(row_at), 2),
+            "        succs = nexts[old]",
+            "    ln = pln + 1",
+            *_indent(scan_head, 1),
+            "    for new in succs:",
+            "        visited += 1",
+            "        item = items[new]",
+            "        if item in dead:",
+            "            continue",
+            *_indent(step(row_at, "new"), 2),
+            f"        entry = (new, {row})",
+            "        if several:",
+            "            size = len(seen)",
+            "            add(entry)",
+            "            if len(seen) == size:",
+            "                continue",
+            "        while True:",
+            *_indent(scan_adm, 3),
+            f"            v = {n}",
+            "            break",
+            "        hist[v] += 1",
+            f"        if v != {n}:",
+            "            continue",
+            "        got = fresh.get(item)",
+            "        if got is None:",
+            "            fresh[item] = [entry]",
+            "        else:",
+            "            got.append(entry)",
+            "        created += 1",
+            "return fresh, visited, created"]
+
+    functions = {
+        "initial(si, pos)": identity + ["ln = pln + 1"] + step(ref, "pos") + [f"return {row}"],
+        "extend(st, si, old, new)": [punpack] + fold(ref) + ["ln = pln + 1"]
+        + step(ref, "new") + [f"return {row}"],
+        "admit(si, pos, st)": [unpack] + parent + head + adm + [f"return {n}"],
+        "gate(si, pos, st)": [punpack] + gate + ["return True"],
+        "witness(si, pos, st)": wit + [f"return {n}"],
+        "scan(si, parents, starts, nexts, items, dead, hist)": scan,
+    }
+    lines = [f"def _make({', '.join(f'k{i}' for i in range(len(consts)))}):"]
+    for signature, body in functions.items():
+        lines += [f"    def {signature}:", *_indent(body, 2)]
+    lines.append(f"    return {', '.join(s[:s.index('(')] for s in functions)}")
+    plan.source = "\n".join(lines) + "\n"
     namespace: dict = {}
     exec(plan.source, namespace)
-    plan.initial, plan.extend, plan.admit, plan.gate, plan.witness = namespace["_make"](*consts)
+    (plan.initial, plan.extend, plan.admit, plan.gate, plan.witness,
+     plan.scan) = namespace["_make"](*consts)
+
+
+def _indent(lines: list[str], depth: int) -> list[str]:
+    return ["    " * depth + line for line in lines]
 
 
 # --- extension tests -------------------------------------------------------------

@@ -44,19 +44,23 @@ class PpccMiner(_ProjectionMiner):
             if attr == ordering and hi is not None:
                 self._ord_hi = hi
 
-    def _start_positions(self, si: int) -> Iterable[int]:
-        allowed = self._rules.allowed_items
-        items = self._items[si]
-        if allowed is None:
-            return range(len(items))
-        out = []
-        for pos, item in enumerate(items):
-            self.counters.constraint_checks += 1
-            if item in allowed:
-                out.append(pos)
-        return out
+    def _successors(self, si: int, dead: set[int]):
+        return self._start_positions(si, dead), _Steps(self, si, dead)
 
-    def _next_positions(self, si: int, pos: int) -> Iterable[int]:
+    def _start_positions(self, si: int, dead: set[int]) -> Iterable[int]:
+        # a generator: only the root scan reads it and pays its checks
+        allowed = self._rules.allowed_items
+        counters = self.counters
+        for pos, item in enumerate(self._items[si]):
+            if item in dead:
+                continue
+            if allowed is not None:
+                counters.constraint_checks += 1
+                if item not in allowed:
+                    continue
+            yield pos
+
+    def _next_positions(self, si: int, pos: int, dead: set[int]) -> Iterable[int]:
         items = self._items[si]
         counters = self.counters
         bounds = self._rules.gap_bounds
@@ -69,6 +73,9 @@ class PpccMiner(_ProjectionMiner):
             if ord_hi is not None and ord_col[k] - ord_col[pos] > ord_hi:
                 counters.constraint_checks += 1
                 break
+            # an abandoned item would be dropped by the scan: skip it unchecked
+            if items[k] in dead:
+                continue
             ok = True
             for attr, lo, hi in bounds:
                 counters.constraint_checks += 1
@@ -81,6 +88,18 @@ class PpccMiner(_ProjectionMiner):
                 ok = items[k] in allowed
             if ok:
                 yield k
+
+
+class _Steps:
+    """``steps[pos]``: the positions one ppcc step reaches from ``pos``."""
+
+    __slots__ = ("miner", "si", "dead")
+
+    def __init__(self, miner: PpccMiner, si: int, dead: set[int]):
+        self.miner, self.si, self.dead = miner, si, dead
+
+    def __getitem__(self, pos: int) -> Iterable[int]:
+        return self.miner._next_positions(self.si, pos, self.dead)
 
 
 def mine_ppcc(
