@@ -47,7 +47,7 @@ print(f"{s.n_sequences} sequences, {s.n_items} items, "
 # values apart.
 mdd = build_mdd(db)
 print("\nnodes per layer:", mdd.layer_sizes())
-print("node 2@1 label (sid -> (time, price)):", mdd.node(1, 2).labels)
+print("node 2@1 label (sid -> (time, price)):", mdd.labels(1, 2))
 report = validate(mdd, db)
 print("structure valid:", report.ok)
 

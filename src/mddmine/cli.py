@@ -27,7 +27,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,25 +63,6 @@ SCENARIOS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    db_path: str
-    attrs_path: str | None = None
-    miner: str = "mpp"
-    min_support: str = "1"
-    constraints: tuple[str, ...] = ()
-    scenario: int | None = None
-    output: str = "-"
-    report: str | None = None
-    seed: int = 0
-    profile: str = "time:time,price:uniform,quality:uniform"
-    ordering_attr: str | None = None
-    disable_prop5: bool = False
-    emit_stats: bool = False
-    max_len: int | None = None
-
-
 def _parse_min_support(text: str):
     """Return ("abs", n) or ("frac", fraction); raise ValueError if invalid."""
     if "." in text or "/" in text:
@@ -102,11 +83,11 @@ def _resolve_theta(min_support: str, n_sequences: int) -> int:
     return max(1, math.ceil(value * n_sequences))
 
 
-def _load_db(config: RunConfig):
-    db = parse_spmf(Path(config.db_path).read_text())
-    if config.attrs_path:
-        table = parse_attribute_tsv(Path(config.attrs_path).read_text())
-        ordering = config.ordering_attr
+def _load_db(args: argparse.Namespace):
+    db = parse_spmf(Path(args.db).read_text())
+    if args.attrs:
+        table = parse_attribute_tsv(Path(args.attrs).read_text())
+        ordering = args.ordering_attr
         if ordering is None and "time" in table.names:
             ordering = "time"
         if ordering == "none":
@@ -115,10 +96,10 @@ def _load_db(config: RunConfig):
     return db
 
 
-def _specs_from(config: RunConfig):
-    texts = list(config.constraints)
-    if config.scenario is not None:
-        texts.extend(SCENARIOS[config.scenario])
+def _specs_from(args: argparse.Namespace):
+    texts = list(args.constraint)
+    if args.scenario is not None:
+        texts.extend(SCENARIOS[args.scenario])
     return tuple(parse_constraint(t) for t in texts)
 
 
@@ -147,43 +128,43 @@ def _write(path: str, text: str) -> None:
         raise
 
 
-def _cmd_mine(config: RunConfig) -> int:
-    db = _load_db(config)
-    specs = _specs_from(config)
-    theta = _resolve_theta(config.min_support, len(db))
+def _cmd_mine(args: argparse.Namespace) -> int:
+    db = _load_db(args)
+    specs = _specs_from(args)
+    theta = _resolve_theta(args.min_sup, len(db))
     counters: MiningCounters | None = MiningCounters()
     t0 = time.perf_counter()
-    if config.miner == "mpp":
+    if args.miner == "mpp":
         mdd = build_mdd(db, specs)
         t1 = time.perf_counter()
         store = propagate(mdd, db, specs)
         t2 = time.perf_counter()
         patterns = mine(
             mdd, store, db, specs, theta,
-            use_prop5=not config.disable_prop5, counters=counters,
+            use_prop5=not args.disable_prop5, counters=counters,
         )
         phases = [("mdd_build_seconds", t1 - t0), ("info_prop_seconds", t2 - t1),
                   ("mining_seconds", time.perf_counter() - t2)]
-    elif config.miner == "ppcc":
+    elif args.miner == "ppcc":
         patterns = mine_ppcc(
             db, specs, theta,
-            counters=counters, use_prop5=not config.disable_prop5,
+            counters=counters, use_prop5=not args.disable_prop5,
         )
         phases = [("mining_seconds", time.perf_counter() - t0)]
-    elif config.miner == "brute":
-        patterns = mine_bruteforce(db, specs, theta, max_len=config.max_len)
+    elif args.miner == "brute":
+        patterns = mine_bruteforce(db, specs, theta, max_len=args.max_len)
         phases = [("mining_seconds", time.perf_counter() - t0)]
         counters = None
     else:
-        raise ValueError(f"unknown miner {config.miner!r}")
+        raise ValueError(f"unknown miner {args.miner!r}")
 
-    _write(config.output, patterns.render())
-    if config.emit_stats:
+    _write(args.output, patterns.render())
+    if args.emit_stats or args.report:  # --report implies --emit-stats
         report = _format_report(phases, counters, len(patterns))
-        if config.report:
-            _write(config.report, report)
-        elif config.output != "-":
-            _write(config.output + ".report.tsv", report)
+        if args.report:
+            _write(args.report, report)
+        elif args.output != "-":
+            _write(args.output + ".report.tsv", report)
         else:
             sys.stderr.write(report)
     return 0
@@ -210,16 +191,16 @@ def _parse_profile(text: str):
     return tuple(pairs)
 
 
-def _cmd_gen_attrs(config: RunConfig) -> int:
-    db = parse_spmf(Path(config.db_path).read_text())
-    profile = _parse_profile(config.profile) if config.profile else DEFAULT_PROFILE
-    table = generate_attributes(db, config.seed, profile)
-    _write(config.output, format_attribute_tsv(table))
+def _cmd_gen_attrs(args: argparse.Namespace) -> int:
+    db = parse_spmf(Path(args.db).read_text())
+    profile = _parse_profile(args.profile) if args.profile else DEFAULT_PROFILE
+    table = generate_attributes(db, args.seed, profile)
+    _write(args.output, format_attribute_tsv(table))
     return 0
 
 
-def _cmd_stats(config: RunConfig) -> int:
-    db = _load_db(config)
+def _cmd_stats(args: argparse.Namespace) -> int:
+    db = _load_db(args)
     s = stats(db)
     lines = [
         f"n_sequences\t{s.n_sequences}",
@@ -227,15 +208,15 @@ def _cmd_stats(config: RunConfig) -> int:
         f"max_len\t{s.max_len}",
         f"avg_len\t{s.avg_len}",
     ]
-    _write(config.output, "\n".join(lines) + "\n")
+    _write(args.output, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_export_dot(config: RunConfig) -> int:
-    db = _load_db(config)
-    specs = _specs_from(config)
+def _cmd_export_dot(args: argparse.Namespace) -> int:
+    db = _load_db(args)
+    specs = _specs_from(args)
     mdd = build_mdd(db, specs)
-    _write(config.output, export_dot(mdd))
+    _write(args.output, export_dot(mdd))
     return 0
 
 
@@ -245,15 +226,6 @@ _COMMANDS = {
     "stats": _cmd_stats,
     "export-dot": _cmd_export_dot,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configured command; returns a process exit status."""
-    try:
-        return _COMMANDS[config.command](config)
-    except (SeqDbError, ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -305,24 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command, db_path=args.db)
-    for name, attr in (
-        ("attrs_path", "attrs"), ("miner", "miner"), ("min_support", "min_sup"),
-        ("scenario", "scenario"), ("output", "output"), ("report", "report"),
-        ("seed", "seed"), ("profile", "profile"), ("ordering_attr", "ordering_attr"),
-        ("disable_prop5", "disable_prop5"), ("emit_stats", "emit_stats"),
-        ("max_len", "max_len"),
-    ):
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            setattr(config, name, getattr(args, attr))
-    if getattr(args, "constraint", None):
-        config.constraints = tuple(args.constraint)
-    if config.report:
-        config.emit_stats = True
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -338,7 +292,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--max-len applies only to --miner brute")
         if args.disable_prop5 and args.miner == "brute":
             parser.error("--disable-prop5 has no effect with --miner brute")
-    return run(_config_from_args(args))
+    try:
+        return _COMMANDS[args.command](args)
+    except (SeqDbError, ValueError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -249,10 +249,6 @@ class PairwiseRules:
     def item_ok(self, item: int) -> bool:
         return self.allowed_items is None or item in self.allowed_items
 
-    @property
-    def trivial(self) -> bool:
-        return self.allowed_items is None and not self.gap_bounds
-
 
 def imposable(specs: Sequence[ConstraintSpec]) -> tuple[ConstraintSpec, ...]:
     """The specs a diagram build can encode as arc-existence rules."""

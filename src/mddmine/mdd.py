@@ -11,13 +11,14 @@ last layer: the root reaches every event that may start a pattern and every
 live event reaches the terminal.
 
 ``build_mdd`` computes only the compact per-sequence successor tables
-(`succ`, `starts`, `alive`) over the database's columns; mining walks those
-and never touches a node.  Since the ordering attribute strictly increases,
-the gap bounds on it cut each successor row out of the later positions as
-one window, found by bisection rather than by testing each later event.
-The node/arc object graph, labels included, is derived from the tables and
-the database on first use, for the structure accessors, validation and DOT
-export.
+(`succ`, `starts`, `alive`) over the database's columns, and these tables
+with the columns are the diagram's only representation; mining walks the
+tables and never forms a node.  Since the ordering attribute strictly
+increases, the gap bounds on it cut each successor row out of the later
+positions as one window, found by bisection rather than by testing each
+later event.  The layers, labels and arcs are views that ``Mdd`` reads
+from the tables and the columns on every call, for structure queries and
+DOT export; nothing is cached, so no second copy can drift.
 """
 from __future__ import annotations
 
@@ -37,35 +38,19 @@ from .seqdb import AttributedDatabase
 ROOT_ITEM = -1
 TERMINAL_ITEM = -2
 
-
-class MddNode:
-    __slots__ = ("layer", "item", "labels", "out_arcs")
-
-    def __init__(self, layer: int, item: int):
-        self.layer = layer
-        self.item = item
-        #: sid -> attribute value tuple, aligned with the database attribute names
-        self.labels: dict[int, tuple[int, ...]] = {}
-        self.out_arcs: list[Arc] = []
-
-    def __repr__(self) -> str:
-        return f"MddNode({self.item}@{self.layer})"
-
-
-class Arc:
-    __slots__ = ("source", "target", "sids")
-
-    def __init__(self, source: MddNode, target: MddNode):
-        self.source = source
-        self.target = target
-        self.sids: set[int] = set()
-
-    def __repr__(self) -> str:
-        return f"Arc({self.source!r}->{self.target!r}, sids={sorted(self.sids)})"
+#: a diagram node: (layer, item)
+Node = tuple[int, int]
 
 
 class Mdd:
-    """Immutable diagram over a fixed database; see module docstring."""
+    """Immutable diagram over a fixed database; see module docstring.
+
+    The successor tables are the diagram's only stored part.  A node is the
+    pair ``(layer, item)``, with the root ``(0, ROOT_ITEM)`` and the terminal
+    ``(n_layers + 1, TERMINAL_ITEM)``; the views below read the nodes, their
+    labels and the arcs from the tables and the database's columns on every
+    call.
+    """
 
     def __init__(self, db: AttributedDatabase, imposed: tuple[ConstraintSpec, ...]):
         self.db = db
@@ -77,74 +62,38 @@ class Mdd:
         self.starts: list[tuple[int, ...]] = []
         #: per sequence index: positions whose events are live (reach terminal)
         self.alive: list[tuple[bool, ...]] = []
-        #: (layer, item) -> node; None until ``ensure_arcs`` derives the graph
-        self._nodes: dict[tuple[int, int], MddNode] | None = None
 
-    # -- structure accessors; each derives the object graph first --
+    def layer_items(self, layer: int) -> list[int]:
+        """The items of the layer's nodes, ascending."""
+        return sorted({seq.items[layer - 1] for seq in self.db.sequences
+                       if len(seq) >= layer})
 
-    def node(self, layer: int, item: int) -> MddNode | None:
-        self.ensure_arcs()
-        return self._nodes.get((layer, item))
+    def labels(self, layer: int, item: int) -> dict[int, tuple[int, ...]]:
+        """sid -> attribute values, aligned with the database attribute names,
+        of the event each sequence holds in node ``(layer, item)``."""
+        pos = layer - 1
+        names = self.db.attribute_names
+        return {seq.sid: tuple(seq.attr_values(name)[pos] for name in names)
+                for seq in self.db.sequences
+                if len(seq) > pos and seq.items[pos] == item}
 
-    def layer_nodes(self, layer: int) -> list[MddNode]:
-        self.ensure_arcs()
-        nodes = [n for (lay, _), n in self._nodes.items() if lay == layer]
-        return sorted(nodes, key=lambda n: n.item)
+    def arcs(self) -> dict[tuple[Node, Node], list[int]]:
+        """(source, target) -> ascending sids, in (source, target) order."""
+        root, terminal = (0, ROOT_ITEM), (self.n_layers + 1, TERMINAL_ITEM)
+        arcs: dict[tuple[Node, Node], list[int]] = {}
+        for si, seq in enumerate(self.db.sequences):
+            nodes = [(pos + 1, item) for pos, item in enumerate(seq.items)]
+            pairs = [(root, nodes[k]) for k in self.starts[si]]
+            pairs += [(nodes[j], nodes[k])
+                      for j, row in enumerate(self.succ[si]) for k in row]
+            pairs += [(node, terminal)
+                      for node, live in zip(nodes, self.alive[si]) if live]
+            for pair in pairs:
+                arcs.setdefault(pair, []).append(seq.sid)
+        return dict(sorted(arcs.items()))
 
     def layer_sizes(self) -> list[int]:
-        self.ensure_arcs()
-        sizes = [0] * self.n_layers
-        for layer, _ in self._nodes:
-            sizes[layer - 1] += 1
-        return sizes
-
-    @property
-    def n_nodes(self) -> int:
-        self.ensure_arcs()
-        return len(self._nodes)
-
-    def ensure_arcs(self) -> None:
-        """Derive nodes, labels and arcs from the database and successor tables.
-
-        Also creates the virtual ``root`` and ``terminal``.
-        """
-        if self._nodes is not None:
-            return
-        self.root = MddNode(0, ROOT_ITEM)
-        self.terminal = MddNode(self.n_layers + 1, TERMINAL_ITEM)
-        nodes: dict[tuple[int, int], MddNode] = {}
-        by_pair: dict[tuple[MddNode, MddNode], Arc] = {}
-
-        def label(source: MddNode, target: MddNode, sid: int) -> None:
-            arc = by_pair.get((source, target))
-            if arc is None:
-                arc = Arc(source, target)
-                by_pair[(source, target)] = arc
-                source.out_arcs.append(arc)
-            arc.sids.add(sid)
-
-        names = self.db.attribute_names
-        for si, seq in enumerate(self.db.sequences):
-            sid = seq.sid
-            columns = [seq.attr_values(name) for name in names]
-            row = []
-            for pos, item in enumerate(seq.items):
-                node = nodes.get((pos + 1, item))
-                if node is None:
-                    node = nodes[(pos + 1, item)] = MddNode(pos + 1, item)
-                node.labels[sid] = tuple(col[pos] for col in columns)
-                row.append(node)
-            for pos in self.starts[si]:
-                label(self.root, row[pos], sid)
-            for pos, nexts in enumerate(self.succ[si]):
-                for nxt in nexts:
-                    label(row[pos], row[nxt], sid)
-            for pos, live in enumerate(self.alive[si]):
-                if live:
-                    label(row[pos], self.terminal, sid)
-        for node in [self.root, *nodes.values()]:
-            node.out_arcs.sort(key=lambda a: (a.target.layer, a.target.item))
-        self._nodes = nodes
+        return [len(self.layer_items(layer)) for layer in range(1, self.n_layers + 1)]
 
 
 def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> Mdd:
@@ -157,8 +106,7 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
     the later positions ``k`` with ``x_j + lo <= x_k <= x_j + hi``: one
     contiguous window ``[a, b)`` of the column, found by two bisections.  A
     row is that window, filtered by liveness and by the gap bounds on other
-    attributes only when an item set or such a bound is imposed.  No node
-    object is created here; see ``Mdd.ensure_arcs``.
+    attributes only when an item set or such a bound is imposed.
     """
     require_known_attributes(specs, db.attribute_names)
     rules = pairwise_rules(specs)
@@ -215,16 +163,16 @@ class MddValidationReport:
 
 
 def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
-    """Check every structural invariant of the diagram against the database.
+    """Check the successor tables against the database and the imposed specs.
 
     The successor tables are checked against the imposed specs directly,
     never through a second ``build_mdd``: ``k`` succeeds ``j`` exactly when
     ``j < k`` and every imposed spec passes ``check_occurrence`` on the
     occurrence ``[e_j, e_k]``, and an event starts a pattern and is live
     exactly when its one-event occurrence passes every imposed spec.  With
-    nothing imposed this is complete forward reachability.  The object graph
-    is derived from the tables, so it is derived and checked only once the
-    tables pass.
+    nothing imposed this is complete forward reachability.  The nodes,
+    labels and arcs are read from these tables and the columns, so they need
+    no check of their own.
     """
     report = MddValidationReport()
 
@@ -259,55 +207,6 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
             if not forbidden and not missing and tuple(nexts) != expected:
                 report.fail(f"sid {seq.sid}: successors of {j + 1} not ascending")
 
-    if not report.ok:
-        return report  # the object graph is derived from these tables
-    mdd.ensure_arcs()
-
-    # node set: one node per (layer, distinct item at that position)
-    expected_keys = set()
-    for seq in db.sequences:
-        for pos, item in enumerate(seq.items):
-            expected_keys.add((pos + 1, item))
-    actual_keys = set(mdd._nodes)
-    for key in expected_keys - actual_keys:
-        report.fail(f"missing node {key[1]}@{key[0]}")
-    for key in actual_keys - expected_keys:
-        report.fail(f"spurious node {key[1]}@{key[0]}")
-
-    # labels: every event sits in exactly the node of its (position, item)
-    names = db.attribute_names
-    for seq in db.sequences:
-        columns = [seq.attr_values(name) for name in names]
-        for pos, item in enumerate(seq.items):
-            node = mdd.node(pos + 1, item)
-            if node is None:
-                continue
-            if node.labels.get(seq.sid) != tuple(col[pos] for col in columns):
-                report.fail(f"node {item}@{pos + 1} lacks label for sid {seq.sid}")
-    for (layer, item), node in mdd._nodes.items():
-        if not node.labels:
-            report.fail(f"node {item}@{layer} has an empty label set")
-
-    # object graph consistency
-    seen_pairs = set()
-    for node in list(mdd._nodes.values()) + [mdd.root]:
-        for arc in node.out_arcs:
-            if arc.target is not mdd.terminal and arc.target.layer <= node.layer:
-                report.fail(f"arc {arc!r} does not advance layers")
-            pair = (id(node), id(arc.target))
-            if pair in seen_pairs:
-                report.fail(f"duplicate arc object {arc!r}")
-            seen_pairs.add(pair)
-            if node is not mdd.root:
-                bad = arc.sids - set(node.labels)
-                if bad:
-                    report.fail(f"arc {arc!r} labeled with sids {sorted(bad)} "
-                                "missing on its source")
-            if arc.target is not mdd.terminal:
-                bad = arc.sids - set(arc.target.labels)
-                if bad:
-                    report.fail(f"arc {arc!r} labeled with sids {sorted(bad)} "
-                                "missing on its target")
     return report
 
 
@@ -315,27 +214,24 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
 
 def export_dot(mdd: Mdd) -> str:
     """Deterministic DOT rendering: solid consecutive arcs, dashed skip arcs."""
-    mdd.ensure_arcs()
     lines = ["digraph mdd {", "  rankdir=LR;", '  r [label="r"];']
     for layer in range(1, mdd.n_layers + 1):
-        for node in mdd.layer_nodes(layer):
-            lines.append(f'  n{layer}_{node.item} [label="{node.item}@{layer}"];')
+        for item in mdd.layer_items(layer):
+            lines.append(f'  n{layer}_{item} [label="{item}@{layer}"];')
     lines.append('  t [label="t"];')
 
-    def name(node: MddNode) -> str:
-        if node is mdd.root:
+    def name(node: Node) -> str:
+        layer, item = node
+        if layer == 0:
             return "r"
-        if node is mdd.terminal:
+        if layer > mdd.n_layers:
             return "t"
-        return f"n{node.layer}_{node.item}"
+        return f"n{layer}_{item}"
 
-    for node in [mdd.root] + [n for ly in range(1, mdd.n_layers + 1)
-                              for n in mdd.layer_nodes(ly)]:
-        for arc in node.out_arcs:
-            sids = ",".join(str(s) for s in sorted(arc.sids))
-            skip = (node is not mdd.root and arc.target is not mdd.terminal
-                    and arc.target.layer > node.layer + 1)
-            style = ", style=dashed" if skip else ""
-            lines.append(f'  {name(node)} -> {name(arc.target)} [label="{sids}"{style}];')
+    for (source, target), sids in mdd.arcs().items():
+        skip = source[0] > 0 and source[0] + 1 < target[0] <= mdd.n_layers
+        style = ", style=dashed" if skip else ""
+        label = ",".join(map(str, sids))
+        lines.append(f'  {name(source)} -> {name(target)} [label="{label}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -291,6 +291,8 @@ class MppMiner(_ProjectionMiner):
         counters: MiningCounters | None = None,
         use_prop5: bool = True,
     ):
+        if db is not mdd.db:
+            raise ValueError("the diagram was built over another database")
         if set(mdd.imposed) != set(imposable(specs)):  # emission trusts the arcs
             raise ValueError("the diagram was built for other gap or item-set specs")
         plan = StatPlan(db, specs, store)
@@ -315,10 +317,10 @@ def mine(
 ) -> PatternSet:
     """Mine all frequent constraint-satisfying patterns from a built diagram.
 
-    The diagram must have been built with the pairwise-checkable subset of
-    ``specs`` imposed, and ``store`` must hold the information ``specs``
-    need (``propagate`` for them or a superset); either mismatch is a
-    ``ValueError``.  Mining runs in the calling thread.
+    The diagram must have been built over ``db`` itself with the
+    pairwise-checkable subset of ``specs`` imposed, and ``store`` must hold
+    the information ``specs`` need (``propagate`` for them or a superset);
+    any mismatch is a ``ValueError``.  Mining runs in the calling thread.
     """
     # threads stays as a parameter only because perfbench/worker.py passes 1
     if threads != 1:

@@ -194,8 +194,10 @@ def propagate(
     processed.  Average and median information depend on the constraint
     bound and are computed per constraint instance; span and sum information
     are shared per attribute (and direction).  A spec list that needs no
-    information visits no event.
+    information visits no event.  ``db`` must be the diagram's database.
     """
+    if db is not mdd.db:
+        raise ValueError("the diagram was built over another database")
     keys = _derive_needs(specs)
     if not keys:
         return InfoStore()

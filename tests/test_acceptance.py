@@ -126,7 +126,7 @@ def _check_structure(db, results, seed):
     max_len = max(len(s) for s in db.sequences)
     for layer in range(1, max_len + 1):
         distinct = {s.items[layer - 1] for s in db.sequences if len(s) >= layer}
-        if len(free.layer_nodes(layer)) != len(distinct):
+        if len(free.layer_items(layer)) != len(distinct):
             results.structural_errors.append((seed, f"layer {layer} size"))
 
 
@@ -199,7 +199,7 @@ def test_criterion_4_mdd_structure(corpus):
     db = build_click_db()
     mdd = build_mdd(db)
     assert mdd.layer_sizes() == [2, 3, 2]
-    assert [n.item for n in mdd.layer_nodes(1)] == [B, C]
+    assert mdd.layer_items(1) == [B, C]
     assert corpus.structural_errors == []
     _ok("structural checks (layer counts, validated free diagrams)")
 

@@ -225,7 +225,8 @@ class TestPairwiseRules:
 
     def test_non_pairwise_ignored(self):
         rules = pairwise_rules((parse_constraint("span(t)<=9"),))
-        assert rules.trivial
+        assert rules.allowed_items is None
+        assert rules.gap_bounds == ()
 
 
 def test_unknown_attribute_is_rejected_clearly(click_db):

@@ -20,7 +20,7 @@ def run_demo(name: str) -> subprocess.CompletedProcess:
 
 
 def test_encode_demo_prints_derived_labels():
-    # the node labels are derived on first use, not stored by build_mdd
+    # the node labels are read from the columns on each call, never stored
     result = run_demo("01_encode_database.py")
     assert result.returncode == 0, result.stderr
     assert "{1: (1, 5), 2: (3, 3)}" in result.stdout

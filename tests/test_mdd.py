@@ -9,14 +9,19 @@ from mddmine import (
     LE,
     ConstraintSpec,
     Kind,
+    Mdd,
     build_mdd,
     export_dot,
     make_database,
+    mine,
+    mine_bruteforce,
     parse_constraint,
     parse_spmf,
+    propagate,
     validate,
 )
 from mddmine.constraints import check_occurrence, imposable, pairwise_rules
+from mddmine.mdd import ROOT_ITEM, TERMINAL_ITEM
 
 from conftest import A, B, C, build_click_db
 from dbgen import random_db, random_specs
@@ -25,8 +30,7 @@ from dbgen import random_db, random_specs
 class TestBuildUnconstrained:
     def test_layer_one_has_no_a_node(self, click_db):
         mdd = build_mdd(click_db)
-        layer1 = [n.item for n in mdd.layer_nodes(1)]
-        assert layer1 == [B, C]
+        assert mdd.layer_items(1) == [B, C]
 
     def test_layer_sizes(self, click_db):
         assert build_mdd(click_db).layer_sizes() == [2, 3, 2]
@@ -36,38 +40,33 @@ class TestBuildUnconstrained:
         mdd = build_mdd(db)
         assert mdd.succ[0] == ((1, 2), (2,), ())
         assert mdd.starts[0] == (0, 1, 2)
-        mdd.ensure_arcs()
-        root_targets = [(a.target.layer, a.target.item) for a in mdd.root.out_arcs]
+        arcs = mdd.arcs()
+        root_targets = [target for source, target in arcs if source == (0, ROOT_ITEM)]
         assert root_targets == [(1, 1), (2, 2), (3, 3)]
-        for layer, item in ((1, 1), (2, 2), (3, 3)):
-            node = mdd.node(layer, item)
-            assert any(a.target is mdd.terminal for a in node.out_arcs)
+        for node in ((1, 1), (2, 2), (3, 3)):
+            assert arcs[(node, (4, TERMINAL_ITEM))] == [1]
 
     def test_node_labels_carry_per_sid_attributes(self, click_db):
         mdd = build_mdd(click_db)
-        node = mdd.node(1, B)
-        assert node.labels == {1: (1, 5), 2: (3, 3)}
+        assert mdd.labels(1, B) == {1: (1, 5), 2: (3, 3)}
 
     def test_empty_db(self):
         mdd = build_mdd(parse_spmf(""))
-        assert mdd.n_nodes == 0
+        assert mdd.n_layers == 0 and mdd.layer_sizes() == []
+        assert mdd.arcs() == {}
         assert validate(mdd, parse_spmf("")).ok
 
-    def test_build_creates_no_nodes(self, click_db, monkeypatch):
-        created = []
+    def test_mining_and_validation_read_only_the_tables(self, click_db, monkeypatch):
+        def fail(*args):
+            raise AssertionError("read a structure view")
 
-        class CountingNode(mdd_module.MddNode):
-            __slots__ = ()
-
-            def __init__(self, layer, item):
-                super().__init__(layer, item)
-                created.append((layer, item))
-
-        monkeypatch.setattr(mdd_module, "MddNode", CountingNode)
-        mdd = build_mdd(click_db, (parse_constraint("gap(time)>=3"),))
-        assert created == []
-        mdd.ensure_arcs()  # the 7 interior nodes plus the root and the terminal
-        assert len(created) == mdd.n_nodes + 2 == 9
+        for view in ("arcs", "labels", "layer_items"):
+            monkeypatch.setattr(Mdd, view, fail)
+        specs = (parse_constraint("gap(time)>=3"),)
+        mdd = build_mdd(click_db, specs)
+        assert validate(mdd, click_db).ok
+        store = propagate(mdd, click_db, specs)
+        assert mine(mdd, store, click_db, specs, 2) == mine_bruteforce(click_db, specs, 2)
 
 
 class TestBuildConstrained:
@@ -77,11 +76,9 @@ class TestBuildConstrained:
         assert mdd.succ[0] == ((), ())
         # second sequence: B at layer 1 reaches B at layer 3 (gap 6)
         assert mdd.succ[1][0] == (1, 2)
-        mdd.ensure_arcs()
-        arc_b1_b2 = [a for a in mdd.node(1, B).out_arcs if a.target is mdd.node(2, B)]
-        assert not any(1 in a.sids for a in arc_b1_b2)
-        arc_b1_b3 = [a for a in mdd.node(1, B).out_arcs if a.target is mdd.node(3, B)]
-        assert arc_b1_b3 and 2 in arc_b1_b3[0].sids
+        arcs = mdd.arcs()
+        assert 1 not in arcs.get(((1, B), (2, B)), [])
+        assert 2 in arcs[((1, B), (3, B))]
 
     def test_gap_upper_bound_larger_prefix_case(self, click_db):
         mdd = build_mdd(click_db, (parse_constraint("gap(time)<=3"),))
@@ -190,23 +187,7 @@ class TestValidate:
                     for seq in db.sequences
                     if len(seq) >= layer
                 }
-                assert len(mdd.layer_nodes(layer)) == len(distinct)
-
-    def test_corrupted_arc_detected(self, click_db):
-        mdd = build_mdd(click_db)
-        mdd.ensure_arcs()
-        arc = mdd.node(1, C).out_arcs[0]
-        arc.sids.add(1)  # sid 1 has no C at layer 1
-        report = validate(mdd, click_db)
-        assert not report.ok
-        assert any("sids" in p for p in report.problems)
-
-    def test_tampered_label_detected(self, click_db):
-        mdd = build_mdd(click_db)
-        mdd.ensure_arcs()
-        mdd.node(1, B).labels[1] = (1, 6)  # the event's price is 5
-        problems = validate(mdd, click_db).problems
-        assert problems == [f"node {B}@1 lacks label for sid 1"]
+                assert len(mdd.layer_items(layer)) == len(distinct)
 
     def test_tampered_successors_detected(self, click_db):
         mdd = build_mdd(click_db, (parse_constraint("gap(time)>=3"),))
@@ -240,6 +221,48 @@ class TestValidate:
         assert "sid 1: start positions differ from the imposed rules" in problems
 
 
+#: the click database's header and node lines
+CLICK_DOT_HEAD = """\
+digraph mdd {
+  rankdir=LR;
+  r [label="r"];
+  n1_2 [label="2@1"];
+  n1_3 [label="3@1"];
+  n2_1 [label="1@2"];
+  n2_2 [label="2@2"];
+  n2_3 [label="3@2"];
+  n3_1 [label="1@3"];
+  n3_2 [label="2@3"];
+  t [label="t"];
+"""
+
+#: the click database's arcs with nothing imposed, closing brace included
+CLICK_DOT_ARCS = """\
+  r -> n1_2 [label="1,2"];
+  r -> n1_3 [label="3"];
+  r -> n2_1 [label="2"];
+  r -> n2_2 [label="1"];
+  r -> n2_3 [label="3"];
+  r -> n3_1 [label="3"];
+  r -> n3_2 [label="2"];
+  n1_2 -> n2_1 [label="2"];
+  n1_2 -> n2_2 [label="1"];
+  n1_2 -> n3_2 [label="2", style=dashed];
+  n1_2 -> t [label="1,2"];
+  n1_3 -> n2_3 [label="3"];
+  n1_3 -> n3_1 [label="3", style=dashed];
+  n1_3 -> t [label="3"];
+  n2_1 -> n3_2 [label="2"];
+  n2_1 -> t [label="2"];
+  n2_2 -> t [label="1"];
+  n2_3 -> n3_1 [label="3"];
+  n2_3 -> t [label="3"];
+  n3_1 -> t [label="3"];
+  n3_2 -> t [label="2"];
+}
+"""
+
+
 class TestExportDot:
     def test_empty_db_has_only_virtual_nodes(self):
         text = export_dot(build_mdd(parse_spmf("")))
@@ -255,6 +278,19 @@ class TestExportDot:
         first = export_dot(build_mdd(click_db))
         second = export_dot(build_mdd(build_click_db()))
         assert first == second
+
+    def test_click_db_full_text(self, click_db):
+        assert export_dot(build_mdd(click_db)) == CLICK_DOT_HEAD + CLICK_DOT_ARCS
+
+    def test_click_db_gap_full_text(self, click_db):
+        # gap(time)>=3 drops sid 1's arc 2@1 -> 2@2 and sid 2's arc 1@2 -> 2@3
+        text = export_dot(build_mdd(click_db, (parse_constraint("gap(time)>=3"),)))
+        dropped = ('  n1_2 -> n2_2 [label="1"];\n', '  n2_1 -> n3_2 [label="2"];\n')
+        arcs = CLICK_DOT_ARCS
+        for line in dropped:
+            assert line in arcs
+            arcs = arcs.replace(line, "")
+        assert text == CLICK_DOT_HEAD + arcs
 
     def test_skip_arcs_dashed(self, click_db):
         text = export_dot(build_mdd(click_db))

@@ -179,6 +179,20 @@ class TestArguments:
         full = propagate(mdd, click_db, specs)
         assert mine(mdd, full, click_db, specs, 1) == mine_bruteforce(click_db, specs, 1)
 
+    def test_database_other_than_the_diagrams_rejected(self):
+        # same items, but db2's times break gap(t)<=5 between every two events
+        db1 = make_database([[1, 2, 3]] * 2, {"t": [[1, 2, 3]] * 2}, "t")
+        db2 = make_database([[1, 2, 3]] * 2, {"t": [[1, 50, 99]] * 2}, "t")
+        specs = (parse_constraint("gap(t)<=5"),)
+        mdd = build_mdd(db1, specs)
+        store = propagate(mdd, db1, specs)
+        with pytest.raises(ValueError, match="database"):
+            mine(mdd, store, db2, specs, 2)
+        with pytest.raises(ValueError, match="database"):
+            propagate(mdd, db2, specs)
+        assert as_pairs(mine_ppcc(db2, specs, 2)) == [((1,), 2), ((2,), 2), ((3,), 2)]
+        assert as_pairs(mine(mdd, store, db1, specs, 2)) == as_pairs(mine_ppcc(db1, specs, 2))
+
     def test_more_than_one_thread_rejected(self, click_db):
         assert mine_mpp(click_db, (), 2, threads=1) == mine_mpp(click_db, (), 2)
         with pytest.raises(ValueError):

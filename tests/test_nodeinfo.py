@@ -488,6 +488,8 @@ class TestRecordLayout:
 
     def test_no_information_walks_nothing(self, click_db):
         class Untouchable:
+            db = click_db  # propagate checks that this is the diagram's database
+
             @property
             def succ(self):
                 raise AssertionError("propagate walked the diagram")
