@@ -33,9 +33,7 @@ from .nodeinfo import (
     InfoStore,
     StatPlan,
     dump_info_tsv,
-    med_extendable,
     propagate,
-    span_extendable,
 )
 from .oracle import mine_bruteforce, mine_ppcc
 from .seqdb import (
@@ -61,10 +59,9 @@ __all__ = [
     "StatPlan", "attach_attributes", "build_mdd", "check_occurrence",
     "classify", "dump_info_tsv", "export_dot", "format_attribute_tsv",
     "format_constraint", "generate_attributes", "generate_sessions",
-    "make_database", "med_extendable", "mine", "mine_bruteforce",
-    "mine_mpp", "mine_ppcc", "parse_attribute_tsv", "parse_constraint",
-    "parse_spmf", "propagate", "prop5_prune", "span_extendable", "stats",
-    "support_of", "to_spmf", "validate",
+    "make_database", "mine", "mine_bruteforce", "mine_mpp", "mine_ppcc",
+    "parse_attribute_tsv", "parse_constraint", "parse_spmf", "propagate",
+    "prop5_prune", "stats", "support_of", "to_spmf", "validate",
 ]
 
 __version__ = "0.1.0"

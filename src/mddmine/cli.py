@@ -151,12 +151,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             counters=counters, use_prop5=not args.disable_prop5,
         )
         phases = [("mining_seconds", time.perf_counter() - t0)]
-    elif args.miner == "brute":
+    else:  # brute: --miner's choices admit nothing else
         patterns = mine_bruteforce(db, specs, theta, max_len=args.max_len)
         phases = [("mining_seconds", time.perf_counter() - t0)]
         counters = None
-    else:
-        raise ValueError(f"unknown miner {args.miner!r}")
 
     _write(args.output, patterns.render())
     if args.emit_stats or args.report:  # --report implies --emit-stats

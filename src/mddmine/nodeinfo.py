@@ -1,7 +1,7 @@
 """Per-node constraint information and feasible-extension tests.
 
 For every event (equivalently, every (node, sequence-id) pair of the diagram)
-this module precomputes aggregates over the extensions reachable from it, the
+this module computes aggregates over the extensions reachable from it, the
 paths that follow arcs of the same sequence down to the terminal:
 
 * span/max/min: the minimum and maximum attribute value reachable;
@@ -30,12 +30,11 @@ event's own attribute value, so the tests subtract it from the pattern side
 over the occurrence excluding its final event.
 
 ``StatPlan`` compiles a spec list once into straight-line Python: the
-statistics are one flat tuple, and ``initial``, ``extend``, ``admit``,
-``gate``, ``witness`` and the miners' per-sequence ``scan`` kernel are
-generated with columns, bounds and the store's records bound as constants,
-so no per-entry work dispatches on the constraint kind.
-``span_extendable``, ``med_extendable``, ``med_fold`` and ``med_dominates``
-are the reference forms of the tests the generated code inlines.
+statistics are one flat tuple, and the miners' per-sequence ``scan`` kernel
+and the emission test ``witness`` are generated with columns, bounds and the
+store's records bound as constants, so no per-entry work dispatches on the
+constraint kind.  ``med_fold`` and ``med_dominates`` state the median step
+that ``propagate`` inlines, with the argument that makes it exact.
 """
 from __future__ import annotations
 
@@ -76,10 +75,10 @@ def med_dominates(a: MedTriple, b: MedTriple, bound: int) -> bool:
     A triple summarizes a non-empty multiset S of oriented values against the
     bound c: (#{v >= c} - #{v < c}, largest v < c, smallest v >= c), with the
     column's sentinels (min - 1, max + 1) for an empty side.  A prefix P,
-    summarized alike, is feasible with S when median(P + S) >= c, which is
-    exactly ``med_extendable``: the balances sum to more than 0, or they
-    cancel and max(p2, t2) + min(p3, t3) >= 2c (both sides of c are then
-    non-empty in P + S, so no sentinel survives the max and min).
+    summarized alike, is feasible with S when median(P + S) >= c, which holds
+    exactly when the balances sum to more than 0, or they cancel and
+    max(p2, t2) + min(p3, t3) >= 2c (both sides of c are then non-empty in
+    P + S, so no sentinel survives the max and min).
 
     (a) On realizable triples the rule is a total preorder that matches
         semantic dominance: ``a`` beats ``b`` iff every prefix feasible with
@@ -330,47 +329,49 @@ class StatPlan:
     occurrence excluding its final event.  ``span_at``, ``sum_at`` and
     ``med_at`` map each key to its first slot.
 
-    Six functions are generated as Python source (kept in ``source``) with
-    columns, signs, bounds and the store's records bound as constants;
-    ``admit`` and ``gate`` look the endpoint's record up once and read the
-    slots its layout gives:
+    Two functions are generated as Python source (kept in ``source``) with
+    columns, signs, bounds and the store's records bound as constants:
 
-    * ``initial(si, pos)`` and ``extend(stats, si, old, new)`` build stats in
-      O(1) per appended event, with median folds inlined;
-    * ``admit(si, pos, stats)`` returns the index of the first spec whose
-      test fails, or ``len(specs)`` when the entry stays.  The test follows
-      ``classify``: anti-monotone constraints must hold on the occurrence
-      now, monotone and non-monotone ones must stay reachable by the store
-      (``span_extendable``, ``med_extendable`` and the sum and average
-      bounds; without a store, as in the raw-database baseline, these are
-      left to emission), and gap and item-set rules are enforced by arcs or
-      the baseline's step scan;
-    * ``gate(si, pos, stats)`` is false when no extension of the entry can
-      pass a ``length<=`` or ``span<=`` constraint;
-    * ``witness(si, pos, stats)`` returns the index of the first spec the
-      occurrence itself fails, or ``len(specs)``, exactly as
-      ``check_occurrence`` would decide it;
     * ``scan(si, parents, starts, nexts, items, dead, hist)`` is the miners'
       loop over one sequence.  ``parents`` are ``(endpoint, stats)`` entries;
       each that passes the gate is extended to every position of
-      ``nexts[endpoint]`` whose item is not in ``dead``.  New entries are
+      ``nexts[endpoint]`` whose item is not in ``dead``, building the new
+      stats in O(1) with median folds inlined.  New entries are
       deduplicated with one hash when there are several parents, admitted,
-      and counted in ``hist`` by verdict.  It returns the admitted
-      ``{item: [(pos, stats), ...]}`` with the visited and created counts.
+      and counted in ``hist`` by verdict: the index of the first spec whose
+      test fails, or ``len(specs)`` when the entry stays.  It returns the
+      admitted ``{item: [(pos, stats), ...]}`` with the visited and created
+      counts.
+    * ``witness(si, pos, stats)`` returns the index of the first spec the
+      occurrence itself fails, or ``len(specs)``, exactly as
+      ``check_occurrence`` would decide it.
 
-    The first four are the reference forms that ``recompute`` and the tests
-    use; ``scan`` is assembled from the same line lists.  It does the
-    parent-level work once per parent: the gate, the unpack, ``ln + 1``, the
-    median folds of the old endpoint, and the thresholds admission compares
-    against (``c - pln``, ``sc - ps`` and ``sc * pln - ps``, from the
-    parent's length and oriented sum).  Each successor then costs its value
-    reads, the span and sum updates, one tuple and the admission chain.
-    The root parent ``(None, None)`` is the identity, the empty occurrence:
-    ``ln`` 0, each span's ``(lo, hi)`` (+inf, -inf), which the first
-    event replaces by its value, zero sums, and median triples ``(0, e, f)``
-    of the oriented column's sentinels with nothing to fold.  It has no
-    gate, reads ``starts`` instead of ``nexts``, and makes the entries
-    ``initial`` makes.
+    ``scan`` inlines two tests, looking the parent's and the entry's records
+    up once each and reading the slots the layout gives:
+
+    * the gate stops a parent when no extension of it can pass a
+      ``length<=`` constraint, or, with a store, a ``span<=`` one: the
+      reachable window of the parent's endpoint must overlap
+      ``[max - c, min + c]``;
+    * admission follows ``classify``: anti-monotone constraints must hold on
+      the occurrence now, monotone and non-monotone ones must stay reachable
+      by the store (the reachable span, sum and average bounds, the longest
+      path for ``length>=``, and for medians the feasibility rule stated in
+      ``med_dominates``; without a store, as in the raw-database baseline,
+      these are left to emission), and gap and item-set rules are enforced
+      by arcs or the baseline's step scan.
+
+    ``scan`` does the parent-level work once per parent: the gate, the
+    unpack, ``ln + 1``, the median folds of the old endpoint, and the
+    thresholds admission compares against (``c - pln``, ``sc - ps`` and
+    ``sc * pln - ps``, from the parent's length and oriented sum).  Each
+    successor then costs its value reads, the span and sum updates, one
+    tuple and the admission chain.  The root parent ``(None, None)`` is the
+    identity, the empty occurrence: ``ln`` 0, each span's ``(lo, hi)``
+    (+inf, -inf), which the first event replaces by its value, zero sums,
+    and median triples ``(0, e, f)`` of the oriented column's sentinels with
+    nothing to fold.  It has no gate and reads ``starts`` instead of
+    ``nexts``.
 
     ``witness`` needs only the endpoint and the stats: on an occurrence that
     follows arcs (or the baseline's step scan) every gap and item-set rule
@@ -384,7 +385,7 @@ class StatPlan:
     above ``b``, average at least ``b`` (``t2 + t3 >= 2b``).  ``span>=`` is
     exact here; its relaxation is an admission matter only.
 
-    A verdict ``r`` of ``admit`` ran the tests of specs 0..r; it costs
+    An admission verdict ``r`` ran the tests of specs 0..r; it costs
     ``constraint_checks[r]`` occurrence-level checks and ``info_probes[r]``
     information lookups, counted apart because lookups replace checks and
     the relative cost of the two is what the miners are compared on.
@@ -413,25 +414,18 @@ class StatPlan:
         self.med_keys = tuple(k[1:] for k in keys if k[0] == "med")
         _compile(self, store)
 
-    def recompute(self, si: int, positions: SequenceT[int]):
-        """Statistics folded from scratch through ``initial`` and ``extend``."""
-        stats = self.initial(si, positions[0])
-        for prev, pos in zip(positions, positions[1:]):
-            stats = self.extend(stats, si, prev, pos)
-        return stats
-
 
 def _compile(plan: StatPlan, store: InfoStore | None) -> None:
-    """Generate, ``exec`` and attach the plan's six functions and tables.
+    """Generate, ``exec`` and attach ``scan``, ``witness`` and the tables.
 
     ``fields`` fixes the order of the stats tuple; the slot offsets
     ``span_at``, ``sum_at`` and ``med_at`` are read off it.  A parent's
     slots are named with a ``p`` in front (``pln``, ``plo0``, ``ps0``),
-    except the median triples, which are folded in place.  The pieces are
-    unindented line lists shared by the reference functions and ``scan``:
-    ``identity`` (the empty occurrence), ``fold`` (the parent's endpoint
-    ``old`` into the median triples), ``step`` (the slots of the entry that
-    appends ``pos``) and ``tests`` (the gate's and admission's lines).
+    except the median triples, which are folded in place.  ``scan`` is put
+    together from unindented line lists: ``identity`` (the empty
+    occurrence), ``fold`` (the parent's endpoint ``old`` into the median
+    triples), ``step`` (the slots of the entry that appends ``new``), and
+    the gate's, the thresholds' and admission's lines.
     """
     consts: list = []
 
@@ -453,19 +447,12 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     plan.sum_at = {k: fields.index(acc[k]) for k in plan.sum_keys}
     plan.med_at = {k: fields.index(med[k][0]) for k in plan.med_keys}
     row = "(" + ", ".join(fields) + ",)"
-    unpack = f"{row[1:-1]} = st"
     punpack = ", ".join(f if f[0] == "m" else "p" + f for f in fields) + ", = st"
     value_attrs = dict.fromkeys(list(plan.span_attrs) + [a for a, _ in plan.sum_keys])
     # scan hoists each column's row of the sequence into c<i>
     used = dict.fromkeys(list(value_attrs) + [k[0] for k in plan.med_keys])
     hoists = [f"c{i} = {col[a]}[si]" for i, a in enumerate(used)]
     hoisted = {a: f"c{i}" for i, a in enumerate(used)}
-
-    def ref(a: str, pos: str) -> str:
-        return f"{col[a]}[si][{pos}]"
-
-    def row_at(a: str, pos: str) -> str:
-        return f"{hoisted[a]}[{pos}]"
 
     # infinite bounds make the first event both the minimum and the maximum
     inf = const(math.inf)
@@ -477,27 +464,23 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
                      f"{med[k][1]}, {med[k][2]} = "
                      f"{const(_sentinel_table(columns[k[0]], k[1]))}[si]"]
 
-    def fold(at) -> list[str]:
-        # the triple excludes the final event, so the old endpoint folds in
-        lines = []
-        for (attr, sign, bound), (t1, t2, t3) in med.items():
-            lines += [f"y = {'' if sign > 0 else '-'}{at(attr, 'old')}",
-                      f"if y >= {bound}:",
-                      f"    {t1} += 1",
-                      f"    if y < {t3}: {t3} = y",
-                      "else:",
-                      f"    {t1} -= 1",
-                      f"    if y > {t2}: {t2} = y"]
-        return lines
+    # the triple excludes the final event, so the old endpoint folds in
+    fold = []
+    for (attr, sign, bound), (t1, t2, t3) in med.items():
+        fold += [f"y = {'' if sign > 0 else '-'}{hoisted[attr]}[old]",
+                 f"if y >= {bound}:",
+                 f"    {t1} += 1",
+                 f"    if y < {t3}: {t3} = y",
+                 "else:",
+                 f"    {t1} -= 1",
+                 f"    if y > {t2}: {t2} = y"]
 
-    def step(at, pos: str) -> list[str]:
-        lines = [f"{x[a]} = {at(a, pos)}" for a in value_attrs]
-        for a in plan.span_attrs:
-            lines += [f"{lo[a]} = {x[a]} if {x[a]} < p{lo[a]} else p{lo[a]}",
-                      f"{hi[a]} = {x[a]} if {x[a]} > p{hi[a]} else p{hi[a]}"]
-        lines += [f"{acc[a, s]} = p{acc[a, s]} {'+' if s > 0 else '-'} {x[a]}"
-                  for a, s in plan.sum_keys]
-        return lines
+    step = [f"{x[a]} = {hoisted[a]}[new]" for a in value_attrs]
+    for a in plan.span_attrs:
+        step += [f"{lo[a]} = {x[a]} if {x[a]} < p{lo[a]} else p{lo[a]}",
+                 f"{hi[a]} = {x[a]} if {x[a]} > p{hi[a]} else p{hi[a]}"]
+    step += [f"{acc[a, s]} = p{acc[a, s]} {'+' if s > 0 else '-'} {x[a]}"
+             for a, s in plan.sum_keys]
 
     def exact(spec: ConstraintSpec) -> str | None:
         """The test failing the occurrence itself; arcs enforce gap and
@@ -515,13 +498,13 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             return f"not (t1 > 0 or t1 == 0 and t2 + t3 >= {2 * sign * c})"
         return None
 
-    wit = [unpack]
+    wit = [f"{row[1:-1]} = st"]
     for i, spec in enumerate(plan.specs):
         if spec.kind is Kind.MED:
             sign = _sign(spec.direction)
             p1, p2, p3 = med[spec.attribute, sign, sign * spec.c]
             # the endpoint folded in gives the whole occurrence's triple
-            wit += [f"v = {'' if sign > 0 else '-'}{ref(spec.attribute, 'pos')}",
+            wit += [f"v = {'' if sign > 0 else '-'}{col[spec.attribute]}[si][pos]",
                     f"if v >= {sign * spec.c}: t1, t2, t3 = {p1} + 1, {p2}, "
                     f"({p3} if {p3} < v else v)",
                     f"else: t1, t2, t3 = {p1} - 1, ({p2} if {p2} > v else v), {p3}"]
@@ -529,89 +512,72 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
         if test is not None:
             wit.append(f"if {test}: return {i}")
 
-    records = const(store.records) if store is not None else None
+    # the gate's lines read the parent's slots and record R[old]; the
+    # thresholds q<i> come from the parent's length and sums; admission's
+    # lines read the entry's slots, the thresholds and record R[new]
+    gate, head, adm = [], [], []
+    checks, probes = [0], [0]
 
-    def tests(old_record: str, new_record: str, reject: str, verdict):
-        """The gate's lines on the parent's slots and the record
-        ``old_record``, failing through ``reject``; the thresholds ``q<i>``
-        admission takes from the parent's length and sums; admission's lines
-        on the entry's slots, those thresholds and the record ``new_record``,
-        failing spec ``i`` through ``verdict(i)``."""
-        gate, head, adm = [], [], []
-        checks, probes = [0], [0]
+    def slot(lines: list[str], record: str, key: tuple, j: int = 0) -> str:
+        # the record is looked up once, before its first read
+        if f"r = {record}" not in lines:
+            lines.append(f"r = {record}")
+        return f"r[{store.layout[key] + j}]"
 
-        def slot(lines: list[str], record: str, key: tuple, j: int = 0) -> str:
-            # the record is looked up once, before its first read
-            if f"r = {record}" not in lines:
-                lines.append(f"r = {record}")
-            return f"r[{store.layout[key] + j}]"
-
-        for i, spec in enumerate(plan.specs):
-            kind, c, attr = spec.kind, spec.c, spec.attribute
-            anti = classify(spec) is Monotonicity.ANTI_MONOTONE
-            sign = _sign(spec.direction) if spec.direction else 0
-            test = exact(spec) if anti else None
-            if kind is Kind.LENGTH and anti:
-                gate.append(f"if pln >= {c}: {reject}")
-            elif kind is Kind.LENGTH and store is not None:
-                head.append(f"q{i} = {c} - pln")
-                test = f"{slot(adm, new_record, ('maxlen',))} < q{i}"
-            elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and anti:
-                if kind is Kind.SPAN and store is not None:
-                    # the reachable window must overlap [max - c, min + c]
-                    key, low, high = ("span", attr), f"p{lo[attr]}", f"p{hi[attr]}"
-                    gate += [f"L, H = {slot(gate, old_record, key)}, "
-                             f"{slot(gate, old_record, key, 1)}",
-                             f"if (L if L > {high} - {c} else {high} - {c}) > "
-                             f"(H if H < {low} + {c} else {low} + {c}): {reject}"]
-            elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and store is not None:
-                key = ("span", attr)
-                adm.append(f"L, H = {slot(adm, new_record, key)}, "
-                           f"{slot(adm, new_record, key, 1)}")
-                top = f"({hi[attr]} if {hi[attr]} > H else H)"
-                bottom = f"({lo[attr]} if {lo[attr]} < L else L)"
-                test = {Kind.SPAN: f"{top} - {bottom} < {c}",
-                        Kind.MAX: f"{top} < {c}", Kind.MIN: f"{bottom} > {c}"}[kind]
-            elif kind in (Kind.SUM, Kind.AVG) and store is not None:
-                # the stored value counts the final event, so it adds to the
-                # parent's sum: ps + b1 < sc * (pln + b2) for an average
-                sc, prefix = sign * c, f"p{acc[attr, sign]}"
-                if kind is Kind.SUM:
-                    head.append(f"q{i} = {sc} - {prefix}")
-                    test = f"{slot(adm, new_record, ('sum', attr, sign))} < q{i}"
-                else:
-                    key = ("avg", attr, sign, sc)
-                    head.append(f"q{i} = {sc} * pln - {prefix}")
-                    test = (f"{slot(adm, new_record, key)} {'-' if sc >= 0 else '+'} "
-                            f"{abs(sc)} * {slot(adm, new_record, key, 1)} < q{i}")
-            elif kind is Kind.MED and store is not None:
-                p1, p2, p3 = med[attr, sign, sign * c]
-                key = ("med", attr, sign, sign * c)
-                # the deciding values are read only when the balances cancel
-                t2, t3 = slot(adm, new_record, key, 1), slot(adm, new_record, key, 2)
-                adm.append(f"t1 = {slot(adm, new_record, key)} + {p1}")
-                test = (f"t1 < 0 or t1 == 0 and ({p2} if {p2} > {t2} else {t2}) + "
-                        f"({p3} if {p3} < {t3} else {t3}) < {2 * sign * c}")
-            if test is not None:
-                adm.append(f"if {test}: {verdict(i)}")
-            checks.append(checks[-1] + (test is not None and anti))
-            probes.append(probes[-1] + (test is not None and not anti))
-        return (gate, head, adm,
-                tuple(checks[1:]) + (checks[-1],), tuple(probes[1:]) + (probes[-1],))
+    for i, spec in enumerate(plan.specs):
+        kind, c, attr = spec.kind, spec.c, spec.attribute
+        anti = classify(spec) is Monotonicity.ANTI_MONOTONE
+        sign = _sign(spec.direction) if spec.direction else 0
+        test = exact(spec) if anti else None
+        if kind is Kind.LENGTH and anti:
+            gate.append(f"if pln >= {c}: continue")
+        elif kind is Kind.LENGTH and store is not None:
+            head.append(f"q{i} = {c} - pln")
+            test = f"{slot(adm, 'R[new]', ('maxlen',))} < q{i}"
+        elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and anti:
+            if kind is Kind.SPAN and store is not None:
+                # the reachable window must overlap [max - c, min + c]
+                key, low, high = ("span", attr), f"p{lo[attr]}", f"p{hi[attr]}"
+                gate += [f"L, H = {slot(gate, 'R[old]', key)}, {slot(gate, 'R[old]', key, 1)}",
+                         f"if (L if L > {high} - {c} else {high} - {c}) > "
+                         f"(H if H < {low} + {c} else {low} + {c}): continue"]
+        elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and store is not None:
+            key = ("span", attr)
+            adm.append(f"L, H = {slot(adm, 'R[new]', key)}, {slot(adm, 'R[new]', key, 1)}")
+            top = f"({hi[attr]} if {hi[attr]} > H else H)"
+            bottom = f"({lo[attr]} if {lo[attr]} < L else L)"
+            test = {Kind.SPAN: f"{top} - {bottom} < {c}",
+                    Kind.MAX: f"{top} < {c}", Kind.MIN: f"{bottom} > {c}"}[kind]
+        elif kind in (Kind.SUM, Kind.AVG) and store is not None:
+            # the stored value counts the final event, so it adds to the
+            # parent's sum: ps + b1 < sc * (pln + b2) for an average
+            sc, prefix = sign * c, f"p{acc[attr, sign]}"
+            if kind is Kind.SUM:
+                head.append(f"q{i} = {sc} - {prefix}")
+                test = f"{slot(adm, 'R[new]', ('sum', attr, sign))} < q{i}"
+            else:
+                key = ("avg", attr, sign, sc)
+                head.append(f"q{i} = {sc} * pln - {prefix}")
+                test = (f"{slot(adm, 'R[new]', key)} {'-' if sc >= 0 else '+'} "
+                        f"{abs(sc)} * {slot(adm, 'R[new]', key, 1)} < q{i}")
+        elif kind is Kind.MED and store is not None:
+            p1, p2, p3 = med[attr, sign, sign * c]
+            key = ("med", attr, sign, sign * c)
+            # the deciding values are read only when the balances cancel
+            t2, t3 = slot(adm, "R[new]", key, 1), slot(adm, "R[new]", key, 2)
+            adm.append(f"t1 = {slot(adm, 'R[new]', key)} + {p1}")
+            test = (f"t1 < 0 or t1 == 0 and ({p2} if {p2} > {t2} else {t2}) + "
+                    f"({p3} if {p3} < {t3} else {t3}) < {2 * sign * c}")
+        if test is not None:
+            adm.append(f"if {test}: v = {i}; break")
+        checks.append(checks[-1] + (test is not None and anti))
+        probes.append(probes[-1] + (test is not None and not anti))
+    plan.constraint_checks = tuple(checks[1:]) + (checks[-1],)
+    plan.info_probes = tuple(probes[1:]) + (probes[-1],)
+    if store is not None and store.layout:  # a store for no information has no records
+        hoists.append(f"R = {const(store.records)}[si]")
 
     n = len(plan.specs)
-    gate, head, adm, _, _ = tests(f"{records}[si][pos]", f"{records}[si][pos]", "return False",
-                            lambda i: f"return {i}")
-    # admission reads the parent's length and sums, which admit derives
-    parent = ["pln = ln - 1"]
-    parent += [f"{x[a]} = {ref(a, 'pos')}" for a in dict.fromkeys(a for a, _ in plan.sum_keys)]
-    parent += [f"p{acc[a, s]} = {acc[a, s]} {'-' if s > 0 else '+'} {x[a]}"
-               for a, s in plan.sum_keys]
-    scan_gate, scan_head, scan_adm, plan.constraint_checks, plan.info_probes = tests(
-        "R[old]", "R[new]", "continue", lambda i: f"v = {i}; break")
-    if store is not None and store.layout:  # a store for no information has no records
-        hoists.append(f"R = {records}[si]")
-
     # parent work happens once per parent; the root's parent is the identity
     scan = [*hoists,
             "fresh = {}",
@@ -626,17 +592,17 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             *_indent(identity, 2),
             "    else:",
             f"        {punpack}",
-            *_indent(scan_gate, 2),
-            *_indent(fold(row_at), 2),
+            *_indent(gate, 2),
+            *_indent(fold, 2),
             "        succs = nexts[old]",
             "    ln = pln + 1",
-            *_indent(scan_head, 1),
+            *_indent(head, 1),
             "    for new in succs:",
             "        visited += 1",
             "        item = items[new]",
             "        if item in dead:",
             "            continue",
-            *_indent(step(row_at, "new"), 2),
+            *_indent(step, 2),
             f"        entry = (new, {row})",
             "        if several:",
             "            size = len(seen)",
@@ -644,7 +610,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             "            if len(seen) == size:",
             "                continue",
             "        while True:",
-            *_indent(scan_adm, 3),
+            *_indent(adm, 3),
             f"            v = {n}",
             "            break",
             "        hist[v] += 1",
@@ -658,77 +624,17 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             "        created += 1",
             "return fresh, visited, created"]
 
-    functions = {
-        "initial(si, pos)": identity + ["ln = pln + 1"] + step(ref, "pos") + [f"return {row}"],
-        "extend(st, si, old, new)": [punpack] + fold(ref) + ["ln = pln + 1"]
-        + step(ref, "new") + [f"return {row}"],
-        "admit(si, pos, st)": [unpack] + parent + head + adm + [f"return {n}"],
-        "gate(si, pos, st)": [punpack] + gate + ["return True"],
-        "witness(si, pos, st)": wit + [f"return {n}"],
-        "scan(si, parents, starts, nexts, items, dead, hist)": scan,
-    }
-    lines = [f"def _make({', '.join(f'k{i}' for i in range(len(consts)))}):"]
-    for signature, body in functions.items():
-        lines += [f"    def {signature}:", *_indent(body, 2)]
-    lines.append(f"    return {', '.join(s[:s.index('(')] for s in functions)}")
-    plan.source = "\n".join(lines) + "\n"
+    plan.source = "\n".join([
+        f"def _make({', '.join(f'k{i}' for i in range(len(consts)))}):",
+        "    def witness(si, pos, st):", *_indent(wit, 2), f"        return {n}",
+        "    def scan(si, parents, starts, nexts, items, dead, hist):", *_indent(scan, 2),
+        "    return witness, scan",
+    ]) + "\n"
     namespace: dict = {}
     exec(plan.source, namespace)
-    (plan.initial, plan.extend, plan.admit, plan.gate, plan.witness,
-     plan.scan) = namespace["_make"](*consts)
+    plan.witness, plan.scan = namespace["_make"](*consts)
 
 
 def _indent(lines: list[str], depth: int) -> list[str]:
     return ["    " * depth + line for line in lines]
 
-
-# --- extension tests -------------------------------------------------------------
-
-def span_extendable(
-    pattern_min: int,
-    pattern_max: int,
-    info: tuple[int, int],
-    spec: ConstraintSpec,
-) -> bool:
-    """Feasible-extension test for span, max, and min constraints.
-
-    For monotone directions the reachable minimum and maximum decide
-    reachability of the bound; for anti-monotone directions the occurrence
-    itself must satisfy the bound now (for span <= c additionally requiring
-    the reachable value window to overlap the allowed one, which can only
-    fail for proper extensions).
-    """
-    lo, hi = info
-    kind, direction, c = spec.kind, spec.direction, spec.c
-    if kind is Kind.SPAN:
-        if direction == GE:
-            return max(pattern_max, hi) - min(pattern_min, lo) >= c
-        if pattern_max - pattern_min > c:
-            return False
-        return max(lo, pattern_max - c) <= min(hi, pattern_min + c)
-    if kind is Kind.MAX:
-        if direction == GE:
-            return max(pattern_max, hi) >= c
-        return pattern_max <= c
-    if kind is Kind.MIN:
-        if direction == GE:
-            return pattern_min >= c
-        return min(pattern_min, lo) <= c
-    raise ValueError(f"span_extendable does not handle kind {kind!r}")
-
-
-def med_extendable(pattern_triple: MedTriple, info: MedTriple, spec: ConstraintSpec) -> bool:
-    """Whether some extension reaches the median bound.
-
-    Both triples are in oriented form (values and bound negated for <=); the
-    pattern triple excludes the current event, whose value is folded into the
-    stored information.  See ``med_dominates`` for why one stored triple
-    decides this exactly.
-    """
-    bound = spec.c if spec.direction == GE else -spec.c
-    p1, p2, p3 = pattern_triple
-    t1, t2, t3 = info
-    total = p1 + t1
-    if total > 0:
-        return True
-    return total == 0 and max(p2, t2) + min(p3, t3) >= 2 * bound

@@ -1,12 +1,17 @@
-"""Path-enumeration ground truths for the per-node information.
+"""Ground truths for the per-node information and the compiled plan.
 
 These enumerate extension paths explicitly and recompute the aggregates the
-propagation is supposed to produce, staying independent of the incremental
-update rules they check.
+propagation is supposed to produce, and compute an occurrence's statistics
+from their definitions, staying independent of the incremental update rules
+they check.  ``scan_verdict`` drives the plan's own ``scan`` on one entry, so
+that its verdicts can be held against these truths.
 """
 from __future__ import annotations
 
-from mddmine import ConstraintSpec, check_occurrence
+from dataclasses import replace
+
+from mddmine import GE, LE, ConstraintSpec, Kind, check_occurrence
+from mddmine.miner import _ROOT
 
 
 def store_arrays(store, kind: str) -> dict:
@@ -87,3 +92,69 @@ def iter_arc_consistent_occurrences(mdd, si: int, max_len: int | None = None):
         for path in iter_ut_paths(mdd, si, start):
             if max_len is None or len(path) <= max_len:
                 yield path
+
+
+def med_triple(values, bound, sentinels):
+    """The median triple by its definition: the balance of values at or
+    above ``bound`` over those below, the largest below and the smallest at
+    or above, with ``sentinels`` for an empty side."""
+    below = [v for v in values if v < bound]
+    above = [v for v in values if v >= bound]
+    return (len(above) - len(below), max(below, default=sentinels[0]),
+            min(above, default=sentinels[1]))
+
+
+def definition_stats(plan, db, si: int, positions):
+    """Each slot of the plan's flat stats tuple, by its definition, placed at
+    the plan's offset for its key: the length, (min, max) per span
+    attribute, the oriented sum per (attribute, sign), and the oriented
+    median triple per median key over the occurrence excluding its final
+    event, with the oriented column's sentinels (min - 1, max + 1)."""
+    slots = {0: len(positions)}
+    for attr, at in plan.span_at.items():
+        vals = [db.columns(attr)[si][p] for p in positions]
+        slots[at], slots[at + 1] = min(vals), max(vals)
+    for (attr, sign), at in plan.sum_at.items():
+        vals = [db.columns(attr)[si][p] for p in positions]
+        slots[at] = sign * sum(vals)
+    for (attr, sign, bound), at in plan.med_at.items():
+        oriented = [sign * v for v in db.columns(attr)[si]]
+        sentinels = (min(oriented) - 1, max(oriented) + 1)
+        triple = med_triple([oriented[p] for p in positions[:-1]], bound, sentinels)
+        slots[at], slots[at + 1], slots[at + 2] = triple
+    assert sorted(slots) == list(range(len(slots)))  # offsets tile the tuple
+    return tuple(slots[i] for i in range(len(slots)))
+
+
+def scan_entry(plan, db, si: int, occ):
+    """``plan.scan`` on the one entry whose occurrence is ``occ``: the parent
+    is ``occ[:-1]`` with ``definition_stats``, stepping to ``occ[-1]`` alone,
+    and a one-event occurrence is the root parent's entry at the start
+    ``occ[0]``.  Returns the admitted entries by item, the verdict
+    histogram and the visited count, 0 when the gate stopped the parent."""
+    if len(occ) == 1:
+        parents, starts, nexts = _ROOT, (occ[0],), {}
+    else:
+        parents = ((occ[-2], definition_stats(plan, db, si, occ[:-1])),)
+        starts, nexts = (), {occ[-2]: (occ[-1],)}
+    hist = [0] * (len(plan.specs) + 1)
+    fresh, visited, _ = plan.scan(si, parents, starts, nexts, db.sequences[si].items,
+                                  set(), hist)
+    return fresh, hist, visited
+
+
+def scan_verdict(plan, db, si: int, occ):
+    """The verdict ``scan_entry`` gives: the index of the first spec the
+    entry fails, ``len(plan.specs)`` when it is admitted, or ``None`` when
+    the gate stops its parent, which is a rejection too."""
+    _, hist, visited = scan_entry(plan, db, si, occ)
+    return hist.index(1) if visited else None
+
+
+def never_rejecting(spec: ConstraintSpec) -> ConstraintSpec:
+    """A spec with the same stats slots that no occurrence of up to 100
+    events fails without a store: anti-monotone bounds move out of reach,
+    and monotone and non-monotone specs are left to emission anyway."""
+    far = {(Kind.LENGTH, LE): 100, (Kind.SPAN, LE): 10**6, (Kind.MAX, LE): 10**6,
+           (Kind.MIN, GE): -10**6}.get((spec.kind, spec.direction))
+    return spec if far is None else replace(spec, c=far)

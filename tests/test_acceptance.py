@@ -31,7 +31,7 @@ from mddmine.cli import SCENARIOS
 
 from conftest import A, B, C, build_click_db
 from dbgen import random_instance
-from oracles import extension_exists, iter_arc_consistent_occurrences
+from oracles import extension_exists, iter_arc_consistent_occurrences, scan_verdict
 
 N_INSTANCES = 500
 
@@ -112,7 +112,7 @@ def _check_med_verdicts(db, specs, mdd, store, results, seed):
         for si in range(len(db)):
             for occ in iter_arc_consistent_occurrences(mdd, si):
                 results.med_occurrences_checked += 1
-                verdict = plan.admit(si, occ[-1], plan.recompute(si, occ)) == 1
+                verdict = scan_verdict(plan, db, si, occ) == 1
                 if verdict != extension_exists(db, mdd, si, occ, spec):
                     results.med_verdict_errors.append((seed, spec, si, occ, verdict))
 

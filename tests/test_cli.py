@@ -105,7 +105,8 @@ class TestMine:
                           "--constraint", "avg(price)<=3")
         assert first == second
 
-    @pytest.mark.parametrize("option", [["--threads", "2"], ["--median-pareto"]])
+    @pytest.mark.parametrize("option", [["--threads", "2"], ["--median-pareto"],
+                                        ["--miner", "fast"]])
     def test_removed_options_are_unknown(self, click_files, option):
         spmf, attrs = click_files
         with pytest.raises(SystemExit) as err:

@@ -6,10 +6,6 @@ from dataclasses import astuple
 import pytest
 
 from mddmine import (
-    GE,
-    LE,
-    ConstraintSpec,
-    Kind,
     MiningCounters,
     PatternSet,
     attach_attributes,
@@ -27,11 +23,11 @@ from mddmine import (
 )
 from mddmine.cli import SCENARIOS
 from mddmine.miner import _ROOT, MppMiner
-from mddmine.nodeinfo import StatPlan
 from mddmine.oracle import PpccMiner
 
 from conftest import A, B, C
 from dbgen import random_db, random_instance, random_specs, random_theta
+from oracles import definition_stats, never_rejecting, scan_verdict
 
 
 def as_pairs(patterns):
@@ -233,47 +229,43 @@ class TestMonotoneHandling:
                     assert supports[prefix] >= support
 
 
-def reference_scan(plan, si, parents, source, dead):
-    """The per-successor loop ``StatPlan.scan`` replaces, through the plan's
-    reference forms: the gate, ``initial`` or ``extend``, dedup, ``admit``.
-    Also returns how many parents the gate stopped, successors ``dead``
-    dropped and entries the dedup dropped."""
+def reference_scan(plan, si, occurrences, source, dead):
+    """The per-successor loop ``StatPlan.scan`` runs, from independent parts.
+    Each parent is an occurrence, or ``None`` for the root; an entry's stats
+    are ``definition_stats`` and its verdict is ``scan_verdict`` on that
+    entry alone, which also says whether the gate stops its parent.  Also
+    returns how many parents the gate stopped, successors ``dead`` dropped
+    and entries the dedup dropped."""
+    db = plan.db
     starts, nexts = source(si, dead)
-    items = plan.db.sequences[si].items
+    items = db.sequences[si].items
     fresh, seen = {}, set()
     hist = [0] * (len(plan.specs) + 1)
     visited = created = gated = abandoned = repeated = 0
-    for last, stats in parents:
-        if last is not None and not plan.gate(si, last, stats):
-            gated += 1
-            continue
-        for nxt in starts if last is None else nexts[last]:
+    for occ in occurrences:
+        if occ is None:
+            occ, succs = (), starts
+        else:
+            succs = list(nexts[occ[-1]])
+            if succs and scan_verdict(plan, db, si, occ + (succs[0],)) is None:
+                gated += 1
+                continue
+        for nxt in succs:
             visited += 1
             if items[nxt] in dead:
                 abandoned += 1
                 continue
-            entry = (nxt, plan.initial(si, nxt) if last is None
-                     else plan.extend(stats, si, last, nxt))
+            entry = (nxt, definition_stats(plan, db, si, occ + (nxt,)))
             if entry in seen:
                 repeated += 1
                 continue
             seen.add(entry)
-            verdict = plan.admit(si, nxt, entry[1])
+            verdict = scan_verdict(plan, db, si, occ + (nxt,))
             hist[verdict] += 1
             if verdict == len(plan.specs):
                 fresh.setdefault(items[nxt], []).append(entry)
                 created += 1
     return list(fresh.items()), hist, visited, created, gated, abandoned, repeated
-
-
-def admits_every_start(spec):
-    """A spec with the same stats slots that no one-event occurrence fails
-    without a store, which leaves monotone and non-monotone specs to
-    emission: ``max<=`` and ``min>=`` become ``span>=0``, and the other
-    anti-monotone bounds (length and span, c >= 1 and c >= 0) hold."""
-    if (spec.kind, spec.direction) in ((Kind.MAX, LE), (Kind.MIN, GE)):
-        return ConstraintSpec(Kind.SPAN, attribute=spec.attribute, direction=GE, c=0)
-    return spec
 
 
 class TestScanKernel:
@@ -285,19 +277,19 @@ class TestScanKernel:
         store = propagate(mdd, db, specs) if with_store else None
         return MppMiner(mdd, store, db, specs, theta), PpccMiner(db, specs, theta)
 
-    def _parents(self, rng, miner, si):
+    def _occurrences(self, rng, miner, si):
         """Random occurrences along the source's steps, one of them twice."""
         starts, nexts = miner._successors(si, set())
-        starts, parents = list(starts), []
+        starts, occurrences = list(starts), []
         for _ in range(rng.randint(1, 6) if starts else 0):
-            occ = [rng.choice(starts)]
+            occ = (rng.choice(starts),)
             for _ in range(rng.randint(0, 3)):
                 steps = list(nexts[occ[-1]])
                 if not steps:
                     break
-                occ.append(rng.choice(steps))
-            parents.append((occ[-1], miner.plan.recompute(si, occ)))
-        return parents + parents[:1]
+                occ += (rng.choice(steps),)
+            occurrences.append(occ)
+        return occurrences + occurrences[:1]
 
     def test_equals_reference_loop(self):
         rng = random.Random(41)
@@ -310,9 +302,12 @@ class TestScanKernel:
                 for si, seq in enumerate(db.sequences):
                     distinct = sorted(set(seq.items))
                     dead = set(rng.sample(distinct, rng.randint(0, min(2, len(distinct)))))
-                    for parents in (_ROOT, self._parents(rng, miner, si)):
+                    for occurrences in ([None], self._occurrences(rng, miner, si)):
                         *want, gated, abandoned, repeated = reference_scan(
-                            plan, si, parents, miner._successors, dead)
+                            plan, si, occurrences, miner._successors, dead)
+                        parents = [(None, None) if occ is None else
+                                   (occ[-1], definition_stats(plan, db, si, occ))
+                                   for occ in occurrences]
                         hist = [0] * (len(specs) + 1)
                         fresh, visited, created = plan.scan(
                             si, parents, *miner._successors(si, dead), seq.items, dead, hist)
@@ -322,14 +317,14 @@ class TestScanKernel:
         # every branch of the kernel was taken
         assert min(totals.values()) > 50, totals
 
-    def test_root_stats_equal_initial(self):
+    def test_root_stats_equal_definition(self):
         rng = random.Random(43)
         for seed in range(60):
             db, specs, theta = random_instance(seed)
             specs += random_specs(rng, db)
-            relaxed = tuple(map(admits_every_start, specs))
+            relaxed = tuple(map(never_rejecting, specs))
             for miner in self._miners(db, relaxed, theta, with_store=False):
-                plan, reference = miner.plan, StatPlan(db, specs)
+                plan = miner.plan
                 for si, seq in enumerate(db.sequences):
                     starts = list(miner._successors(si, set())[0])
                     hist = [0] * (len(specs) + 1)
@@ -337,7 +332,8 @@ class TestScanKernel:
                         si, _ROOT, *miner._successors(si, set()), seq.items, set(), hist)
                     got = sorted(entry for entries in fresh.values() for entry in entries)
                     assert visited == created == len(starts)
-                    assert got == [(pos, reference.initial(si, pos)) for pos in starts]
+                    assert got == [(pos, definition_stats(plan, db, si, (pos,)))
+                                   for pos in starts]
 
 
 #: MiningCounters fields of mine and of mine_ppcc, in declaration order

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -14,12 +15,10 @@ from mddmine import (
     check_occurrence,
     dump_info_tsv,
     make_database,
-    med_extendable,
     mine,
     mine_bruteforce,
     parse_constraint,
     propagate,
-    span_extendable,
 )
 from mddmine.constraints import exact_median
 from mddmine.nodeinfo import _sentinel_table, med_dominates, med_fold, oriented_sentinels
@@ -28,9 +27,15 @@ from conftest import A, B, C
 from dbgen import random_db, random_specs
 from oracles import (
     avg_objective_ground_truth,
+    definition_stats,
     extension_exists,
     iter_arc_consistent_occurrences,
     maxlen_ground_truth,
+    med_triple,
+    never_rejecting,
+    path_values,
+    scan_entry,
+    scan_verdict,
     span_ground_truth,
     store_arrays,
     sum_ground_truth,
@@ -71,51 +76,65 @@ class TestPropagateOnClickDb:
         assert b1 - 4 * b2 == -1
 
 
+def _admitted_with_window(values, occ, text):
+    """Whether ``scan`` admits the entry ``occ`` of one sequence of ``values``
+    under the single constraint ``text`` on ``x``, with a store, and the
+    endpoint's stored (lo, hi) for span, max and min."""
+    db = make_database([[1] * len(values)], {"x": [values]})
+    specs = (parse_constraint(text),)
+    store = propagate(build_mdd(db, specs), db, specs)
+    admitted = scan_verdict(StatPlan(db, specs, store), db, 0, occ) == 1
+    if ("span", "x") not in store.layout:
+        return admitted, None
+    return admitted, store.info(("span", "x"))[0][occ[-1]]
+
+
 class TestExtendableExamples:
+    """One entry's verdict from ``scan`` with a store.  Span cases give the
+    occurrence's (min, max) and the endpoint's reachable (lo, hi)."""
+
     def test_span_lower_bounds(self):
-        spec5 = parse_constraint("span(time)>=5")
-        spec7 = parse_constraint("span(time)>=7")
-        assert span_extendable(3, 3, (3, 9), spec5)
-        assert not span_extendable(3, 3, (3, 9), spec7)
+        # occurrence (3, 3), reachable (3, 9)
+        assert _admitted_with_window([3, 9], (0,), "span(x)>=5") == (True, (3, 9))
+        assert _admitted_with_window([3, 9], (0,), "span(x)>=7") == (False, (3, 9))
 
     def test_span_zero_always_reachable(self):
-        spec = parse_constraint("span(time)>=0")
-        assert span_extendable(4, 9, (4, 9), spec)
+        # occurrence (4, 9), reachable (4, 9)
+        assert _admitted_with_window([9, 4, 9], (0, 1), "span(x)>=0") == (True, (4, 9))
 
     def test_span_upper_bound_needs_current_feasibility(self):
-        spec = parse_constraint("span(time)<=4")
-        assert span_extendable(3, 5, (1, 9), spec)
-        assert not span_extendable(3, 9, (3, 9), spec)
+        # occurrence (3, 5), reachable (1, 9); occurrence (3, 9), reachable (3, 9)
+        assert _admitted_with_window([3, 5, 1, 9], (0, 1), "span(x)<=4") == (True, (1, 9))
+        assert _admitted_with_window([3, 9], (0, 1), "span(x)<=4") == (False, (9, 9))
 
     def test_max_min(self):
-        assert span_extendable(5, 5, (3, 9), parse_constraint("max(x)>=9"))
-        assert not span_extendable(5, 5, (3, 8), parse_constraint("max(x)>=9"))
-        assert span_extendable(5, 5, (3, 9), parse_constraint("min(x)<=3"))
-        assert not span_extendable(5, 6, (5, 9), parse_constraint("min(x)<=3"))
-        assert span_extendable(5, 5, (3, 9), parse_constraint("max(x)<=5"))
-        assert not span_extendable(5, 7, (3, 9), parse_constraint("max(x)<=5"))
+        assert _admitted_with_window([5, 3, 9], (0,), "max(x)>=9") == (True, (3, 9))
+        assert _admitted_with_window([5, 3, 8], (0,), "max(x)>=9") == (False, (3, 8))
+        assert _admitted_with_window([5, 3, 9], (0,), "min(x)<=3") == (True, (3, 9))
+        # occurrence (5, 6), reachable (5, 9)
+        assert _admitted_with_window([6, 5, 9], (0, 1), "min(x)<=3") == (False, (5, 9))
+        assert _admitted_with_window([5, 3, 9], (0,), "max(x)<=5") == (True, (3, 9))
+        # occurrence (5, 7), reachable (3, 9)
+        assert _admitted_with_window([7, 5, 3, 9], (0, 1), "max(x)<=5") == (False, (3, 9))
 
     def test_med_positive_balance(self, click_db):
         mdd = build_mdd(click_db)
-        spec = parse_constraint("med(price)>=3")
-        store = propagate(mdd, click_db, (spec,))
+        specs = (parse_constraint("med(price)>=3"),)
+        store = propagate(mdd, click_db, specs)
         info = store.info(("med", "price", 1, 3))[SECOND][0]
         assert info == (2, 0, 3)  # achieved by the price path {3, 3}
-        empty = (0, *oriented_sentinels(click_db.columns("price")[SECOND]))
-        assert med_extendable(empty, info, spec)
+        plan = StatPlan(click_db, specs, store)
+        assert scan_verdict(plan, click_db, SECOND, (0,)) == 1
 
     def test_med_infeasible_from_low_singleton(self, click_db):
         mdd = build_mdd(click_db)
-        spec = parse_constraint("med(price)>=3")
-        store = propagate(mdd, click_db, (spec,))
-        info = store.info(("med", "price", 1, 3))[SECOND][1]  # the price-1 event
-        empty = (0, *oriented_sentinels(click_db.columns("price")[SECOND]))
-        assert not med_extendable(empty, info, spec)
+        specs = (parse_constraint("med(price)>=3"),)
+        store = propagate(mdd, click_db, specs)
+        plan = StatPlan(click_db, specs, store)
+        assert scan_verdict(plan, click_db, SECOND, (1,)) == 0  # the price-1 event
 
     def test_med_singleton_at_bound(self):
-        spec = ConstraintSpec(Kind.MED, attribute="x", direction=GE, c=5)
-        info = med_fold(5, 5, (0, 0, 11))
-        assert med_extendable((0, 0, 11), info, spec)
+        assert _admitted_with_window([5], (0,), "med(x)>=5") == (True, None)
 
 
 class TestMedHelpers:
@@ -144,12 +163,12 @@ class TestMedHelpers:
             assert _sentinel_table(columns, sign) == expected
 
 
-def _med_triple(values, bound, sentinels):
-    """The median triple by its definition, independent of ``med_fold``."""
-    below = [v for v in values if v < bound]
-    above = [v for v in values if v >= bound]
-    return (len(above) - len(below), max(below, default=sentinels[0]),
-            min(above, default=sentinels[1]))
+def _feasible(p, t, bound):
+    """The rule ``med_dominates`` states: a prefix triple ``p`` and a suffix
+    triple ``t`` have a median at or above ``bound`` when their balances sum
+    to more than 0, or cancel and the deciding values average the bound."""
+    total = p[0] + t[0]
+    return total > 0 or total == 0 and max(p[1], t[1]) + min(p[2], t[2]) >= 2 * bound
 
 
 class TestMedDominanceExhaustive:
@@ -168,23 +187,22 @@ class TestMedDominanceExhaustive:
         ]
         suffixes = prefixes[1:]
         for bound in range(lo - 2, hi + 3):
-            spec = ConstraintSpec(Kind.MED, attribute="x", direction=GE, c=bound)
-            p_triples = [_med_triple(p, bound, sentinels) for p in prefixes]
+            p_triples = [med_triple(p, bound, sentinels) for p in prefixes]
             feasible: dict = {}  # suffix triple -> bit set of feasible prefixes
             for s in suffixes:
-                t = _med_triple(s, bound, sentinels)
+                t = med_triple(s, bound, sentinels)
                 truth = []
                 for p in prefixes:
                     u = sorted(p + s)
                     m = len(u) // 2
                     truth.append(u[m] >= bound if len(u) % 2
                                  else u[m - 1] + u[m] >= 2 * bound)
-                assert [med_extendable(pt, t, spec) for pt in p_triples] == truth
+                assert [_feasible(pt, t, bound) for pt in p_triples] == truth
                 mask = sum(1 << i for i, ok in enumerate(truth) if ok)
                 # the triple decides feasibility: equal triples, equal sets
                 assert feasible.setdefault(t, mask) == mask
                 for v in window:
-                    assert med_fold(v, bound, t) == _med_triple(s + (v,), bound, sentinels)
+                    assert med_fold(v, bound, t) == med_triple(s + (v,), bound, sentinels)
             triples = sorted(feasible)
             for a in triples:
                 for b in triples:
@@ -240,18 +258,10 @@ class TestOracleEquivalence:
             gap = random_specs(rng, db, max_specs=1)
             specs = gap + (med,)
             mdd = build_mdd(db, specs)
-            store = propagate(mdd, db, specs)
-            plan = StatPlan(db, specs)
-            sign = 1 if direction == GE else -1
-            key = (attr, sign, sign * med.c)
-            slot = plan.med_at[key]
-            med_info = store.info(("med",) + key)
+            plan = StatPlan(db, (med,), propagate(mdd, db, specs))
             for si in range(len(db)):
                 for occ in iter_arc_consistent_occurrences(mdd, si, max_len=4):
-                    stats = plan.recompute(si, occ)
-                    triple = stats[slot:slot + 3]
-                    last = occ[-1]
-                    verdict = med_extendable(triple, med_info[si][last], med)
+                    verdict = scan_verdict(plan, db, si, occ) == 1
                     assert verdict == extension_exists(db, mdd, si, occ, med)
 
     def test_med_arrays_equal_reference_fold(self):
@@ -290,56 +300,55 @@ class TestOracleEquivalence:
 
 
 class TestStatPlan:
-    def _definition_stats(self, plan, db, si, positions):
-        """Each slot of the flat stats tuple, by its definition, placed at
-        the plan's offset for its key."""
-        slots = {0: len(positions)}
-        for attr, at in plan.span_at.items():
-            vals = [db.columns(attr)[si][p] for p in positions]
-            slots[at], slots[at + 1] = min(vals), max(vals)
-        for (attr, sign), at in plan.sum_at.items():
-            vals = [db.columns(attr)[si][p] for p in positions]
-            slots[at] = sign * sum(vals)
-        for (attr, sign, bound), at in plan.med_at.items():
-            col = db.columns(attr)[si]
-            oriented = [sign * v for v in col]
-            lo, hi = oriented_sentinels(oriented)
-            triple = (0, lo, hi)
-            for p in positions[:-1]:
-                triple = med_fold(oriented[p], bound, triple)
-            slots[at], slots[at + 1], slots[at + 2] = triple
-        assert sorted(slots) == list(range(len(slots)))  # offsets tile the tuple
-        return tuple(slots[i] for i in range(len(slots)))
-
     def test_incremental_matches_definition(self):
+        """``scan``'s O(1) stats of the entry that appends the last position
+        to a parent with the definition's stats, on increasing position
+        tuples that need not follow arcs."""
         rng = random.Random(17)
         for _ in range(40):
             db = random_db(rng, n_max=6, len_max=7)
-            specs = random_specs(rng, db, max_specs=4)
+            specs = tuple(map(never_rejecting, random_specs(rng, db, max_specs=4)))
             plan = StatPlan(db, specs)
             si = rng.randrange(len(db))
-            length = len(db.sequences[si])
-            k = rng.randint(1, length)
-            positions = tuple(sorted(rng.sample(range(length), k)))
-            assert plan.recompute(si, positions) == self._definition_stats(
-                plan, db, si, positions
-            )
+            items = db.sequences[si].items
+            k = rng.randint(1, len(items))
+            positions = tuple(sorted(rng.sample(range(len(items)), k)))
+            fresh, _, _ = scan_entry(plan, db, si, positions)
+            assert fresh == {items[positions[-1]]: [
+                (positions[-1], definition_stats(plan, db, si, positions))]}
 
     def test_source_is_kept(self, click_db):
         plan = StatPlan(click_db, (parse_constraint("span(time)<=4"),))
-        assert "def admit(si, pos, st):" in plan.source
-        assert "def witness(si, pos, st):" in plan.source
+        assert re.findall(r"^ *def (\w+)\(", plan.source, re.M) == ["_make", "witness", "scan"]
         assert "hi0 - lo0 > 4" in plan.source
 
 
+def _gate_stops(spec, db, mdd, si, occ):
+    """The gate ``StatPlan`` documents, with a store, on the parent
+    ``occ[:-1]``: a ``length<=c`` parent of c events or more, and a ``span<=c``
+    parent whose endpoint's reachable window, by path enumeration, misses
+    [max - c, min + c] of the parent's values."""
+    parent = occ[:-1]
+    if not parent or spec.direction != LE:
+        return False
+    if spec.kind is Kind.LENGTH:
+        return len(parent) >= spec.c
+    if spec.kind is Kind.SPAN:
+        values = path_values(db, si, parent, spec.attribute)
+        lo, hi = span_ground_truth(db, mdd, si, parent[-1], spec.attribute)
+        return max(lo, max(values) - spec.c) > min(hi, min(values) + spec.c)
+    return False
+
+
 class TestAdmission:
-    """``admit`` against path enumeration on every arc-consistent occurrence:
-    a spec that fails has no satisfying extension, and with a store the
-    verdict is exact for every kind but ``span>=``."""
+    """``scan``'s verdict on one entry against path enumeration on every
+    arc-consistent occurrence: a spec that fails has no satisfying
+    extension, with a store the verdict is exact for every kind but
+    ``span>=``, and the gate stops exactly the parents its rule names."""
 
     def test_sound_and_exact_against_enumeration(self):
         rng = random.Random(19)
-        occurrences = 0
+        occurrences = gated = 0
         for _ in range(200):
             db = random_db(rng, n_max=8, len_max=6)
             specs = random_specs(rng, db, max_specs=4)
@@ -352,21 +361,23 @@ class TestAdmission:
                     occurrences += 1
                     exists = [extension_exists(db, mdd, si, occ, s) for s in specs]
                     for plan in plans:
-                        verdict = plan.admit(si, occ[-1], plan.recompute(si, occ))
+                        verdict = scan_verdict(plan, db, si, occ)
                         if all(exists):
                             assert verdict == len(specs)
                         else:
-                            assert verdict == len(specs) or not exists[verdict]
+                            assert verdict in (None, len(specs)) or not exists[verdict]
                     for spec, single, truth in zip(specs, singles, exists):
-                        stats = single.recompute(si, occ)
-                        passed = single.admit(si, occ[-1], stats) == 1
+                        verdict = scan_verdict(single, db, si, occ)
+                        gated += verdict is None
+                        assert (verdict is None) == _gate_stops(spec, db, mdd, si, occ)
                         if (spec.kind, spec.direction) != (Kind.SPAN, GE):
-                            assert passed == truth, (spec, occ)
+                            assert (verdict == 1) == truth, (spec, occ)
         assert occurrences > 15000
+        assert gated > 500
 
     def test_span_lower_bound_is_relaxed(self):
         """The reachable minimum (0) and maximum (100) of position 0 lie on
-        different paths: 0->2 reaches span 50, 0->3 too.  ``admit`` accepts
+        different paths: 0->2 reaches span 50, 0->3 too.  ``scan`` admits
         the entry anyway, so emission must re-check with the reference
         evaluator, and then the miner agrees with brute force."""
         db = make_database([[1, 2, 3, 4]],
@@ -377,7 +388,7 @@ class TestAdmission:
         store = propagate(mdd, db, specs)
         plan = StatPlan(db, specs, store)
         assert not extension_exists(db, mdd, 0, (0,), specs[1])
-        assert plan.admit(0, 0, plan.initial(0, 0)) == len(specs)
+        assert scan_verdict(plan, db, 0, (0,)) == len(specs)
         assert mine(mdd, store, db, specs, 1) == mine_bruteforce(db, specs, 1)
 
 
@@ -400,8 +411,8 @@ class TestWitness:
                     truth = next((i for i, spec in enumerate(specs)
                                   if not check_occurrence(seq, occ, spec)), len(specs))
                     for plan in plans:
-                        verdict = plan.witness(si, occ[-1], plan.recompute(si, occ))
-                        assert verdict == truth, (specs, occ)
+                        stats = definition_stats(plan, db, si, occ)
+                        assert plan.witness(si, occ[-1], stats) == truth, (specs, occ)
         assert {Kind.GAP, Kind.ITEM_SET} <= kinds
         assert occurrences > 15000
 
@@ -427,7 +438,7 @@ class TestWitness:
                                 else Fraction(sum(values), len(values)))
                         truth = stat >= c if direction == GE else stat <= c
                         occ = tuple(range(len(values)))
-                        verdict = plan.witness(si, occ[-1], plan.recompute(si, occ))
+                        verdict = plan.witness(si, occ[-1], definition_stats(plan, db, si, occ))
                         assert (verdict == 1) == truth, (spec, values)
 
 
