@@ -246,9 +246,6 @@ class PairwiseRules:
     allowed_items: frozenset[int] | None
     gap_bounds: tuple[tuple[str, int | None, int | None], ...]
 
-    def item_ok(self, item: int) -> bool:
-        return self.allowed_items is None or item in self.allowed_items
-
 
 def imposable(specs: Sequence[ConstraintSpec]) -> tuple[ConstraintSpec, ...]:
     """The specs a diagram build can encode as arc-existence rules."""

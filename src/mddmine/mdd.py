@@ -7,12 +7,12 @@ of that sequence's event at this position.  Arcs connect an event to every
 later event of the same sequence that is a feasible next pattern step under
 the imposed pairwise rules (gap bounds, allowed item set); arcs may skip
 layers.  A virtual root precedes layer 1 and a virtual terminal follows the
-last layer: the root reaches every event that may start a pattern and every
-live event reaches the terminal.
+last layer: the root reaches every event that may start a pattern, and
+exactly these events are live and reach the terminal.
 
 ``build_mdd`` computes only the compact per-sequence successor tables
-(`succ`, `starts`, `alive`) over the database's columns, and these tables
-with the columns are the diagram's only representation; mining walks the
+(`succ`, `starts`) over the database's columns, and these tables with the
+columns are the diagram's only representation; mining walks the
 tables and never forms a node.  Since the ordering attribute strictly
 increases, the gap bounds on it cut each successor row out of the later
 positions as one window, found by bisection rather than by testing each
@@ -58,10 +58,8 @@ class Mdd:
         self.imposed = imposed
         #: per sequence index: tuple over 0-based positions of successor tuples
         self.succ: list[tuple[tuple[int, ...], ...]] = []
-        #: per sequence index: positions whose events may start a pattern
+        #: per sequence index: positions of the live events, which start a pattern
         self.starts: list[tuple[int, ...]] = []
-        #: per sequence index: positions whose events are live (reach terminal)
-        self.alive: list[tuple[bool, ...]] = []
 
     def layer_items(self, layer: int) -> list[int]:
         """The items of the layer's nodes, ascending."""
@@ -86,8 +84,7 @@ class Mdd:
             pairs = [(root, nodes[k]) for k in self.starts[si]]
             pairs += [(nodes[j], nodes[k])
                       for j, row in enumerate(self.succ[si]) for k in row]
-            pairs += [(node, terminal)
-                      for node, live in zip(nodes, self.alive[si]) if live]
+            pairs += [(nodes[k], terminal) for k in self.starts[si]]
             for pair in pairs:
                 arcs.setdefault(pair, []).append(seq.sid)
         return dict(sorted(arcs.items()))
@@ -119,14 +116,15 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
             ord_lo, ord_hi = lo, hi
         else:
             others.append((attr, lo, hi))
-    filtered = rules.allowed_items is not None or bool(others)
+    allowed = rules.allowed_items
+    filtered = allowed is not None or bool(others)
 
     for seq in db.sequences:
         items = seq.items
         length = len(items)
         ord_col = seq.attr_values(ordering) if ordering is not None else None
         checks = [(seq.attr_values(attr), lo, hi) for attr, lo, hi in others]
-        alive = tuple(rules.item_ok(item) for item in items)
+        alive = [allowed is None or item in allowed for item in items]
         succ_rows: list[tuple[int, ...]] = [()] * length
         for j in range(length):
             if not alive[j]:
@@ -146,7 +144,6 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
                 succ_rows[j] = tuple(range(a, b))
         mdd.succ.append(tuple(succ_rows))
         mdd.starts.append(tuple(j for j in range(length) if alive[j]))
-        mdd.alive.append(alive)
     return mdd
 
 
@@ -168,7 +165,7 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
     The successor tables are checked against the imposed specs directly,
     never through a second ``build_mdd``: ``k`` succeeds ``j`` exactly when
     ``j < k`` and every imposed spec passes ``check_occurrence`` on the
-    occurrence ``[e_j, e_k]``, and an event starts a pattern and is live
+    occurrence ``[e_j, e_k]``, and an event starts a pattern (and is live)
     exactly when its one-event occurrence passes every imposed spec.  With
     nothing imposed this is complete forward reachability.  The nodes,
     labels and arcs are read from these tables and the columns, so they need
@@ -176,9 +173,9 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
     """
     report = MddValidationReport()
 
-    # successor tables, starts and liveness, one direct rule per sequence
+    # successor tables and starts, one direct rule per sequence
     n_seq = len(db.sequences)
-    if not len(mdd.succ) == len(mdd.starts) == len(mdd.alive) == n_seq:
+    if not len(mdd.succ) == len(mdd.starts) == n_seq:
         report.fail(f"successor tables do not cover the {n_seq} sequences")
         return report
     imposed = mdd.imposed
@@ -188,10 +185,7 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
 
     for si, seq in enumerate(db.sequences):
         n = len(seq)
-        single = tuple(passes(seq, j) for j in range(n))
-        if tuple(mdd.alive[si]) != single:
-            report.fail(f"sid {seq.sid}: live events differ from the imposed rules")
-        if tuple(mdd.starts[si]) != tuple(j for j, ok in enumerate(single) if ok):
+        if tuple(mdd.starts[si]) != tuple(j for j in range(n) if passes(seq, j)):
             report.fail(f"sid {seq.sid}: start positions differ from the imposed rules")
         if len(mdd.succ[si]) != n:
             report.fail(f"sid {seq.sid}: successor table has the wrong length")

@@ -220,12 +220,7 @@ def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
       successor triple, keeping the first that no later one beats
       (``med_fold`` and ``med_dominates`` inlined).
     """
-    consts: list = []
-
-    def const(obj) -> str:
-        consts.append(obj)
-        return f"k{len(consts) - 1}"
-
+    const, make = _generator()
     attrs = dict.fromkeys(key[1] for key in keys if key[0] != "maxlen")
     x = {a: f"x{i}" for i, a in enumerate(attrs)}
     seq = [f"            c{i} = {const(db.columns(a))}[si]" for i, a in enumerate(attrs)]
@@ -279,8 +274,7 @@ def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
                      f"                            {b1}, {b2}, {b3} = t1, t2, t3",
                      f"                            {ok} = t2 + t3 >= {two}"]
             fields += [b1, b2, b3]
-    source = "\n".join([
-        f"def _make({', '.join(f'k{i}' for i in range(len(consts)))}):",
+    _, walk = make([
         "    def walk(succ_tables):",
         "        out = []",
         "        for si, succ in enumerate(succ_tables):", *seq,
@@ -293,10 +287,28 @@ def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
         "            out.append(R)",
         "        return out",
         "    return walk",
-    ]) + "\n"
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace["_make"](*consts), layout
+    ])
+    return walk, layout
+
+
+def _generator():
+    """The scaffold of both generators: ``const(obj)`` names ``obj`` as the
+    next parameter ``k<i>`` of ``_make``; ``make(body)`` runs ``_make`` over
+    the indented body lines and returns the source and what it returns."""
+    consts: list = []
+
+    def const(obj) -> str:
+        consts.append(obj)
+        return f"k{len(consts) - 1}"
+
+    def make(body: list[str]) -> tuple[str, object]:
+        params = ", ".join(f"k{i}" for i in range(len(consts)))
+        source = f"def _make({params}):\n" + "\n".join(body) + "\n"
+        namespace: dict = {}
+        exec(source, namespace)
+        return source, namespace["_make"](*consts)
+
+    return const, make
 
 
 def dump_info_tsv(store: InfoStore) -> str:
@@ -427,12 +439,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     triples), ``step`` (the slots of the entry that appends ``new``), and
     the gate's, the thresholds' and admission's lines.
     """
-    consts: list = []
-
-    def const(obj) -> str:
-        consts.append(obj)
-        return f"k{len(consts) - 1}"
-
+    const, make = _generator()
     attrs = dict.fromkeys(spec.attribute for spec in plan.specs if spec.attribute)
     columns = {a: plan.db.columns(a) for a in attrs}
     col = {a: const(columns[a]) for a in attrs}
@@ -624,15 +631,11 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             "        created += 1",
             "return fresh, visited, created"]
 
-    plan.source = "\n".join([
-        f"def _make({', '.join(f'k{i}' for i in range(len(consts)))}):",
+    plan.source, (plan.witness, plan.scan) = make([
         "    def witness(si, pos, st):", *_indent(wit, 2), f"        return {n}",
         "    def scan(si, parents, starts, nexts, items, dead, hist):", *_indent(scan, 2),
         "    return witness, scan",
-    ]) + "\n"
-    namespace: dict = {}
-    exec(plan.source, namespace)
-    plan.witness, plan.scan = namespace["_make"](*consts)
+    ])
 
 
 def _indent(lines: list[str], depth: int) -> list[str]:

@@ -17,10 +17,13 @@ Two on-disk formats are understood:
   accepted; multi-item itemsets are rejected rather than flattened because
   flattening would change support semantics.
 * Attribute tables: tab-separated with header ``sid<TAB>pos<TAB><attr>...``,
-  one row per event, rows sorted by (sid, pos), positions 1-based.
+  one row per event, positions 1-based, rows in any order (written sorted by
+  (sid, pos)).  Of several coverage defects the first in (sid, pos) order is
+  reported, a missing row before an unknown row that sorts into its place.
 """
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
@@ -242,49 +245,48 @@ def parse_attribute_tsv(text: str) -> AttributeTable:
             raise SeqDbError(f"attribute row {lineno} has {len(fields)} fields, "
                              f"expected {len(header)}")
         try:
-            numbers = [int(f) for f in fields]
+            sid, pos, *values = map(int, fields)
         except ValueError:
             raise SeqDbError(f"attribute row {lineno}: non-integer field") from None
-        rows.append((numbers[0], numbers[1], tuple(numbers[2:])))
+        rows.append((sid, pos, tuple(values)))
     return AttributeTable(names, rows)
 
 
 def attach_attributes(
-    db: AttributedDatabase,
-    table: AttributeTable,
-    ordering_attribute: str | None = None,
+    db: AttributedDatabase, table: AttributeTable, ordering_attribute: str | None = None
 ) -> AttributedDatabase:
     """Return a new database holding the table's attributes as columns.
 
-    The table must cover every (sid, pos) pair exactly once, with one value
-    per attribute name.  Any attributes already present on the database are
-    replaced.
+    The rows, in any order, must cover every (sid, pos) pair once with one
+    value per name; any attributes already on the database are replaced.
     """
-    by_key: dict[tuple[int, int], tuple[int, ...]] = {}
-    for sid, pos, values in table.rows:
-        key = (sid, pos)
-        if key in by_key:
-            raise AttributeCoverageError(f"duplicate attribute row for sid {sid} pos {pos}")
-        if len(values) != len(table.names):
-            raise AttributeCoverageError(
-                f"attribute row for sid {sid} pos {pos} has {len(values)} values "
-                f"for {len(table.names)} attributes"
-            )
-        by_key[key] = values
-    expected = {(seq.sid, pos) for seq in db.sequences for pos in range(1, len(seq) + 1)}
-    missing = expected - set(by_key)
-    extra = set(by_key) - expected
-    if missing:
-        sid, pos = min(missing)
-        raise AttributeCoverageError(f"missing attribute row for sid {sid} pos {pos}")
-    if extra:
-        sid, pos = min(extra)
-        raise AttributeCoverageError(f"attribute row for unknown sid {sid} pos {pos}")
-    sequences = []
+    rows = sorted(table.rows)
+    rows.append((math.inf, math.inf, ()))  # sorts after every event: rows run out at a gap
+    width, sequences, end = len(table.names), [], 0
     for seq in db.sequences:
-        rows = [by_key[(seq.sid, pos)] for pos in range(1, len(seq) + 1)]
-        sequences.append(Sequence(seq.sid, seq.items, dict(zip(table.names, zip(*rows)))))
+        start, end = end, end + len(seq)
+        block = rows[start:end]
+        for pos, (sid, at, values) in enumerate(block, start=1):
+            if sid != seq.sid or at != pos or len(values) != width:
+                raise _coverage_error(rows, start + pos - 1, (seq.sid, pos), width)
+        columns = zip(*[values for _, _, values in block])
+        sequences.append(Sequence(seq.sid, seq.items, dict(zip(table.names, columns))))
+    if end < len(rows) - 1:
+        raise _coverage_error(rows, end, rows[-1][:2], width)
     return AttributedDatabase(sequences, table.names, ordering_attribute)
+
+
+def _coverage_error(rows: list, i: int, expected: tuple, width: int) -> AttributeCoverageError:
+    """Why sorted ``rows[i]`` is not the row keyed ``expected`` with ``width`` values."""
+    sid, pos, values = rows[i]
+    if i and rows[i - 1][:2] == (sid, pos):
+        return AttributeCoverageError(f"duplicate attribute row for sid {sid} pos {pos}")
+    if (sid, pos) > expected:
+        return AttributeCoverageError("missing attribute row for sid %d pos %d" % expected)
+    if (sid, pos) < expected:
+        return AttributeCoverageError(f"attribute row for unknown sid {sid} pos {pos}")
+    return AttributeCoverageError(f"attribute row for sid {sid} pos {pos} has "
+                                  f"{len(values)} values for {width} attributes")
 
 
 # --- synthetic data -------------------------------------------------------------

@@ -143,6 +143,84 @@ class TestAttachAttributes:
             parse_attribute_tsv(f"sid\tpos\t{names}\n1\t1\t5\t6\n")
 
 
+def shuffled_tsv(text: str, seed: int) -> str:
+    header, *rows = text.splitlines()
+    random.Random(seed).shuffle(rows)
+    return "\n".join([header, *rows]) + "\n"
+
+
+class TestRowOrder:
+    """Any row order gives the same database and the same coverage errors."""
+
+    base = generate_sessions(200, 60, seed=5)
+    table = generate_attributes(base, seed=5)
+
+    def test_sorted_and_shuffled_tsv_give_equal_databases(self):
+        text = format_attribute_tsv(self.table)
+        expected = attach_attributes(self.base, parse_attribute_tsv(text), "time")
+        for seed in range(3):
+            shuffled = shuffled_tsv(text, seed)
+            assert shuffled != text
+            got = attach_attributes(self.base, parse_attribute_tsv(shuffled), "time")
+            assert got == expected
+
+    def test_tsv_path_equals_the_generated_table(self):
+        for seed in range(3):
+            table = generate_attributes(self.base, seed)
+            text = format_attribute_tsv(table)
+            assert (attach_attributes(self.base, parse_attribute_tsv(text))
+                    == attach_attributes(self.base, table))
+
+    @pytest.mark.parametrize("defect, message", [
+        (lambda rows: rows.remove(rows[36]), "missing attribute row for sid 5 pos 2"),
+        (lambda rows: rows.append((201, 1, (1, 2, 3))),
+         "attribute row for unknown sid 201 pos 1"),
+        (lambda rows: rows.append((0, 1, (1, 2, 3))), "attribute row for unknown sid 0 pos 1"),
+        (lambda rows: rows.append((5, 9, (1, 2, 3))), "attribute row for unknown sid 5 pos 9"),
+        (lambda rows: rows.append((5, 0, (1, 2, 3))), "attribute row for unknown sid 5 pos 0"),
+        (lambda rows: rows.append((200, 16, (1, 2, 3))),
+         "attribute row for unknown sid 200 pos 16"),
+        (lambda rows: rows.append(rows[36]), "duplicate attribute row for sid 5 pos 2"),
+        (lambda rows: rows.append((1, 1, (0, 0, 0))), "duplicate attribute row for sid 1 pos 1"),
+        (lambda rows: rows.__setitem__(36, (5, 2, (1, 2))),
+         "attribute row for sid 5 pos 2 has 2 values for 3 attributes"),
+    ])
+    def test_single_defect_message_is_order_free(self, defect, message):
+        # sid 5 has 8 events and its second event is row 36; sid 200 has 15
+        assert [len(self.base.sequences[i]) for i in (4, 199)] == [8, 15]
+        assert self.table.rows[36][:2] == (5, 2)
+        rows = list(self.table.rows)
+        defect(rows)
+        for seed in (None, 0, 1, 2):
+            if seed is not None:
+                random.Random(seed).shuffle(rows)
+            table = AttributeTable(self.table.names, list(rows))
+            with pytest.raises(AttributeCoverageError) as err:
+                attach_attributes(self.base, table)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("rows, message", [
+        # the first defect in (sid, pos) order, whatever the row order
+        ([(3, 1, (7,)), (3, 1, (8,)), (1, 1, (5,)), (2, 1, (6,))],
+         "missing attribute row for sid 1 pos 2"),
+        ([(1, 1, (5,)), (1, 2, (6,)), (9, 1, ()), (2, 1, (6,)), (2, 1, (6,))],
+         "duplicate attribute row for sid 2 pos 1"),
+        # a missing row before the unknown row that sorts in its place
+        ([(1, 1, (5,)), (1, 3, (6,)), (2, 1, (7,)), (3, 1, (8,))],
+         "missing attribute row for sid 1 pos 2"),
+        ([(1, 1, (5,)), (1, 2, (6,)), (1, 3, (6,)), (3, 1, (8,))],
+         "attribute row for unknown sid 1 pos 3"),
+    ])
+    def test_several_defects_report_the_first_in_key_order(self, rows, message):
+        db = parse_spmf("1 -1 2 -1 -2\n3 -1 -2\n4 -1 -2\n")
+        rows = list(rows)
+        for seed in range(4):
+            random.Random(seed).shuffle(rows)
+            with pytest.raises(AttributeCoverageError) as err:
+                attach_attributes(db, AttributeTable(("t",), list(rows)))
+            assert str(err.value) == message
+
+
 class TestColumns:
     def test_columns_are_the_stored_tuples(self, click_db):
         for name in click_db.attribute_names:
