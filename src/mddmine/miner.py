@@ -3,13 +3,13 @@
 A projected database is a set of cursors into the diagram: per sequence, one
 entry for every live occurrence endpoint of the current pattern, because
 under gap-style constraints the minimal occurrence may be a dead end while a
-later one still extends.  An entry is just (endpoint, O(1)-updatable
-statistics): the pair decides every constraint, so no positions are kept
-and entries agreeing on it are interchangeable and deduplicated.  Admission
-follows each constraint's monotonicity class (``classify``): anti-monotone
-constraints must hold on the occurrence itself, monotone and non-monotone
-ones must stay reachable according to the node information, and gap and
-item-set rules are already enforced by the diagram's arcs.
+later one still extends.  An entry is one flat tuple ``(pos, ln, lo0, ...)``
+of the endpoint and its running statistics: it decides every constraint, so
+no positions are kept and equal entries are interchangeable and deduplicated.
+Admission follows each constraint's monotonicity class (``classify``):
+anti-monotone constraints must hold on the occurrence itself, monotone and
+non-monotone ones must stay reachable according to the node information, and
+gap and item-set rules are already enforced by the diagram's arcs.
 
 Candidate items for extending a pattern are collected by scanning each live
 entry's successors, sequence by sequence in ascending id order.  One call
@@ -25,7 +25,7 @@ entry; neither rule changes the mined output.  A pattern is emitted when
 enough sequences own an entry whose ``witness`` verdict passes every
 constraint; entries that are not witnesses yet stay in the projection in
 case an extension completes them.  The search is one depth-first traversal
-in the calling thread.
+in the calling thread, with the cyclic garbage collector off.
 
 Statistics, admission, the scan gate, ``witness`` and the kernel are
 compiled by ``StatPlan`` for the spec list (and the diagram miner's store).
@@ -36,6 +36,7 @@ per-entry call left in mining is ``witness`` at emission.
 """
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import dataclass
 from operator import mul
@@ -123,9 +124,9 @@ class PatternSet:
 
 @dataclass
 class ProjectedDb:
-    """Entries per sequence id: (occurrence endpoint, running statistics)."""
+    """Entries per sequence id: flat ``(endpoint, *statistics)`` tuples."""
 
-    entries: dict[int, list[tuple[int, tuple]]]
+    entries: dict[int, list[tuple[int, ...]]]
 
     @property
     def support(self) -> int:
@@ -137,7 +138,7 @@ class ProjectedDb:
 
 
 #: the parents of a root scan: one identity parent, the empty occurrence
-_ROOT = ((None, None),)
+_ROOT = (None,)
 
 
 class _ProjectionMiner:
@@ -239,8 +240,8 @@ class _ProjectionMiner:
         left = pdb.support
         for sid, entries in pdb.entries.items():
             left -= 1
-            for pos, stats in entries:
-                verdict = witness(sid - 1, pos, stats)
+            for entry in entries:
+                verdict = witness(sid - 1, entry)
                 checks += verdict + 1 if verdict < passed else passed
                 if verdict == passed:
                     count += 1
@@ -252,8 +253,21 @@ class _ProjectionMiner:
         return count
 
     def mine_patterns(self) -> PatternSet:
-        out = PatternSet()
-        self._dfs(self.root_candidates(), out)
+        """Run the search with the cyclic garbage collector off.
+
+        Mining forms no reference cycles: entries hold ints, per-item lists
+        and per-sid dicts hold entries, and nothing points back at a
+        container that holds it, so reference counting frees all of it.  The
+        switch is process-wide while mining runs; the prior state is restored
+        afterwards, so a caller that had the collector off keeps it off.
+        """
+        out, enabled = PatternSet(), gc.isenabled()
+        gc.disable()
+        try:
+            self._dfs(self.root_candidates(), out)
+        finally:
+            if enabled:
+                gc.enable()
         return out
 
     def _dfs(self, base: list[tuple[int, ProjectedDb]], out: PatternSet) -> None:

@@ -334,27 +334,27 @@ def dump_info_tsv(store: InfoStore) -> str:
 class StatPlan:
     """Statistics, admission and emission for one spec list, compiled once.
 
-    A stats value is one flat tuple ``(length, lo_0, hi_0, ..., sum_0, ...,
-    m1_0, m2_0, m3_0, ...)``: the occurrence's (min, max) per span attribute,
-    its oriented sum per (attribute, sign), shared by sum and average
-    constraints, and its oriented median triple per median key over the
-    occurrence excluding its final event.  ``span_at``, ``sum_at`` and
-    ``med_at`` map each key to its first slot.
+    An entry is one flat tuple ``(pos, length, lo_0, hi_0, ..., sum_0, ...,
+    m1_0, m2_0, m3_0, ...)``: the endpoint, then the stats, which are the
+    occurrence's (min, max) per span attribute, its oriented sum per
+    (attribute, sign), shared by sum and average constraints, and its
+    oriented median triple per median key over the occurrence excluding its
+    final event.  ``span_at``, ``sum_at`` and ``med_at`` map each key to its
+    first slot in the stats, which is one less than its slot in the entry.
 
     Two functions are generated as Python source (kept in ``source``) with
     columns, signs, bounds and the store's records bound as constants:
 
     * ``scan(si, parents, starts, nexts, items, dead, hist)`` is the miners'
-      loop over one sequence.  ``parents`` are ``(endpoint, stats)`` entries;
-      each that passes the gate is extended to every position of
-      ``nexts[endpoint]`` whose item is not in ``dead``, building the new
-      stats in O(1) with median folds inlined.  New entries are
-      deduplicated with one hash when there are several parents, admitted,
-      and counted in ``hist`` by verdict: the index of the first spec whose
-      test fails, or ``len(specs)`` when the entry stays.  It returns the
-      admitted ``{item: [(pos, stats), ...]}`` with the visited and created
-      counts.
-    * ``witness(si, pos, stats)`` returns the index of the first spec the
+      loop over one sequence.  ``parents`` are entries; each that passes the
+      gate is extended to every position of ``nexts[endpoint]`` whose item
+      is not in ``dead``, building the new stats in O(1) with median folds
+      inlined.  New entries are deduplicated with one hash when there are
+      several parents, admitted, and counted in ``hist`` by verdict: the
+      index of the first spec whose test fails, or ``len(specs)`` when the
+      entry stays.  It returns the admitted ``{item: [entry, ...]}`` with
+      the visited and created counts.
+    * ``witness(si, entry)`` returns the index of the first spec the
       occurrence itself fails, or ``len(specs)``, exactly as
       ``check_occurrence`` would decide it.
 
@@ -378,7 +378,7 @@ class StatPlan:
     thresholds admission compares against (``c - pln``, ``sc - ps`` and
     ``sc * pln - ps``, from the parent's length and oriented sum).  Each
     successor then costs its value reads, the span and sum updates, one
-    tuple and the admission chain.  The root parent ``(None, None)`` is the
+    tuple and the admission chain.  The root parent ``None`` is the
     identity, the empty occurrence: ``ln`` 0, each span's ``(lo, hi)``
     (+inf, -inf), which the first event replaces by its value, zero sums,
     and median triples ``(0, e, f)`` of the oriented column's sentinels with
@@ -430,7 +430,7 @@ class StatPlan:
 def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     """Generate, ``exec`` and attach ``scan``, ``witness`` and the tables.
 
-    ``fields`` fixes the order of the stats tuple; the slot offsets
+    ``fields`` fixes the order of the stats after the endpoint; the offsets
     ``span_at``, ``sum_at`` and ``med_at`` are read off it.  A parent's
     slots are named with a ``p`` in front (``pln``, ``plo0``, ``ps0``),
     except the median triples, which are folded in place.  ``scan`` is put
@@ -453,8 +453,8 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     plan.span_at = {a: fields.index(lo[a]) for a in plan.span_attrs}
     plan.sum_at = {k: fields.index(acc[k]) for k in plan.sum_keys}
     plan.med_at = {k: fields.index(med[k][0]) for k in plan.med_keys}
-    row = "(" + ", ".join(fields) + ",)"
-    punpack = ", ".join(f if f[0] == "m" else "p" + f for f in fields) + ", = st"
+    stats = ", ".join(fields)
+    punpack = "old, " + ", ".join(f if f[0] == "m" else "p" + f for f in fields) + " = st"
     value_attrs = dict.fromkeys(list(plan.span_attrs) + [a for a, _ in plan.sum_keys])
     # scan hoists each column's row of the sequence into c<i>
     used = dict.fromkeys(list(value_attrs) + [k[0] for k in plan.med_keys])
@@ -505,7 +505,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             return f"not (t1 > 0 or t1 == 0 and t2 + t3 >= {2 * sign * c})"
         return None
 
-    wit = [f"{row[1:-1]} = st"]
+    wit = [f"pos, {stats} = entry"]
     for i, spec in enumerate(plan.specs):
         if spec.kind is Kind.MED:
             sign = _sign(spec.direction)
@@ -593,8 +593,8 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             "visited = created = 0",
             # one parent's entries differ in their endpoints: only several repeat
             "several = len(parents) > 1",
-            "for old, st in parents:",
-            "    if old is None:",
+            "for st in parents:",
+            "    if st is None:",
             "        succs = starts",
             *_indent(identity, 2),
             "    else:",
@@ -610,7 +610,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             "        if item in dead:",
             "            continue",
             *_indent(step, 2),
-            f"        entry = (new, {row})",
+            f"        entry = (new, {stats})",
             "        if several:",
             "            size = len(seen)",
             "            add(entry)",
@@ -632,7 +632,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             "return fresh, visited, created"]
 
     plan.source, (plan.witness, plan.scan) = make([
-        "    def witness(si, pos, st):", *_indent(wit, 2), f"        return {n}",
+        "    def witness(si, entry):", *_indent(wit, 2), f"        return {n}",
         "    def scan(si, parents, starts, nexts, items, dead, hist):", *_indent(scan, 2),
         "    return witness, scan",
     ])

@@ -32,26 +32,40 @@ class PpccMiner(_ProjectionMiner):
         use_prop5: bool = True,
     ):
         super().__init__(db, specs, theta, StatPlan(db, specs), counters, use_prop5)
-        rules = pairwise_rules(specs)
-        self._rules = rules
-        self._gap_cols = {
-            attr: db.columns(attr) for attr, _, _ in rules.gap_bounds
-        }
-        ordering = db.ordering_attribute
-        self._ord_col = self._gap_cols.get(ordering) if ordering else None
-        self._ord_hi = None
-        for attr, _, hi in rules.gap_bounds:
-            if attr == ordering and hi is not None:
-                self._ord_hi = hi
+        self._steps = _Steps(db, specs, self._items, self.counters)
 
     def _successors(self, si: int, dead: set[int]):
-        return self._start_positions(si, dead), _Steps(self, si, dead)
+        steps = self._steps
+        steps.si, steps.dead = si, dead
+        return steps, steps
 
-    def _start_positions(self, si: int, dead: set[int]) -> Iterable[int]:
-        # a generator: only the root scan reads it and pays its checks
-        allowed = self._rules.allowed_items
-        counters = self.counters
-        for pos, item in enumerate(self._items[si]):
+
+class _Steps:
+    """The miner's one step source, pointed at a sequence by ``_successors``.
+
+    Iterating it yields the root scan's positions of sequence ``si``, and
+    ``steps[pos]`` the positions one ppcc step reaches from ``pos``.  Both
+    are generators that read ``si`` and ``dead`` when first advanced, which
+    the scan does at once, and pay their checks only as they are read.
+    Items in ``dead`` would be dropped by the scan, so they are skipped
+    unchecked.
+    """
+
+    __slots__ = ("items", "counters", "allowed", "gaps", "ord_col", "ord_hi", "si", "dead")
+
+    def __init__(self, db: AttributedDatabase, specs: SequenceT[ConstraintSpec],
+                 items: list, counters: MiningCounters):
+        rules = pairwise_rules(specs)
+        self.items, self.counters, self.allowed = items, counters, rules.allowed_items
+        self.gaps = [(db.columns(attr), lo, hi) for attr, lo, hi in rules.gap_bounds]
+        self.ord_col = self.ord_hi = None
+        for attr, _, hi in rules.gap_bounds:
+            if attr == db.ordering_attribute and hi is not None:
+                self.ord_col, self.ord_hi = db.columns(attr), hi
+
+    def __iter__(self):
+        allowed, counters, dead = self.allowed, self.counters, self.dead
+        for pos, item in enumerate(self.items[self.si]):
             if item in dead:
                 continue
             if allowed is not None:
@@ -60,26 +74,23 @@ class PpccMiner(_ProjectionMiner):
                     continue
             yield pos
 
-    def _next_positions(self, si: int, pos: int, dead: set[int]) -> Iterable[int]:
-        items = self._items[si]
-        counters = self.counters
-        bounds = self._rules.gap_bounds
-        allowed = self._rules.allowed_items
-        ord_col = self._ord_col[si] if self._ord_col is not None else None
-        ord_hi = self._ord_hi
+    def __getitem__(self, pos: int) -> Iterable[int]:
+        si, counters, allowed, dead = self.si, self.counters, self.allowed, self.dead
+        items = self.items[si]
+        ord_hi = self.ord_hi
+        ord_col = self.ord_col[si] if ord_hi is not None else None
         for k in range(pos + 1, len(items)):
             # the ordering attribute grows along the sequence, so once its
             # gap upper bound is exceeded no later position can comply
             if ord_hi is not None and ord_col[k] - ord_col[pos] > ord_hi:
                 counters.constraint_checks += 1
                 break
-            # an abandoned item would be dropped by the scan: skip it unchecked
             if items[k] in dead:
                 continue
             ok = True
-            for attr, lo, hi in bounds:
+            for col, lo, hi in self.gaps:
                 counters.constraint_checks += 1
-                delta = self._gap_cols[attr][si][k] - self._gap_cols[attr][si][pos]
+                delta = col[si][k] - col[si][pos]
                 if (lo is not None and delta < lo) or (hi is not None and delta > hi):
                     ok = False
                     break
@@ -88,18 +99,6 @@ class PpccMiner(_ProjectionMiner):
                 ok = items[k] in allowed
             if ok:
                 yield k
-
-
-class _Steps:
-    """``steps[pos]``: the positions one ppcc step reaches from ``pos``."""
-
-    __slots__ = ("miner", "si", "dead")
-
-    def __init__(self, miner: PpccMiner, si: int, dead: set[int]):
-        self.miner, self.si, self.dead = miner, si, dead
-
-    def __getitem__(self, pos: int) -> Iterable[int]:
-        return self.miner._next_positions(self.si, pos, self.dead)
 
 
 def mine_ppcc(

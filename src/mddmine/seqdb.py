@@ -85,9 +85,9 @@ class AttributedDatabase:
                 raise SeqDbError(f"sequence ids must be contiguous from 1, got {seq.sid} at {idx}")
             if not seq.items:
                 raise SeqDbError(f"sequence {seq.sid} is empty")
-            for pos, item in enumerate(seq.items, start=1):
-                if item < 0:
-                    raise SeqDbError(f"negative item id at sid {seq.sid} pos {pos}")
+            if min(seq.items) < 0:
+                pos = next(p for p, item in enumerate(seq.items, start=1) if item < 0)
+                raise SeqDbError(f"negative item id at sid {seq.sid} pos {pos}")
             for name in self.attribute_names:
                 values = seq.values.get(name)
                 if values is None:
@@ -228,19 +228,20 @@ def format_attribute_tsv(table: AttributeTable) -> str:
 
 
 def parse_attribute_tsv(text: str) -> AttributeTable:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        return AttributeTable((), [])
-    header = lines[0].split("\t")
-    if header[:2] != ["sid", "pos"]:
-        raise SeqDbError("attribute table header must start with 'sid\\tpos'")
-    names = tuple(header[2:])
-    for name in names:
-        if name in ("sid", "pos") or names.count(name) > 1:
-            raise SeqDbError(f"attribute table line 1: duplicate column name {name!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    header, names, rows = None, (), []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
         fields = line.split("\t")
+        if header is None:  # the first non-blank line
+            header, names = fields, tuple(fields[2:])
+            if header[:2] != ["sid", "pos"]:
+                raise SeqDbError("attribute table header must start with 'sid\\tpos'")
+            for name in names:
+                if name in ("sid", "pos") or names.count(name) > 1:
+                    raise SeqDbError(f"attribute table line {lineno}: "
+                                     f"duplicate column name {name!r}")
+            continue
         if len(fields) != len(header):
             raise SeqDbError(f"attribute row {lineno} has {len(fields)} fields, "
                              f"expected {len(header)}")

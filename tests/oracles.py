@@ -135,7 +135,7 @@ def scan_entry(plan, db, si: int, occ):
     if len(occ) == 1:
         parents, starts, nexts = _ROOT, (occ[0],), {}
     else:
-        parents = ((occ[-2], definition_stats(plan, db, si, occ[:-1])),)
+        parents = ((occ[-2], *definition_stats(plan, db, si, occ[:-1])),)
         starts, nexts = (), {occ[-2]: (occ[-1],)}
     hist = [0] * (len(plan.specs) + 1)
     fresh, visited, _ = plan.scan(si, parents, starts, nexts, db.sequences[si].items,

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from collections import Counter
@@ -22,7 +23,7 @@ from mddmine import (
     propagate,
 )
 from mddmine.cli import SCENARIOS
-from mddmine.miner import _ROOT, MppMiner
+from mddmine.miner import _ROOT, MppMiner, _ProjectionMiner
 from mddmine.oracle import PpccMiner
 
 from conftest import A, B, C
@@ -59,7 +60,7 @@ class TestExtend:
         miner = self._miner(click_db, (), 2)
         base = dict(miner.root_candidates())
         pdb = base[B]
-        assert {sid: [pos for pos, _ in entries] for sid, entries in pdb.entries.items()} \
+        assert {sid: [pos for pos, *_ in entries] for sid, entries in pdb.entries.items()} \
             == {1: [0, 1], 2: [0, 2]}
         candidates = miner.extend(pdb)
         # A reaches only sequence 2, so with theta=2 just B..B survives
@@ -73,7 +74,7 @@ class TestExtend:
         base = dict(miner.root_candidates())
         candidates = dict(miner.extend(base[C]))
         # A is reachable only through the larger prefix ending at position 2
-        assert [pos for pos, _ in candidates[A].entries[3]] == [2]
+        assert [pos for pos, *_ in candidates[A].entries[3]] == [2]
 
     def test_no_out_arcs_yields_nothing(self, click_db):
         from mddmine import ProjectedDb
@@ -195,6 +196,67 @@ class TestArguments:
             mine_mpp(click_db, (), 2, threads=2)
 
 
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state when the test ends."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorGuard:
+    """The search runs with the cyclic collector off, restores its prior
+    state, and leaves no cyclic garbage that grows with the input."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_prior_state_restored(self, click_db, collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert len(mine(build_mdd(click_db), None, click_db, (), 2)) == 3
+        assert gc.isenabled() is enabled
+        assert len(mine_ppcc(click_db, (), 2)) == 3
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_prior_state_restored_when_the_search_raises(self, click_db, collector,
+                                                        monkeypatch, enabled):
+        during = []
+
+        def failing_dfs(miner, base, out):
+            during.append(gc.isenabled())
+            raise RuntimeError("search failed")
+
+        monkeypatch.setattr(_ProjectionMiner, "_dfs", failing_dfs)
+        (gc.enable if enabled else gc.disable)()
+        mdd = build_mdd(click_db)
+        with pytest.raises(RuntimeError, match="search failed"):
+            mine(mdd, None, click_db, (), 2)
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError, match="search failed"):
+            mine_ppcc(click_db, (), 2)
+        assert gc.isenabled() is enabled
+        assert during == [False, False]
+
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, collector):
+        # what is left is each plan's exec namespace, which its functions
+        # point back at: a constant per mining call
+        specs = tuple(parse_constraint(t) for t in SCENARIOS[3])
+        found, emitted = [], []
+        for n in (200, 800, 3200):
+            base = generate_sessions(n, 100, seed=7)
+            db = attach_attributes(base, generate_attributes(base, seed=7), "time")
+            mdd = build_mdd(db, specs)
+            store = propagate(mdd, db, specs)
+            gc.collect()
+            gc.disable()
+            theta = n // 100
+            out = mine(mdd, store, db, specs, theta)
+            assert out == mine_ppcc(db, specs, theta)
+            emitted.append(len(out))
+            found.append(gc.collect())
+        assert found[0] == found[1] == found[2] <= 8, found
+        assert min(emitted) > 0, emitted
+
+
 class TestOutput:
     def test_render_format(self, click_db):
         out = mine_mpp(click_db, (), 2)
@@ -255,7 +317,7 @@ def reference_scan(plan, si, occurrences, source, dead):
             if items[nxt] in dead:
                 abandoned += 1
                 continue
-            entry = (nxt, definition_stats(plan, db, si, occ + (nxt,)))
+            entry = (nxt, *definition_stats(plan, db, si, occ + (nxt,)))
             if entry in seen:
                 repeated += 1
                 continue
@@ -305,8 +367,8 @@ class TestScanKernel:
                     for occurrences in ([None], self._occurrences(rng, miner, si)):
                         *want, gated, abandoned, repeated = reference_scan(
                             plan, si, occurrences, miner._successors, dead)
-                        parents = [(None, None) if occ is None else
-                                   (occ[-1], definition_stats(plan, db, si, occ))
+                        parents = [None if occ is None else
+                                   (occ[-1], *definition_stats(plan, db, si, occ))
                                    for occ in occurrences]
                         hist = [0] * (len(specs) + 1)
                         fresh, visited, created = plan.scan(
@@ -332,7 +394,7 @@ class TestScanKernel:
                         si, _ROOT, *miner._successors(si, set()), seq.items, set(), hist)
                     got = sorted(entry for entries in fresh.values() for entry in entries)
                     assert visited == created == len(starts)
-                    assert got == [(pos, definition_stats(plan, db, si, (pos,)))
+                    assert got == [(pos, *definition_stats(plan, db, si, (pos,)))
                                    for pos in starts]
 
 

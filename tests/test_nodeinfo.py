@@ -315,7 +315,7 @@ class TestStatPlan:
             positions = tuple(sorted(rng.sample(range(len(items)), k)))
             fresh, _, _ = scan_entry(plan, db, si, positions)
             assert fresh == {items[positions[-1]]: [
-                (positions[-1], definition_stats(plan, db, si, positions))]}
+                (positions[-1], *definition_stats(plan, db, si, positions))]}
 
     def test_source_is_kept(self, click_db):
         plan = StatPlan(click_db, (parse_constraint("span(time)<=4"),))
@@ -411,8 +411,8 @@ class TestWitness:
                     truth = next((i for i, spec in enumerate(specs)
                                   if not check_occurrence(seq, occ, spec)), len(specs))
                     for plan in plans:
-                        stats = definition_stats(plan, db, si, occ)
-                        assert plan.witness(si, occ[-1], stats) == truth, (specs, occ)
+                        entry = (occ[-1], *definition_stats(plan, db, si, occ))
+                        assert plan.witness(si, entry) == truth, (specs, occ)
         assert {Kind.GAP, Kind.ITEM_SET} <= kinds
         assert occurrences > 15000
 
@@ -438,7 +438,8 @@ class TestWitness:
                                 else Fraction(sum(values), len(values)))
                         truth = stat >= c if direction == GE else stat <= c
                         occ = tuple(range(len(values)))
-                        verdict = plan.witness(si, occ[-1], definition_stats(plan, db, si, occ))
+                        entry = (occ[-1], *definition_stats(plan, db, si, occ))
+                        verdict = plan.witness(si, entry)
                         assert (verdict == 1) == truth, (spec, values)
 
 

@@ -142,6 +142,17 @@ class TestAttachAttributes:
         with pytest.raises(SeqDbError, match="line 1"):
             parse_attribute_tsv(f"sid\tpos\t{names}\n1\t1\t5\t6\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("sid\tpos\tt\n\n1\t1\tx\n", "attribute row 3: non-integer field"),
+        ("\nsid\tpos\tt\n \n1\t1\t2\n1\t2\n", "attribute row 5 has 2 fields, expected 3"),
+        ("\n  \nsid\tpos\tt\tt\n1\t1\t5\t6\n",
+         "attribute table line 3: duplicate column name 't'"),
+    ])
+    def test_errors_name_the_file_line_after_blank_lines(self, text, message):
+        with pytest.raises(SeqDbError) as err:
+            parse_attribute_tsv(text)
+        assert str(err.value) == message
+
 
 def shuffled_tsv(text: str, seed: int) -> str:
     header, *rows = text.splitlines()
@@ -251,6 +262,11 @@ class TestMakeDatabaseShapes:
     def test_extra_value_list_rejected(self):
         with pytest.raises(SeqDbError, match=r"'t'.*sid 2"):
             make_database([[5]], {"t": [[1], [2]]})
+
+    def test_negative_item_rejected_with_its_position(self):
+        with pytest.raises(SeqDbError) as err:
+            make_database([[1, 2], [3, -4, 5, -6]])
+        assert str(err.value) == "negative item id at sid 2 pos 2"
 
 
 class TestGenerateSessions:
