@@ -24,7 +24,6 @@ from .miner import (
     MiningCounters,
     Pattern,
     PatternSet,
-    ProjectedDb,
     mine,
     mine_mpp,
     prop5_prune,
@@ -55,7 +54,7 @@ from .seqdb import (
 __all__ = [
     "AttributedDatabase", "AttributeTable", "ConstraintSpec", "DbStats",
     "GE", "InfoStore", "Kind", "LE", "Mdd", "MiningCounters",
-    "Monotonicity", "Pattern", "PatternSet", "ProjectedDb", "Sequence",
+    "Monotonicity", "Pattern", "PatternSet", "Sequence",
     "StatPlan", "attach_attributes", "build_mdd", "check_occurrence",
     "classify", "dump_info_tsv", "export_dot", "format_attribute_tsv",
     "format_constraint", "generate_attributes", "generate_sessions",

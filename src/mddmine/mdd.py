@@ -71,8 +71,8 @@ class Mdd:
         of the event each sequence holds in node ``(layer, item)``."""
         pos = layer - 1
         names = self.db.attribute_names
-        return {seq.sid: tuple(seq.attr_values(name)[pos] for name in names)
-                for seq in self.db.sequences
+        return {si + 1: tuple(seq.attr_values(name)[pos] for name in names)
+                for si, seq in enumerate(self.db.sequences)
                 if len(seq) > pos and seq.items[pos] == item}
 
     def arcs(self) -> dict[tuple[Node, Node], list[int]]:
@@ -86,7 +86,7 @@ class Mdd:
                       for j, row in enumerate(self.succ[si]) for k in row]
             pairs += [(nodes[k], terminal) for k in self.starts[si]]
             for pair in pairs:
-                arcs.setdefault(pair, []).append(seq.sid)
+                arcs.setdefault(pair, []).append(si + 1)
         return dict(sorted(arcs.items()))
 
     def layer_sizes(self) -> list[int]:
@@ -184,22 +184,22 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
         return all(check_occurrence(seq, positions, spec) for spec in imposed)
 
     for si, seq in enumerate(db.sequences):
-        n = len(seq)
+        n, sid = len(seq), si + 1
         if tuple(mdd.starts[si]) != tuple(j for j in range(n) if passes(seq, j)):
-            report.fail(f"sid {seq.sid}: start positions differ from the imposed rules")
+            report.fail(f"sid {sid}: start positions differ from the imposed rules")
         if len(mdd.succ[si]) != n:
-            report.fail(f"sid {seq.sid}: successor table has the wrong length")
+            report.fail(f"sid {sid}: successor table has the wrong length")
             continue
         for j, nexts in enumerate(mdd.succ[si]):
             expected = tuple(k for k in range(j + 1, n) if passes(seq, j, k))
             forbidden = sorted(set(nexts) - set(expected))
             missing = sorted(set(expected) - set(nexts))
             for k in forbidden:
-                report.fail(f"sid {seq.sid}: forbidden arc {j + 1}->{k + 1}")
+                report.fail(f"sid {sid}: forbidden arc {j + 1}->{k + 1}")
             for k in missing:
-                report.fail(f"sid {seq.sid}: missing arc {j + 1}->{k + 1}")
+                report.fail(f"sid {sid}: missing arc {j + 1}->{k + 1}")
             if not forbidden and not missing and tuple(nexts) != expected:
-                report.fail(f"sid {seq.sid}: successors of {j + 1} not ascending")
+                report.fail(f"sid {sid}: successors of {j + 1} not ascending")
 
     return report
 

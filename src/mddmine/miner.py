@@ -1,6 +1,6 @@
 """Depth-first constrained pattern mining by pseudo projection.
 
-A projected database is a set of cursors into the diagram: per sequence, one
+A projection is a set of cursors into the diagram: per sequence index, one
 entry for every live occurrence endpoint of the current pattern, because
 under gap-style constraints the minimal occurrence may be a dead end while a
 later one still extends.  An entry is one flat tuple ``(pos, ln, lo0, ...)``
@@ -12,7 +12,7 @@ non-monotone ones must stay reachable according to the node information, and
 gap and item-set rules are already enforced by the diagram's arcs.
 
 Candidate items for extending a pattern are collected by scanning each live
-entry's successors, sequence by sequence in ascending id order.  One call
+entry's successors, sequence by sequence in ascending index order.  One call
 of the plan's generated ``scan`` kernel does a sequence: it extends every
 parent entry along the successor source (the diagram's tables here, the
 raw-row step scan in ``mine_ppcc``), deduplicates, admits, and returns the
@@ -122,20 +122,9 @@ class PatternSet:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass
-class ProjectedDb:
-    """Entries per sequence id: flat ``(endpoint, *statistics)`` tuples."""
-
-    entries: dict[int, list[tuple[int, ...]]]
-
-    @property
-    def support(self) -> int:
-        return len(self.entries)
-
-    @property
-    def size(self) -> int:
-        return sum(len(v) for v in self.entries.values())
-
+#: sequence index -> its entries, flat ``(endpoint, *statistics)`` tuples; the
+#: scan inserts the indices in ascending order, so they iterate in that order
+Projection = dict[int, list[tuple[int, ...]]]
 
 #: the parents of a root scan: one identity parent, the empty occurrence
 _ROOT = (None,)
@@ -146,22 +135,18 @@ class _ProjectionMiner:
 
     def __init__(
         self,
-        db: AttributedDatabase,
-        specs: SequenceT[ConstraintSpec],
-        theta: int,
         plan: StatPlan,
+        theta: int,
         counters: MiningCounters | None = None,
         use_prop5: bool = True,
     ):
         if theta < 1:
             raise ValueError("minimum support must be at least 1")
-        self.db = db
-        self.specs = tuple(specs)
         self.theta = theta
         self.plan = plan
         self.counters = counters if counters is not None else MiningCounters()
         self.use_prop5 = use_prop5
-        self._items = [seq.items for seq in db.sequences]
+        self._items = [seq.items for seq in plan.db.sequences]
         plain = Counter(item for items in self._items for item in set(items))
         self._infrequent = frozenset(i for i, sup in plain.items() if sup < theta)
 
@@ -175,73 +160,67 @@ class _ProjectionMiner:
 
     # -- candidate generation ----------------------------------------------
 
-    def root_candidates(self) -> list[tuple[int, ProjectedDb]]:
+    def root_candidates(self) -> list[tuple[int, Projection]]:
         """Frequent single items with their projections."""
-        per_sid = ((si, _ROOT) for si in range(len(self._items)))
-        return self._scan_candidates(per_sid, len(self._items))
+        per_seq = ((si, _ROOT) for si in range(len(self._items)))
+        return self._scan_candidates(per_seq, len(self._items))
 
-    def extend(self, pdb: ProjectedDb) -> list[tuple[int, ProjectedDb]]:
+    def extend(self, pdb: Projection) -> list[tuple[int, Projection]]:
         """Candidate extension items with their projections, threshold-filtered."""
-        per_sid = ((sid - 1, entries) for sid, entries in sorted(pdb.entries.items()))
-        return self._scan_candidates(per_sid, pdb.support)
+        return self._scan_candidates(pdb.items(), len(pdb))
 
-    def _scan_candidates(self, per_sid_parents, sup_p: int):
+    def _scan_candidates(self, per_seq_parents, sup_p: int):
         theta = self.theta
         use_prop5 = self.use_prop5
         plan = self.plan
         scan, successors, all_items = plan.scan, self._successors, self._items
-        candidates: dict[int, dict[int, list]] = {}  # item -> sid -> entries
+        candidates: dict[int, Projection] = {}
         dead: set[int] = set(self._infrequent) if use_prop5 else set()
         hist = [0] * (len(plan.specs) + 1)  # admission verdicts
-        n = visited = created = scanned = 0
-        for si, parents in per_sid_parents:
+        n = visited = scanned = 0
+        for si, parents in per_seq_parents:
             n += 1
             starts, nexts = successors(si, dead)
-            fresh, visits, made = scan(si, parents, starts, nexts, all_items[si], dead, hist)
+            fresh, visits = scan(si, parents, starts, nexts, all_items[si], dead, hist)
             visited += visits
-            created += made
             # an item's support so far is the number of sequences its
             # candidate holds; its decision reads only that, n and sup_p, and
             # the candidates are sorted on return, so fresh's order is free
             for item, entries in fresh.items():
-                by_sid = candidates.get(item)
-                sup_i = 1 if by_sid is None else len(by_sid) + 1
+                pdb = candidates.get(item)
+                sup_i = 1 if pdb is None else len(pdb) + 1
                 if use_prop5 and prop5_prune(n, sup_i, sup_p, theta):
                     dead.add(item)
                     candidates.pop(item, None)
                     continue
-                if by_sid is None:
-                    candidates[item] = by_sid = {}
-                by_sid[si + 1] = entries
+                if pdb is None:
+                    candidates[item] = pdb = {}
+                pdb[si] = entries
                 scanned += 1
         counters = self.counters
         counters.nodes_visited += visited
-        counters.entries_created += created
+        counters.entries_created += hist[-1]
         counters.scanned_sequences += scanned
         counters.constraint_checks += sum(map(mul, hist, plan.constraint_checks))
         counters.info_probes += sum(map(mul, hist, plan.info_probes))
-        return [
-            (item, ProjectedDb(by_sid))
-            for item, by_sid in sorted(candidates.items())
-            if len(by_sid) >= theta
-        ]
+        return [(item, pdb) for item, pdb in sorted(candidates.items()) if len(pdb) >= theta]
 
     # -- emission and traversal ----------------------------------------------
 
-    def _witness_support(self, pdb: ProjectedDb) -> int:
+    def _witness_support(self, pdb: Projection) -> int:
         """Sequences owning an occurrence that satisfies every constraint.
 
         Returns 0 as soon as the threshold is out of reach; the exact count
         matters only for emitted patterns.
         """
         witness = self.plan.witness
-        passed = len(self.specs)
+        passed = len(self.plan.specs)
         count = checks = 0
-        left = pdb.support
-        for sid, entries in pdb.entries.items():
+        left = len(pdb)
+        for si, entries in pdb.items():
             left -= 1
             for entry in entries:
-                verdict = witness(sid - 1, entry)
+                verdict = witness(si, entry)
                 checks += verdict + 1 if verdict < passed else passed
                 if verdict == passed:
                     count += 1
@@ -256,7 +235,7 @@ class _ProjectionMiner:
         """Run the search with the cyclic garbage collector off.
 
         Mining forms no reference cycles: entries hold ints, per-item lists
-        and per-sid dicts hold entries, and nothing points back at a
+        and projections hold entries, and nothing points back at a
         container that holds it, so reference counting frees all of it.  The
         switch is process-wide while mining runs; the prior state is restored
         afterwards, so a caller that had the collector off keeps it off.
@@ -270,12 +249,12 @@ class _ProjectionMiner:
                 gc.enable()
         return out
 
-    def _dfs(self, base: list[tuple[int, ProjectedDb]], out: PatternSet) -> None:
+    def _dfs(self, base: list[tuple[int, Projection]], out: PatternSet) -> None:
         counters = self.counters
-        stack: list[tuple[tuple[int, ...], ProjectedDb, int]] = []
+        stack: list[tuple[tuple[int, ...], Projection, int]] = []
         live = 0
         for item, pdb in reversed(base):
-            stack.append(((item,), pdb, pdb.size))
+            stack.append(((item,), pdb, sum(map(len, pdb.values()))))
             live += stack[-1][2]
         counters.peak_entries = max(counters.peak_entries, live)
         while stack:
@@ -286,7 +265,7 @@ class _ProjectionMiner:
                 out.add(items, support)
                 counters.patterns_emitted += 1
             for item, child in reversed(self.extend(pdb)):
-                stack.append((items + (item,), child, child.size))
+                stack.append((items + (item,), child, sum(map(len, child.values()))))
                 live += stack[-1][2]
             counters.peak_entries = max(counters.peak_entries, live)
 
@@ -309,10 +288,10 @@ class MppMiner(_ProjectionMiner):
             raise ValueError("the diagram was built over another database")
         if set(mdd.imposed) != set(imposable(specs)):  # emission trusts the arcs
             raise ValueError("the diagram was built for other gap or item-set specs")
-        plan = StatPlan(db, specs, store)
-        super().__init__(db, specs, theta, plan, counters, use_prop5)
+        if store is not None and store.mdd is not mdd:  # admission trusts the records
+            raise ValueError("the information store was propagated over another diagram")
+        super().__init__(StatPlan(db, specs, store), theta, counters, use_prop5)
         self.mdd = mdd
-        self.store = store
 
     def _successors(self, si: int, dead: set[int]):
         return self.mdd.starts[si], self.mdd.succ[si]
@@ -333,8 +312,8 @@ def mine(
 
     The diagram must have been built over ``db`` itself with the
     pairwise-checkable subset of ``specs`` imposed, and ``store`` must hold
-    the information ``specs`` need (``propagate`` for them or a superset);
-    any mismatch is a ``ValueError``.  Mining runs in the calling thread.
+    the information ``specs`` need (``propagate`` over this diagram for them
+    or a superset); any mismatch is a ``ValueError``.  Mining runs in the calling thread.
     """
     # threads stays as a parameter only because perfbench/worker.py passes 1
     if threads != 1:

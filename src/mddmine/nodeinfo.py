@@ -120,11 +120,17 @@ _WIDTH = {"span": 2, "sum": 1, "avg": 2, "med": 3, "maxlen": 1}
 
 
 def _derive_needs(specs: SequenceT[ConstraintSpec]) -> tuple[tuple, ...]:
-    """The information keys the specs call for, in record order."""
+    """The information keys the specs call for, in record order.
+
+    ``max<=`` and ``min>=`` are anti-monotone: admission tests them on the
+    occurrence alone and, unlike ``span<=``, no gate reads their reachable
+    window, so they call for no span.
+    """
     keys: set[tuple] = set()
     for spec in specs:
         attr, kind, s = spec.attribute, spec.kind, _sign(spec.direction)
-        if kind in (Kind.SPAN, Kind.MAX, Kind.MIN):
+        if kind is Kind.SPAN or (kind in (Kind.MAX, Kind.MIN)
+                                 and classify(spec) is Monotonicity.MONOTONE):
             keys.add(("span", attr))
         elif kind is Kind.SUM:
             keys.add(("sum", attr, s))
@@ -160,16 +166,18 @@ def _sentinel_table(columns, sign: int) -> list[tuple[int, int]]:
 
 @dataclass
 class InfoStore:
-    """One information record per event, ``records[si][pos]``.
+    """One information record per event of ``mdd``, ``records[si][pos]``.
 
-    A record is a flat tuple: key ``k``'s information starts at slot
-    ``layout[k]``.  ``("span", attr)`` holds (lo, hi), ``("sum", attr, s)``
-    the oriented sum, ``("avg", attr, s, b)`` the pair (b1, b2), ``("med",
-    attr, s, b)`` the triple and ``("maxlen",)`` the longest path ahead;
-    keys are ordered by kind in that order, then sorted.  A spec list that
+    ``mdd`` is the diagram the records were propagated over.  A record is a
+    flat tuple: key ``k``'s information starts at slot ``layout[k]``.
+    ``("span", attr)`` holds (lo, hi), ``("sum", attr, s)`` the oriented
+    sum, ``("avg", attr, s, b)`` the pair (b1, b2), ``("med", attr, s, b)``
+    the triple and ``("maxlen",)`` the longest path ahead; keys are ordered
+    by kind in that order, then sorted.  A spec list that
     needs no information gets an empty layout and no records.
     """
 
+    mdd: Mdd
     layout: dict[tuple, int] = field(default_factory=dict)
     records: list[list[tuple]] = field(default_factory=list)
 
@@ -199,9 +207,9 @@ def propagate(
         raise ValueError("the diagram was built over another database")
     keys = _derive_needs(specs)
     if not keys:
-        return InfoStore()
+        return InfoStore(mdd)
     walk, layout = _compile_propagate(db, keys)
-    return InfoStore(layout, walk(mdd.succ))
+    return InfoStore(mdd, layout, walk(mdd.succ))
 
 
 def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
@@ -353,7 +361,7 @@ class StatPlan:
       several parents, admitted, and counted in ``hist`` by verdict: the
       index of the first spec whose test fails, or ``len(specs)`` when the
       entry stays.  It returns the admitted ``{item: [entry, ...]}`` with
-      the visited and created counts.
+      the visited count; ``hist[len(specs)]`` counts the admitted entries.
     * ``witness(si, entry)`` returns the index of the first spec the
       occurrence itself fails, or ``len(specs)``, exactly as
       ``check_occurrence`` would decide it.
@@ -421,7 +429,8 @@ class StatPlan:
             if missing:
                 raise ValueError("the information store was propagated for other "
                                  f"specs; it lacks {', '.join(missing)}")
-        self.span_attrs = tuple(k[1] for k in keys if k[0] == "span")
+        self.span_attrs = tuple(sorted({spec.attribute for spec in specs
+                                        if spec.kind in (Kind.SPAN, Kind.MAX, Kind.MIN)}))
         self.sum_keys = tuple(dict.fromkeys(k[1:3] for k in keys if k[0] in ("sum", "avg")))
         self.med_keys = tuple(k[1:] for k in keys if k[0] == "med")
         _compile(self, store)
@@ -590,7 +599,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             "fresh = {}",
             "seen = set()",
             "add = seen.add",
-            "visited = created = 0",
+            "visited = 0",
             # one parent's entries differ in their endpoints: only several repeat
             "several = len(parents) > 1",
             "for st in parents:",
@@ -628,8 +637,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             "            fresh[item] = [entry]",
             "        else:",
             "            got.append(entry)",
-            "        created += 1",
-            "return fresh, visited, created"]
+            "return fresh, visited"]
 
     plan.source, (plan.witness, plan.scan) = make([
         "    def witness(si, entry):", *_indent(wit, 2), f"        return {n}",

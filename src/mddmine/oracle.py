@@ -31,7 +31,7 @@ class PpccMiner(_ProjectionMiner):
         counters: MiningCounters | None = None,
         use_prop5: bool = True,
     ):
-        super().__init__(db, specs, theta, StatPlan(db, specs), counters, use_prop5)
+        super().__init__(StatPlan(db, specs), theta, counters, use_prop5)
         self._steps = _Steps(db, specs, self._items, self.counters)
 
     def _successors(self, si: int, dead: set[int]):

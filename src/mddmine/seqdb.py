@@ -2,13 +2,14 @@
 
 The database is a list of sequences stored column-wise: each sequence holds
 a tuple of item identifiers (non-negative integers) and, per declared
-attribute, one tuple of integer values aligned with the items.  The event at
-position j is ``items[j]`` with its values ``values[name][j]``; the same item
-may occur with different attribute values at different positions.  These
-tuples are the only copy of the data: ``attr_values`` and
-``AttributedDatabase.columns`` hand them out as they are.  When an ordering
-attribute is declared (typically ``time``), its values must be strictly
-increasing along each sequence.
+attribute, one tuple of integer values aligned with the items.  A sequence
+is addressed by its 0-based index in the list; its id in files and messages
+(``sid``) is that index + 1.  The event at position j is ``items[j]`` with
+its values ``values[name][j]``; the same item may occur with different
+attribute values at different positions.  These tuples are the only copy of
+the data: ``attr_values`` and ``AttributedDatabase.columns`` hand them out
+as they are.  When an ordering attribute is declared (typically ``time``),
+its values must be strictly increasing along each sequence.
 
 Two on-disk formats are understood:
 
@@ -56,12 +57,11 @@ class OrderingError(SeqDbError):
 
 @dataclass
 class Sequence:
-    """One ordered event sequence with a 1-based identifier.
+    """One ordered event sequence; its id is its index in the database + 1.
 
     ``values`` maps each attribute name to a tuple aligned with ``items``.
     """
 
-    sid: int
     items: tuple[int, ...]
     values: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
@@ -80,22 +80,20 @@ class AttributedDatabase:
 
     def __post_init__(self):
         self.attribute_names = tuple(self.attribute_names)
-        for idx, seq in enumerate(self.sequences, start=1):
-            if seq.sid != idx:
-                raise SeqDbError(f"sequence ids must be contiguous from 1, got {seq.sid} at {idx}")
+        for sid, seq in enumerate(self.sequences, start=1):
             if not seq.items:
-                raise SeqDbError(f"sequence {seq.sid} is empty")
+                raise SeqDbError(f"sequence {sid} is empty")
             if min(seq.items) < 0:
                 pos = next(p for p, item in enumerate(seq.items, start=1) if item < 0)
-                raise SeqDbError(f"negative item id at sid {seq.sid} pos {pos}")
+                raise SeqDbError(f"negative item id at sid {sid} pos {pos}")
             for name in self.attribute_names:
                 values = seq.values.get(name)
                 if values is None:
-                    raise SeqDbError(f"sequence {seq.sid} lacks attribute {name!r}")
+                    raise SeqDbError(f"sequence {sid} lacks attribute {name!r}")
                 if len(values) != len(seq.items):
                     raise SeqDbError(
                         f"attribute {name!r} has {len(values)} values for the "
-                        f"{len(seq.items)} items of sid {seq.sid}"
+                        f"{len(seq.items)} items of sid {sid}"
                     )
         if self.ordering_attribute is not None:
             if self.ordering_attribute not in self.attribute_names:
@@ -117,13 +115,13 @@ class AttributedDatabase:
 
 
 def _check_ordering(sequences: list[Sequence], name: str) -> None:
-    for seq in sequences:
+    for sid, seq in enumerate(sequences, start=1):
         values = seq.attr_values(name)
         for j in range(1, len(values)):
             if values[j] <= values[j - 1]:
                 raise OrderingError(
                     f"attribute {name!r} not strictly increasing in sequence "
-                    f"{seq.sid} at position {j + 1}"
+                    f"{sid} at position {j + 1}"
                 )
 
 
@@ -145,7 +143,7 @@ def make_database(
             problem = "no values for" if n_lists < n_seqs else "values for unknown"
             raise SeqDbError(f"attribute {name!r} has {problem} sid {sid}")
     sequences = [
-        Sequence(i + 1, tuple(items), {name: tuple(attrs[name][i]) for name in names})
+        Sequence(tuple(items), {name: tuple(attrs[name][i]) for name in names})
         for i, items in enumerate(item_lists)
     ]
     return AttributedDatabase(sequences, names, ordering_attribute)
@@ -194,7 +192,7 @@ def parse_spmf(text: str) -> AttributedDatabase:
             raise SpmfFormatError("missing -2 terminator", lineno)
         if not items:
             raise SpmfFormatError("sequence without events", lineno)
-        sequences.append(Sequence(len(sequences) + 1, tuple(items)))
+        sequences.append(Sequence(tuple(items)))
     return AttributedDatabase(sequences)
 
 
@@ -264,14 +262,14 @@ def attach_attributes(
     rows = sorted(table.rows)
     rows.append((math.inf, math.inf, ()))  # sorts after every event: rows run out at a gap
     width, sequences, end = len(table.names), [], 0
-    for seq in db.sequences:
+    for sid, seq in enumerate(db.sequences, start=1):
         start, end = end, end + len(seq)
         block = rows[start:end]
-        for pos, (sid, at, values) in enumerate(block, start=1):
-            if sid != seq.sid or at != pos or len(values) != width:
-                raise _coverage_error(rows, start + pos - 1, (seq.sid, pos), width)
+        for pos, (at_sid, at, values) in enumerate(block, start=1):
+            if at_sid != sid or at != pos or len(values) != width:
+                raise _coverage_error(rows, start + pos - 1, (sid, pos), width)
         columns = zip(*[values for _, _, values in block])
-        sequences.append(Sequence(seq.sid, seq.items, dict(zip(table.names, columns))))
+        sequences.append(Sequence(seq.items, dict(zip(table.names, columns))))
     if end < len(rows) - 1:
         raise _coverage_error(rows, end, rows[-1][:2], width)
     return AttributedDatabase(sequences, table.names, ordering_attribute)
@@ -365,7 +363,7 @@ def generate_attributes(
     rows = []
     for i, seq in enumerate(db.sequences):
         for j in range(len(seq)):
-            rows.append((seq.sid, j + 1, tuple(columns[name][i][j] for name in names)))
+            rows.append((i + 1, j + 1, tuple(columns[name][i][j] for name in names)))
     return AttributeTable(names, rows)
 
 

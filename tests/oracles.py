@@ -138,8 +138,8 @@ def scan_entry(plan, db, si: int, occ):
         parents = ((occ[-2], *definition_stats(plan, db, si, occ[:-1])),)
         starts, nexts = (), {occ[-2]: (occ[-1],)}
     hist = [0] * (len(plan.specs) + 1)
-    fresh, visited, _ = plan.scan(si, parents, starts, nexts, db.sequences[si].items,
-                                  set(), hist)
+    fresh, visited = plan.scan(si, parents, starts, nexts, db.sequences[si].items,
+                               set(), hist)
     return fresh, hist, visited
 
 

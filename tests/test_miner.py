@@ -60,13 +60,13 @@ class TestExtend:
         miner = self._miner(click_db, (), 2)
         base = dict(miner.root_candidates())
         pdb = base[B]
-        assert {sid: [pos for pos, *_ in entries] for sid, entries in pdb.entries.items()} \
-            == {1: [0, 1], 2: [0, 2]}
+        assert {si: [pos for pos, *_ in entries] for si, entries in pdb.items()} \
+            == {0: [0, 1], 1: [0, 2]}
         candidates = miner.extend(pdb)
-        # A reaches only sequence 2, so with theta=2 just B..B survives
+        # A reaches only the second sequence, so with theta=2 just B..B survives
         assert [item for item, _ in candidates] == [B]
         child = dict(candidates)[B]
-        assert sorted(child.entries) == [1, 2]
+        assert sorted(child) == [0, 1]
 
     def test_extension_for_c_under_gap_upper_bound(self, click_db):
         specs = (parse_constraint("gap(time)<=3"),)
@@ -74,15 +74,13 @@ class TestExtend:
         base = dict(miner.root_candidates())
         candidates = dict(miner.extend(base[C]))
         # A is reachable only through the larger prefix ending at position 2
-        assert [pos for pos, *_ in candidates[A].entries[3]] == [2]
+        assert [pos for pos, *_ in candidates[A][2]] == [2]
 
     def test_no_out_arcs_yields_nothing(self, click_db):
-        from mddmine import ProjectedDb
-
         miner = self._miner(click_db, (), 1)
         base = dict(miner.root_candidates())
-        # keep only the entry at the last position of sequence 3
-        pdb = ProjectedDb({3: base[A].entries[3]})
+        # keep only the entry at the last position of the third sequence
+        pdb = {2: base[A][2]}
         assert miner.extend(pdb) == []
 
 
@@ -130,7 +128,7 @@ class TestPlainSupportAbandonment:
         roots = dict(with_rule.root_candidates())
         assert dict(without.root_candidates()).keys() == roots.keys() == {B, C}
         assert on.entries_created == off.entries_created - events_of_a == 8 - events_of_a
-        assert roots[B].support == 3  # reaching theta exactly is enough
+        assert len(roots[B]) == 3  # reaching theta exactly is enough
         out = mine_mpp(db, (), 3)
         assert out == mine_bruteforce(db, (), 3)
         assert out.support((B,)) == 3 and (A,) not in out
@@ -176,6 +174,19 @@ class TestArguments:
         full = propagate(mdd, click_db, specs)
         assert mine(mdd, full, click_db, specs, 1) == mine_bruteforce(click_db, specs, 1)
 
+    @pytest.mark.parametrize("text", ["span(time)>=5", "length<=2"])
+    def test_store_propagated_over_another_diagram_rejected(self, click_db, text):
+        # the gap-bounded diagram reaches less than the free one, so its
+        # records would reject entries the free diagram keeps; a spec list
+        # that needs no information still gets a store of its diagram
+        specs = (parse_constraint(text),)
+        free = build_mdd(click_db, specs)
+        tight = build_mdd(click_db, (parse_constraint("gap(time)<=0"),))
+        with pytest.raises(ValueError, match="another diagram"):
+            mine(free, propagate(tight, click_db, specs), click_db, specs, 1)
+        own = propagate(free, click_db, specs)
+        assert mine(free, own, click_db, specs, 1) == mine_bruteforce(click_db, specs, 1)
+
     def test_database_other_than_the_diagrams_rejected(self):
         # same items, but db2's times break gap(t)<=5 between every two events
         db1 = make_database([[1, 2, 3]] * 2, {"t": [[1, 2, 3]] * 2}, "t")
@@ -194,6 +205,25 @@ class TestArguments:
         assert mine_mpp(click_db, (), 2, threads=1) == mine_mpp(click_db, (), 2)
         with pytest.raises(ValueError):
             mine_mpp(click_db, (), 2, threads=2)
+
+
+class TestProjectionOrder:
+    def test_projections_iterate_in_ascending_index_order(self):
+        # extend scans a projection in its iteration order, unsorted
+        checked = 0
+        for seed in range(80):
+            db, specs, theta = random_instance(seed)
+            mdd = build_mdd(db, specs)
+            store = propagate(mdd, db, specs)
+            for miner in (MppMiner(mdd, store, db, specs, theta),
+                          PpccMiner(db, specs, theta)):
+                todo = miner.root_candidates()
+                while todo:
+                    _, pdb = todo.pop()
+                    assert list(pdb) == sorted(pdb)
+                    checked += len(pdb) > 1
+                    todo += miner.extend(pdb)
+        assert checked > 500, checked
 
 
 @pytest.fixture
@@ -303,7 +333,7 @@ def reference_scan(plan, si, occurrences, source, dead):
     items = db.sequences[si].items
     fresh, seen = {}, set()
     hist = [0] * (len(plan.specs) + 1)
-    visited = created = gated = abandoned = repeated = 0
+    visited = gated = abandoned = repeated = 0
     for occ in occurrences:
         if occ is None:
             occ, succs = (), starts
@@ -326,8 +356,7 @@ def reference_scan(plan, si, occurrences, source, dead):
             hist[verdict] += 1
             if verdict == len(plan.specs):
                 fresh.setdefault(items[nxt], []).append(entry)
-                created += 1
-    return list(fresh.items()), hist, visited, created, gated, abandoned, repeated
+    return list(fresh.items()), hist, visited, gated, abandoned, repeated
 
 
 class TestScanKernel:
@@ -371,11 +400,11 @@ class TestScanKernel:
                                    (occ[-1], *definition_stats(plan, db, si, occ))
                                    for occ in occurrences]
                         hist = [0] * (len(specs) + 1)
-                        fresh, visited, created = plan.scan(
+                        fresh, visited = plan.scan(
                             si, parents, *miner._successors(si, dead), seq.items, dead, hist)
-                        assert [list(fresh.items()), hist, visited, created] == want
+                        assert [list(fresh.items()), hist, visited] == want
                         totals.update(gated=gated, abandoned=abandoned, repeated=repeated,
-                                      rejected=sum(hist[:-1]), admitted=created)
+                                      rejected=sum(hist[:-1]), admitted=hist[-1])
         # every branch of the kernel was taken
         assert min(totals.values()) > 50, totals
 
@@ -390,10 +419,10 @@ class TestScanKernel:
                 for si, seq in enumerate(db.sequences):
                     starts = list(miner._successors(si, set())[0])
                     hist = [0] * (len(specs) + 1)
-                    fresh, visited, created = plan.scan(
+                    fresh, visited = plan.scan(
                         si, _ROOT, *miner._successors(si, set()), seq.items, set(), hist)
                     got = sorted(entry for entries in fresh.values() for entry in entries)
-                    assert visited == created == len(starts)
+                    assert visited == hist[-1] == len(starts)
                     assert got == [(pos, *definition_stats(plan, db, si, (pos,)))
                                    for pos in starts]
 

@@ -113,9 +113,10 @@ class TestExtendableExamples:
         assert _admitted_with_window([5, 3, 9], (0,), "min(x)<=3") == (True, (3, 9))
         # occurrence (5, 6), reachable (5, 9)
         assert _admitted_with_window([6, 5, 9], (0, 1), "min(x)<=3") == (False, (5, 9))
-        assert _admitted_with_window([5, 3, 9], (0,), "max(x)<=5") == (True, (3, 9))
-        # occurrence (5, 7), reachable (3, 9)
-        assert _admitted_with_window([7, 5, 3, 9], (0, 1), "max(x)<=5") == (False, (3, 9))
+        # max<= is tested on the occurrence alone: no window is stored
+        assert _admitted_with_window([5, 3, 9], (0,), "max(x)<=5") == (True, None)
+        # occurrence (5, 7)
+        assert _admitted_with_window([7, 5, 3, 9], (0, 1), "max(x)<=5") == (False, None)
 
     def test_med_positive_balance(self, click_db):
         mdd = build_mdd(click_db)
@@ -511,6 +512,22 @@ class TestRecordLayout:
         store = propagate(Untouchable(), click_db, specs)
         assert store.layout == {} and store.records == []
         assert dump_info_tsv(store) == "sid\tpos\tinfo\tvalues\n"
+
+    @pytest.mark.parametrize("texts, layout", [
+        (("max(x)<=5",), {}),
+        (("min(x)>=5",), {}),
+        (("max(x)<=5", "min(x)>=1"), {}),
+        (("max(x)<=5", "span(x)<=9"), {("span", "x"): 0}),
+        (("min(x)>=5", "span(x)>=1"), {("span", "x"): 0}),
+        (("max(x)<=5", "max(x)>=1"), {("span", "x"): 0}),
+        (("min(x)>=5", "min(x)<=9"), {("span", "x"): 0}),
+    ])
+    def test_span_only_where_read(self, texts, layout):
+        # max<= and min>= are tested on the occurrence; only span, max>=
+        # and min<= read the reachable window
+        db = make_database([[1, 2]], {"x": [[3, 7]]})
+        specs = tuple(map(parse_constraint, texts))
+        assert propagate(build_mdd(db, specs), db, specs).layout == layout
 
     def test_subset_slots_equal_full_store(self):
         # perfbench's per-kind propagate metrics run on spec subsets and must

@@ -16,10 +16,13 @@ import worker  # noqa: E402
 from workloads import WORKLOADS, ensure_inputs, family_at, sha256_text  # noqa: E402
 
 
-def test_query_job_on_smoke_inputs(tmp_path):
-    workload = WORKLOADS["clicks-s3"]
+def _smoke_args(tmp_path, workload):
     inputs = ensure_inputs(tmp_path, family_at(workload.family, "smoke"), 1, "smoke")
-    args = {"workload": workload.name, "spmf": str(inputs.spmf), "tsv": str(inputs.tsv)}
+    return {"workload": workload.name, "spmf": str(inputs.spmf), "tsv": str(inputs.tsv)}
+
+
+def test_query_job_on_smoke_inputs(tmp_path):
+    args = _smoke_args(tmp_path, WORKLOADS["clicks-s3"])
     out = worker.query_job(args)
     assert {"setup_s", "index_s", "mine_s", "query_s", "peak_rss_mb"} <= set(out)
     assert set(out["counters"]) == {f.name for f in fields(MiningCounters)}
@@ -27,3 +30,16 @@ def test_query_job_on_smoke_inputs(tmp_path):
     db = worker.load_db(args)
     specs, theta = worker._setting(args, db)
     assert out["sha256"] == sha256_text(mine_ppcc(db, specs, theta).render())
+
+
+def test_traced_job_counts_what_the_query_job_counts(tmp_path):
+    # the traced run mines through perfbench's MppMiner subclass, which
+    # must count and emit exactly what the package's mine does
+    for name, workload in WORKLOADS.items():
+        args = _smoke_args(tmp_path, workload)
+        query = worker.query_job(args)
+        traced = worker.traced_job({**args, "oracle": True, "run_id": name,
+                                    "trace_path": str(tmp_path / f"{name}.jsonl")})
+        assert traced["counters"] == query["counters"], name
+        assert traced["sha256"] == query["sha256"] == traced["oracle"]["sha256"], name
+        assert query["patterns"] > 0, name

@@ -31,7 +31,6 @@ class TestParseSpmf:
     def test_two_sequences(self):
         db = parse_spmf("1 -1 2 -1 -2\n3 -1 -2")
         assert [seq.items for seq in db.sequences] == [(1, 2), (3,)]
-        assert [seq.sid for seq in db.sequences] == [1, 2]
 
     def test_empty_input(self):
         db = parse_spmf("")
