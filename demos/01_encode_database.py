@@ -56,8 +56,14 @@ print("structure valid:", report.ok)
 # first sequence (times 1 and 3) disappears, while the layer-skipping B..B
 # step of the second sequence (times 3 and 9) survives.
 gapped = build_mdd(db, (parse_constraint("gap(time)>=3"),))
-print("\nsuccessors without the bound:", mdd.succ[0], mdd.succ[1])
-print("successors with gap(time)>=3:", gapped.succ[0], gapped.succ[1])
+# A row is a window range(a, b) of later positions unless an item set or a
+# gap bound on another attribute filters it; print the positions themselves.
+def rows(table):
+    return [list(row) for row in table]
+
+
+print("\nsuccessors without the bound:", rows(mdd.succ[0]), rows(mdd.succ[1]))
+print("successors with gap(time)>=3:", rows(gapped.succ[0]), rows(gapped.succ[1]))
 
 # The DOT export draws layer-skipping arcs dashed, like the figures one draws
 # by hand.  Feed it to graphviz: dot -Tpng -o mdd.png <file>

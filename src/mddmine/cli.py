@@ -9,15 +9,15 @@ Subcommands::
     mddmine export-dot --db clicks.spmf --attrs clicks.tsv --output clicks.dot
 
 Minimum support is an absolute count, or a fraction of the sequence count
-when it contains a decimal point (converted by ceiling, so 4% of 80 rounds
-up to 4).  Scenario presets install fixed constraint sets over time, price,
-and quality attributes.  With ``--emit-stats`` a run report (phase wall
-times and miner counters, tab-separated) is written next to the output; it
-leaves out what the selected miner does not measure: ``ppcc`` builds no
-diagram and propagates nothing, and ``brute`` keeps no counters.
-An option the selected path would ignore (``--max-len`` without ``--miner
-brute``, ``--disable-prop5`` with it, ``--ordering-attr`` without
-``--attrs``) is an argument error.
+when it contains a decimal point or is written ``a/b`` (converted by
+ceiling, so 0.04 or 1/25 of 80 rounds up to 4).  Scenario presets install
+fixed constraint sets over time, price, and quality attributes.  With
+``--emit-stats`` a run report (phase wall times and miner counters,
+tab-separated) is written next to the output; it leaves out what the
+selected miner does not measure: ``ppcc`` builds no diagram and propagates
+nothing, and ``brute`` keeps no counters.  An option the selected path
+would ignore (``--max-len`` without ``--miner brute``, ``--disable-prop5``
+with it, ``--ordering-attr`` without ``--attrs``) is an argument error.
 """
 from __future__ import annotations
 
@@ -66,7 +66,10 @@ SCENARIOS = {
 def _parse_min_support(text: str):
     """Return ("abs", n) or ("frac", fraction); raise ValueError if invalid."""
     if "." in text or "/" in text:
-        frac = Fraction(text)
+        try:
+            frac = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"fractional minimum support {text!r} divides by zero") from None
         if not 0 < frac <= 1:
             raise ValueError("fractional minimum support must be in (0, 1]")
         return ("frac", frac)
@@ -244,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="mine frequent constrained patterns")
     add_common(p)
     p.add_argument("--min-sup", required=True,
-                   help="absolute count, or fraction of N if it contains '.'")
+                   help="absolute count, or fraction of N such as 0.01 or 1/100")
     p.add_argument("--constraint", action="append", default=[],
                    help="e.g. 'gap(time)>=30', 'itemset{1,5,9}'; repeatable")
     p.add_argument("--scenario", type=int, choices=sorted(SCENARIOS),

@@ -12,13 +12,13 @@ exactly these events are live and reach the terminal.
 
 ``build_mdd`` computes only the compact per-sequence successor tables
 (`succ`, `starts`) over the database's columns, and these tables with the
-columns are the diagram's only representation; mining walks the
-tables and never forms a node.  Since the ordering attribute strictly
-increases, the gap bounds on it cut each successor row out of the later
-positions as one window, found by bisection rather than by testing each
-later event.  The layers, labels and arcs are views that ``Mdd`` reads
-from the tables and the columns on every call, for structure queries and
-DOT export; nothing is cached, so no second copy can drift.
+columns are the diagram's only representation; mining walks the tables and
+never forms a node.  Since the ordering attribute strictly increases, the
+gap bounds on it cut each successor row out of the later positions as one
+window, found by bisection and kept as a ``range`` unless an item set or a
+gap bound on another attribute filters it.  The layers, labels and arcs are
+views that ``Mdd`` reads from the tables and the columns on every call, for
+structure queries and DOT export; nothing is cached, so no copy can drift.
 """
 from __future__ import annotations
 
@@ -56,10 +56,11 @@ class Mdd:
         self.db = db
         self.n_layers = max((len(seq) for seq in db.sequences), default=0)
         self.imposed = imposed
-        #: per sequence index: tuple over 0-based positions of successor tuples
-        self.succ: list[tuple[tuple[int, ...], ...]] = []
+        #: per sequence index: tuple over 0-based positions of successor rows,
+        #: windows ``range(a, b)`` unless filtered, then tuples
+        self.succ: list[tuple[SequenceT[int], ...]] = []
         #: per sequence index: positions of the live events, which start a pattern
-        self.starts: list[tuple[int, ...]] = []
+        self.starts: list[SequenceT[int]] = []
 
     def layer_items(self, layer: int) -> list[int]:
         """The items of the layer's nodes, ascending."""
@@ -102,8 +103,9 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
     rejects it otherwise), so the gap bounds ``[lo, hi]`` on it admit exactly
     the later positions ``k`` with ``x_j + lo <= x_k <= x_j + hi``: one
     contiguous window ``[a, b)`` of the column, found by two bisections.  A
-    row is that window, filtered by liveness and by the gap bounds on other
-    attributes only when an item set or such a bound is imposed.
+    row is stored as ``range(a, b)``, and ``starts`` as ``range(length)``;
+    only when an item set or a gap bound on another attribute is imposed is
+    the window filtered by liveness and those bounds into a tuple.
     """
     require_known_attributes(specs, db.attribute_names)
     rules = pairwise_rules(specs)
@@ -125,7 +127,7 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
         ord_col = seq.attr_values(ordering) if ordering is not None else None
         checks = [(seq.attr_values(attr), lo, hi) for attr, lo, hi in others]
         alive = [allowed is None or item in allowed for item in items]
-        succ_rows: list[tuple[int, ...]] = [()] * length
+        succ_rows: list[SequenceT[int]] = [()] * length
         for j in range(length):
             if not alive[j]:
                 continue
@@ -141,9 +143,10 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
                         and (hi is None or col[k] - col[j] <= hi)
                         for col, lo, hi in checks))
             else:
-                succ_rows[j] = tuple(range(a, b))
+                succ_rows[j] = range(a, b)
         mdd.succ.append(tuple(succ_rows))
-        mdd.starts.append(tuple(j for j in range(length) if alive[j]))
+        mdd.starts.append(range(length) if allowed is None
+                          else tuple(j for j in range(length) if alive[j]))
     return mdd
 
 

@@ -13,19 +13,20 @@ gap and item-set rules are already enforced by the diagram's arcs.
 
 Candidate items for extending a pattern are collected by scanning each live
 entry's successors, sequence by sequence in ascending index order.  One call
-of the plan's generated ``scan`` kernel does a sequence: it extends every
-parent entry along the successor source (the diagram's tables here, the
-raw-row step scan in ``mine_ppcc``), deduplicates, admits, and returns the
-admitted entries per item; the root scan runs it from the empty occurrence.
-Items whose plain sequence support is below the threshold are abandoned
-before any scan, and between sequences an item whose remaining attainable
-support provably falls below the threshold is abandoned too
-(`prop5_prune`).  An abandoned successor costs one set lookup and gets no
-entry; neither rule changes the mined output.  A pattern is emitted when
-enough sequences own an entry whose ``witness`` verdict passes every
-constraint; entries that are not witnesses yet stay in the projection in
-case an extension completes them.  The search is one depth-first traversal
-in the calling thread, with the cyclic garbage collector off.
+of the plan's generated ``scan`` kernel does a whole projection: per
+sequence it extends every parent entry along the successor tables (the
+diagram's here, the raw-row step scan in ``mine_ppcc``), deduplicates,
+admits, and files the admitted entries under their items; the root scan
+runs it from the empty occurrence.  Items whose plain sequence support is
+below the threshold are abandoned before any scan, and between sequences
+an item whose remaining attainable support provably falls below the
+threshold is abandoned too (`prop5_prune`, inlined in the kernel).  An
+abandoned successor costs one set lookup and gets no entry; neither rule
+changes the mined output.  A pattern is emitted when enough sequences own an
+entry whose ``witness`` verdict passes every constraint; entries that are
+not witnesses yet stay in the projection in case an extension completes
+them.  The search is one depth-first traversal in the calling thread, with
+the cyclic garbage collector off.
 
 Statistics, admission, the scan gate, ``witness`` and the kernel are
 compiled by ``StatPlan`` for the spec list (and the diagram miner's store).
@@ -152,10 +153,10 @@ class _ProjectionMiner:
 
     # -- hooks -------------------------------------------------------------
 
-    def _successors(self, si: int, dead: set[int]):
-        """``(starts, nexts)`` of sequence ``si`` for ``StatPlan.scan``: the
-        root scan's positions, and ``nexts[pos]`` the positions one step
-        after ``pos``.  Positions of items in ``dead`` may be left out."""
+    def _tables(self, dead: set[int]):
+        """``(STARTS, NEXTS)`` for ``StatPlan.scan``: ``STARTS[si]`` holds the
+        root scan's positions of sequence ``si`` and ``NEXTS[si][pos]`` those
+        one step after ``pos``; positions of items in ``dead`` may be left out."""
         raise NotImplementedError
 
     # -- candidate generation ----------------------------------------------
@@ -169,41 +170,20 @@ class _ProjectionMiner:
         """Candidate extension items with their projections, threshold-filtered."""
         return self._scan_candidates(pdb.items(), len(pdb))
 
-    def _scan_candidates(self, per_seq_parents, sup_p: int):
-        theta = self.theta
-        use_prop5 = self.use_prop5
-        plan = self.plan
-        scan, successors, all_items = plan.scan, self._successors, self._items
-        candidates: dict[int, Projection] = {}
+    def _scan_candidates(self, projection, sup_p: int):
+        plan, use_prop5 = self.plan, self.use_prop5
         dead: set[int] = set(self._infrequent) if use_prop5 else set()
         hist = [0] * (len(plan.specs) + 1)  # admission verdicts
-        n = visited = scanned = 0
-        for si, parents in per_seq_parents:
-            n += 1
-            starts, nexts = successors(si, dead)
-            fresh, visits = scan(si, parents, starts, nexts, all_items[si], dead, hist)
-            visited += visits
-            # an item's support so far is the number of sequences its
-            # candidate holds; its decision reads only that, n and sup_p, and
-            # the candidates are sorted on return, so fresh's order is free
-            for item, entries in fresh.items():
-                pdb = candidates.get(item)
-                sup_i = 1 if pdb is None else len(pdb) + 1
-                if use_prop5 and prop5_prune(n, sup_i, sup_p, theta):
-                    dead.add(item)
-                    candidates.pop(item, None)
-                    continue
-                if pdb is None:
-                    candidates[item] = pdb = {}
-                pdb[si] = entries
-                scanned += 1
+        candidates, visited, scanned = plan.scan(
+            projection, *self._tables(dead), self._items, dead, hist,
+            use_prop5, sup_p - self.theta)
         counters = self.counters
         counters.nodes_visited += visited
         counters.entries_created += hist[-1]
         counters.scanned_sequences += scanned
         counters.constraint_checks += sum(map(mul, hist, plan.constraint_checks))
         counters.info_probes += sum(map(mul, hist, plan.info_probes))
-        return [(item, pdb) for item, pdb in sorted(candidates.items()) if len(pdb) >= theta]
+        return [(i, pdb) for i, pdb in sorted(candidates.items()) if len(pdb) >= self.theta]
 
     # -- emission and traversal ----------------------------------------------
 
@@ -293,8 +273,8 @@ class MppMiner(_ProjectionMiner):
         super().__init__(StatPlan(db, specs, store), theta, counters, use_prop5)
         self.mdd = mdd
 
-    def _successors(self, si: int, dead: set[int]):
-        return self.mdd.starts[si], self.mdd.succ[si]
+    def _tables(self, dead: set[int]):
+        return self.mdd.starts, self.mdd.succ
 
 
 def mine(

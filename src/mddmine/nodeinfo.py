@@ -30,7 +30,7 @@ event's own attribute value, so the tests subtract it from the pattern side
 over the occurrence excluding its final event.
 
 ``StatPlan`` compiles a spec list once into straight-line Python: the
-statistics are one flat tuple, and the miners' per-sequence ``scan`` kernel
+statistics are one flat tuple, and the miners' per-projection ``scan`` kernel
 and the emission test ``witness`` are generated with columns, bounds and the
 store's records bound as constants, so no per-entry work dispatches on the
 constraint kind.  ``med_fold`` and ``med_dominates`` state the median step
@@ -353,15 +353,17 @@ class StatPlan:
     Two functions are generated as Python source (kept in ``source``) with
     columns, signs, bounds and the store's records bound as constants:
 
-    * ``scan(si, parents, starts, nexts, items, dead, hist)`` is the miners'
-      loop over one sequence.  ``parents`` are entries; each that passes the
-      gate is extended to every position of ``nexts[endpoint]`` whose item
-      is not in ``dead``, building the new stats in O(1) with median folds
-      inlined.  New entries are deduplicated with one hash when there are
-      several parents, admitted, and counted in ``hist`` by verdict: the
-      index of the first spec whose test fails, or ``len(specs)`` when the
-      entry stays.  It returns the admitted ``{item: [entry, ...]}`` with
-      the visited count; ``hist[len(specs)]`` counts the admitted entries.
+    * ``scan(projection, STARTS, NEXTS, ITEMS, dead, hist, prop5, limit)``
+      is the miners' loop over a projection's ``(si, parents)`` pairs.  Each
+      parent entry that passes the gate is extended to every position of
+      ``NEXTS[si][endpoint]`` whose item is not in ``dead``, building the new
+      stats in O(1) with median folds inlined.  New entries are deduplicated
+      with one hash when there are several parents, admitted, and counted in
+      ``hist`` by verdict: the index of the first spec whose test fails, or
+      ``len(specs)`` when the entry stays.  After each sequence, with
+      ``prop5``, an item that ``prop5_prune`` abandons (``limit = sup_p -
+      theta``) joins ``dead`` and loses its entries.  It returns
+      ``({item: {si: [entry, ...]}}, visited, scanned)``.
     * ``witness(si, entry)`` returns the index of the first spec the
       occurrence itself fails, or ``len(specs)``, exactly as
       ``check_occurrence`` would decide it.
@@ -390,8 +392,8 @@ class StatPlan:
     identity, the empty occurrence: ``ln`` 0, each span's ``(lo, hi)``
     (+inf, -inf), which the first event replaces by its value, zero sums,
     and median triples ``(0, e, f)`` of the oriented column's sentinels with
-    nothing to fold.  It has no gate and reads ``starts`` instead of
-    ``nexts``.
+    nothing to fold.  It has no gate and reads ``STARTS[si]`` instead of
+    ``NEXTS[si]``.
 
     ``witness`` needs only the endpoint and the stats: on an occurrence that
     follows arcs (or the baseline's step scan) every gap and item-set rule
@@ -465,7 +467,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     stats = ", ".join(fields)
     punpack = "old, " + ", ".join(f if f[0] == "m" else "p" + f for f in fields) + " = st"
     value_attrs = dict.fromkeys(list(plan.span_attrs) + [a for a, _ in plan.sum_keys])
-    # scan hoists each column's row of the sequence into c<i>
+    # scan hoists each column's row of a sequence into c<i>
     used = dict.fromkeys(list(value_attrs) + [k[0] for k in plan.med_keys])
     hoists = [f"c{i} = {col[a]}[si]" for i, a in enumerate(used)]
     hoisted = {a: f"c{i}" for i, a in enumerate(used)}
@@ -595,53 +597,69 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
 
     n = len(plan.specs)
     # parent work happens once per parent; the root's parent is the identity
-    scan = [*hoists,
-            "fresh = {}",
-            "seen = set()",
-            "add = seen.add",
-            "visited = 0",
+    scan = ["candidates = {}",
+            "visited = scanned = n = 0",
+            "for si, parents in projection:",
+            "    n += 1",
+            "    starts, nexts, items = STARTS[si], NEXTS[si], ITEMS[si]",
+            *_indent(hoists, 1),
+            "    fresh = {}",
+            "    seen = set()",
+            "    add = seen.add",
             # one parent's entries differ in their endpoints: only several repeat
-            "several = len(parents) > 1",
-            "for st in parents:",
-            "    if st is None:",
-            "        succs = starts",
-            *_indent(identity, 2),
-            "    else:",
-            f"        {punpack}",
-            *_indent(gate, 2),
-            *_indent(fold, 2),
-            "        succs = nexts[old]",
-            "    ln = pln + 1",
-            *_indent(head, 1),
-            "    for new in succs:",
-            "        visited += 1",
-            "        item = items[new]",
-            "        if item in dead:",
-            "            continue",
-            *_indent(step, 2),
-            f"        entry = (new, {stats})",
-            "        if several:",
-            "            size = len(seen)",
-            "            add(entry)",
-            "            if len(seen) == size:",
-            "                continue",
-            "        while True:",
-            *_indent(adm, 3),
-            f"            v = {n}",
-            "            break",
-            "        hist[v] += 1",
-            f"        if v != {n}:",
-            "            continue",
-            "        got = fresh.get(item)",
-            "        if got is None:",
-            "            fresh[item] = [entry]",
+            "    several = len(parents) > 1",
+            "    for st in parents:",
+            "        if st is None:",
+            "            succs = starts",
+            *_indent(identity, 3),
             "        else:",
-            "            got.append(entry)",
-            "return fresh, visited"]
+            f"            {punpack}",
+            *_indent(gate, 3),
+            *_indent(fold, 3),
+            "            succs = nexts[old]",
+            "        ln = pln + 1",
+            *_indent(head, 2),
+            "        for new in succs:",
+            "            visited += 1",
+            "            item = items[new]",
+            "            if item in dead:",
+            "                continue",
+            *_indent(step, 3),
+            f"            entry = (new, {stats})",
+            "            if several:",
+            "                size = len(seen)",
+            "                add(entry)",
+            "                if len(seen) == size:",
+            "                    continue",
+            "            while True:",
+            *_indent(adm, 4),
+            f"                v = {n}",
+            "                break",
+            "            hist[v] += 1",
+            f"            if v != {n}:",
+            "                continue",
+            "            got = fresh.get(item)",
+            "            if got is None:",
+            "                fresh[item] = [entry]",
+            "            else:",
+            "                got.append(entry)",
+            # Prop. 5 reads n and the number of sequences a candidate holds
+            "    for item, entries in fresh.items():",
+            "        pdb = candidates.get(item)",
+            "        if prop5 and n - (1 if pdb is None else len(pdb) + 1) > limit:",
+            "            dead.add(item)",
+            "            candidates.pop(item, None)",
+            "            continue",
+            "        if pdb is None:",
+            "            candidates[item] = pdb = {}",
+            "        pdb[si] = entries",
+            "        scanned += 1",
+            "return candidates, visited, scanned"]
 
     plan.source, (plan.witness, plan.scan) = make([
         "    def witness(si, entry):", *_indent(wit, 2), f"        return {n}",
-        "    def scan(si, parents, starts, nexts, items, dead, hist):", *_indent(scan, 2),
+        "    def scan(projection, STARTS, NEXTS, ITEMS, dead, hist, prop5, limit):",
+        *_indent(scan, 2),
         "    return witness, scan",
     ])
 

@@ -32,16 +32,27 @@ class PpccMiner(_ProjectionMiner):
         use_prop5: bool = True,
     ):
         super().__init__(StatPlan(db, specs), theta, counters, use_prop5)
-        self._steps = _Steps(db, specs, self._items, self.counters)
+        self._table = _StepTable(_Steps(db, specs, self._items, self.counters))
 
-    def _successors(self, si: int, dead: set[int]):
-        steps = self._steps
-        steps.si, steps.dead = si, dead
-        return steps, steps
+    def _tables(self, dead: set[int]):
+        self._table.steps.dead = dead
+        return self._table, self._table
+
+
+class _StepTable:
+    """``table[si]`` points the miner's one ``_Steps`` at sequence ``si`` and
+    returns it, so the table serves ``StatPlan.scan`` as STARTS and NEXTS."""
+
+    def __init__(self, steps: _Steps):
+        self.steps = steps
+
+    def __getitem__(self, si: int) -> _Steps:
+        self.steps.si = si
+        return self.steps
 
 
 class _Steps:
-    """The miner's one step source, pointed at a sequence by ``_successors``.
+    """The miner's one step source, pointed at a sequence by ``_StepTable``.
 
     Iterating it yields the root scan's positions of sequence ``si``, and
     ``steps[pos]`` the positions one ppcc step reaches from ``pos``.  Both

@@ -127,7 +127,8 @@ def definition_stats(plan, db, si: int, positions):
 
 
 def scan_entry(plan, db, si: int, occ):
-    """``plan.scan`` on the one entry whose occurrence is ``occ``: the parent
+    """``plan.scan`` on the one entry whose occurrence is ``occ``: a
+    one-sequence projection, without Prop. 5, over dict tables.  The parent
     is ``occ[:-1]`` with ``definition_stats``, stepping to ``occ[-1]`` alone,
     and a one-event occurrence is the root parent's entry at the start
     ``occ[0]``.  Returns the admitted entries by item, the verdict
@@ -138,8 +139,10 @@ def scan_entry(plan, db, si: int, occ):
         parents = ((occ[-2], *definition_stats(plan, db, si, occ[:-1])),)
         starts, nexts = (), {occ[-2]: (occ[-1],)}
     hist = [0] * (len(plan.specs) + 1)
-    fresh, visited = plan.scan(si, parents, starts, nexts, db.sequences[si].items,
-                               set(), hist)
+    candidates, visited, _ = plan.scan(
+        ((si, parents),), {si: starts}, {si: nexts}, {si: db.sequences[si].items},
+        set(), hist, False, 0)
+    fresh = {item: pdb[si] for item, pdb in candidates.items()}
     return fresh, hist, visited
 
 

@@ -55,6 +55,15 @@ class TestMine:
                   "--min-sup", "0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("text", ["1/0", "3/00"])
+    def test_zero_denominator_is_an_argument_error(self, click_files, text, capsys):
+        spmf, attrs = click_files
+        with pytest.raises(SystemExit) as err:
+            main(["mine", "--db", str(spmf), "--attrs", str(attrs), "--min-sup", text])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "divides by zero" in stderr and "Traceback" not in stderr
+
     def test_disable_prop5_identical_output(self, click_files, tmp_path):
         base = run_mine(click_files, tmp_path, "--min-sup", "1")
         off = run_mine(click_files, tmp_path, "--min-sup", "1", "--disable-prop5")
@@ -201,6 +210,9 @@ class TestMinSupportParsing:
         with pytest.raises(ValueError):
             _parse_min_support("1.5")
         assert _parse_min_support("1.0") == ("frac", Fraction(1))
+        assert _parse_min_support("1/25") == ("frac", Fraction(1, 25))
+        with pytest.raises(ValueError):
+            _parse_min_support("1/0")
 
 
 class TestOtherCommands:

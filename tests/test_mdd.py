@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -38,8 +39,8 @@ class TestBuildUnconstrained:
     def test_single_sequence_complete_reachability(self):
         db = make_database([[1, 2, 3]])
         mdd = build_mdd(db)
-        assert mdd.succ[0] == ((1, 2), (2,), ())
-        assert mdd.starts[0] == (0, 1, 2)
+        assert tuple(map(tuple, mdd.succ[0])) == ((1, 2), (2,), ())
+        assert tuple(mdd.starts[0]) == (0, 1, 2)
         arcs = mdd.arcs()
         root_targets = [target for source, target in arcs if source == (0, ROOT_ITEM)]
         assert root_targets == [(1, 1), (2, 2), (3, 3)]
@@ -73,9 +74,9 @@ class TestBuildConstrained:
     def test_gap_lower_bound_arcs(self, click_db):
         mdd = build_mdd(click_db, (parse_constraint("gap(time)>=3"),))
         # first sequence: gap 3-1=2 below the bound, no arc
-        assert mdd.succ[0] == ((), ())
+        assert tuple(map(tuple, mdd.succ[0])) == ((), ())
         # second sequence: B at layer 1 reaches B at layer 3 (gap 6)
-        assert mdd.succ[1][0] == (1, 2)
+        assert tuple(mdd.succ[1][0]) == (1, 2)
         arcs = mdd.arcs()
         assert 1 not in arcs.get(((1, B), (2, B)), [])
         assert 2 in arcs[((1, B), (3, B))]
@@ -83,7 +84,7 @@ class TestBuildConstrained:
     def test_gap_upper_bound_larger_prefix_case(self, click_db):
         mdd = build_mdd(click_db, (parse_constraint("gap(time)<=3"),))
         # third sequence times 2, 5, 8: C@1 reaches only C@2; C@2 reaches A@3
-        assert mdd.succ[2] == ((1,), (2,), ())
+        assert tuple(map(tuple, mdd.succ[2])) == ((1,), (2,), ())
 
     def test_item_set_removes_arcs_and_starts(self, click_db):
         mdd = build_mdd(click_db, (parse_constraint("itemset{2}"),))
@@ -117,6 +118,10 @@ class TestBuildConstrained:
                             delta = cols[attr][nxt] - cols[attr][pos]
                             assert lo is None or delta >= lo
                             assert hi is None or delta <= hi
+
+
+def _as_tuples(succ):
+    return [tuple(map(tuple, table)) for table in succ]
 
 
 class TestWindowBuild:
@@ -158,12 +163,38 @@ class TestWindowBuild:
                 mdd = build_mdd(db, specs)
                 report = validate(mdd, db)
                 assert report.ok, report.problems
-                assert mdd.succ == self._pairwise_table(db, specs)
+                assert _as_tuples(mdd.succ) == self._pairwise_table(db, specs)
                 rows = [row for table in mdd.succ for row in table]
                 if ordered and hi is not None and hi <= 0:
                     assert not any(rows)  # the ordering deltas are all >= 1
                 arcs += sum(map(len, rows))
         assert arcs > 0
+
+    def test_rows_are_windows_unless_filtered(self):
+        rng = random.Random(17)
+        kinds = Counter()
+        for lo, hi in self.BOUNDS:
+            for filters in ((), ("items",), ("gap",), ("items", "gap")):
+                db = random_db(rng, n_max=8, len_max=9, n_attrs=2, with_ordering=True)
+                specs = [ConstraintSpec(Kind.GAP, attribute="t", direction=direction, c=c)
+                         for direction, c in ((GE, lo), (LE, hi)) if c is not None]
+                if "items" in filters:
+                    items = sorted(db.item_universe)[::2]
+                    specs.append(ConstraintSpec(Kind.ITEM_SET, items=frozenset(items)))
+                if "gap" in filters:
+                    specs.append(ConstraintSpec(Kind.GAP, attribute="p", direction=GE,
+                                                c=rng.randint(-8, 8)))
+                mdd = build_mdd(db, specs)
+                assert _as_tuples(mdd.succ) == self._pairwise_table(db, specs)
+                row_type = tuple if filters else range
+                for seq, table, starts in zip(db.sequences, mdd.succ, mdd.starts):
+                    assert all(type(row) is row_type for row in table)
+                    if "items" in filters:
+                        assert type(starts) is tuple
+                    else:
+                        assert starts == range(len(seq))
+                    kinds[row_type] += len(table)
+        assert min(kinds[range], kinds[tuple]) > 100, kinds
 
 
 class TestValidate:
@@ -195,6 +226,14 @@ class TestValidate:
         rows[0] = (1,)  # reinstate an arc the gap bound forbids
         mdd.succ[0] = tuple(rows)
         assert not validate(mdd, click_db).ok
+
+    def test_widened_window_detected(self, click_db):
+        mdd = build_mdd(click_db, (parse_constraint("gap(time)<=3"),))
+        rows = list(mdd.succ[2])  # third sequence, times 2, 5, 8
+        assert rows[0] == range(1, 2)
+        rows[0] = range(1, 3)  # the arc 1->3 spans a gap of 6
+        mdd.succ[2] = tuple(rows)
+        assert validate(mdd, click_db).problems == ["sid 3: forbidden arc 1->3"]
 
     def test_checks_arcs_without_rebuilding(self, click_db, monkeypatch):
         real_rules = mdd_module.pairwise_rules

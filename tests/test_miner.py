@@ -3,6 +3,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import astuple
+from operator import mul
 
 import pytest
 
@@ -321,7 +322,16 @@ class TestMonotoneHandling:
                     assert supports[prefix] >= support
 
 
-def reference_scan(plan, si, occurrences, source, dead):
+def scan_sequence(miner, si, parents, dead, hist):
+    """``plan.scan`` over the one-sequence projection ``{si: parents}`` on
+    the miner's own tables, without Prop. 5: the admitted entries by item
+    and the visited count."""
+    candidates, visited, _ = miner.plan.scan(
+        ((si, parents),), *miner._tables(dead), miner._items, dead, hist, False, 0)
+    return {item: pdb[si] for item, pdb in candidates.items()}, visited
+
+
+def reference_scan(plan, si, occurrences, tables, dead):
     """The per-successor loop ``StatPlan.scan`` runs, from independent parts.
     Each parent is an occurrence, or ``None`` for the root; an entry's stats
     are ``definition_stats`` and its verdict is ``scan_verdict`` on that
@@ -329,7 +339,7 @@ def reference_scan(plan, si, occurrences, source, dead):
     returns how many parents the gate stopped, successors ``dead`` dropped
     and entries the dedup dropped."""
     db = plan.db
-    starts, nexts = source(si, dead)
+    starts, nexts = tables[0][si], tables[1][si]
     items = db.sequences[si].items
     fresh, seen = {}, set()
     hist = [0] * (len(plan.specs) + 1)
@@ -370,8 +380,8 @@ class TestScanKernel:
 
     def _occurrences(self, rng, miner, si):
         """Random occurrences along the source's steps, one of them twice."""
-        starts, nexts = miner._successors(si, set())
-        starts, occurrences = list(starts), []
+        starts, nexts = miner._tables(set())
+        starts, nexts, occurrences = list(starts[si]), nexts[si], []
         for _ in range(rng.randint(1, 6) if starts else 0):
             occ = (rng.choice(starts),)
             for _ in range(rng.randint(0, 3)):
@@ -395,13 +405,12 @@ class TestScanKernel:
                     dead = set(rng.sample(distinct, rng.randint(0, min(2, len(distinct)))))
                     for occurrences in ([None], self._occurrences(rng, miner, si)):
                         *want, gated, abandoned, repeated = reference_scan(
-                            plan, si, occurrences, miner._successors, dead)
+                            plan, si, occurrences, miner._tables(dead), dead)
                         parents = [None if occ is None else
                                    (occ[-1], *definition_stats(plan, db, si, occ))
                                    for occ in occurrences]
                         hist = [0] * (len(specs) + 1)
-                        fresh, visited = plan.scan(
-                            si, parents, *miner._successors(si, dead), seq.items, dead, hist)
+                        fresh, visited = scan_sequence(miner, si, parents, dead, hist)
                         assert [list(fresh.items()), hist, visited] == want
                         totals.update(gated=gated, abandoned=abandoned, repeated=repeated,
                                       rejected=sum(hist[:-1]), admitted=hist[-1])
@@ -417,14 +426,91 @@ class TestScanKernel:
             for miner in self._miners(db, relaxed, theta, with_store=False):
                 plan = miner.plan
                 for si, seq in enumerate(db.sequences):
-                    starts = list(miner._successors(si, set())[0])
+                    starts = list(miner._tables(set())[0][si])
                     hist = [0] * (len(specs) + 1)
-                    fresh, visited = plan.scan(
-                        si, _ROOT, *miner._successors(si, set()), seq.items, set(), hist)
+                    fresh, visited = scan_sequence(miner, si, _ROOT, set(), hist)
                     got = sorted(entry for entries in fresh.values() for entry in entries)
                     assert visited == hist[-1] == len(starts)
                     assert got == [(pos, *definition_stats(plan, db, si, (pos,)))
                                    for pos in starts]
+
+    def test_one_kernel_call_per_projection(self):
+        for seed in range(40):
+            db, specs, theta = random_instance(seed)
+            for miner in self._miners(db, specs, theta):
+                calls, per_projection = [], []
+                scan, scan_candidates = miner.plan.scan, miner._scan_candidates
+
+                def counted_scan(*args):
+                    calls.append(args[0])
+                    return scan(*args)
+
+                def counted_scan_candidates(projection, sup_p):
+                    before = len(calls)
+                    out = scan_candidates(projection, sup_p)
+                    per_projection.append(len(calls) - before)
+                    return out
+
+                miner.plan.scan = counted_scan
+                miner._scan_candidates = counted_scan_candidates
+                assert miner.mine_patterns() == mine_bruteforce(db, specs, theta)
+                assert per_projection and set(per_projection) == {1}
+
+    @staticmethod
+    def _prop5_loop(miner, projection, sup_p):
+        """The kernel's Prop. 5 filing as a loop over one-sequence scans that
+        calls ``prop5_prune`` per (sequence, item), charging the counters as
+        ``_scan_candidates`` does."""
+        plan, dead = miner.plan, set(miner._infrequent)
+        hist = [0] * (len(plan.specs) + 1)
+        candidates, visited, scanned = {}, 0, 0
+        for n, (si, parents) in enumerate(projection, 1):
+            fresh, visits = scan_sequence(miner, si, parents, dead, hist)
+            visited += visits
+            for item, entries in fresh.items():
+                pdb = candidates.get(item)
+                if prop5_prune(n, 1 if pdb is None else len(pdb) + 1, sup_p, miner.theta):
+                    dead.add(item)
+                    candidates.pop(item, None)
+                    continue
+                candidates.setdefault(item, {})[si] = entries
+                scanned += 1
+        counters = miner.counters
+        counters.nodes_visited += visited
+        counters.entries_created += hist[-1]
+        counters.scanned_sequences += scanned
+        counters.constraint_checks += sum(map(mul, hist, plan.constraint_checks))
+        counters.info_probes += sum(map(mul, hist, plan.info_probes))
+        return candidates, dead, hist
+
+    def test_prop5_equals_per_item_loop(self):
+        pruned = 0
+        for seed in range(80):
+            db, specs, theta = random_instance(seed)
+            for miner in self._miners(db, specs, theta):
+                stack = [([(si, _ROOT) for si in range(len(db))], len(db))]
+                for _ in range(30):
+                    if not stack:
+                        break
+                    projection, sup_p = stack.pop()
+                    dead = set(miner._infrequent)
+                    hist = [0] * (len(specs) + 1)
+                    candidates, _, _ = miner.plan.scan(
+                        projection, *miner._tables(dead), miner._items, dead, hist,
+                        True, sup_p - theta)
+                    before = astuple(miner.counters)
+                    kept = miner._scan_candidates(projection, sup_p)
+                    kernel = astuple(miner.counters)
+                    want = self._prop5_loop(miner, projection, sup_p)
+                    loop = astuple(miner.counters)
+                    assert (candidates, dead, hist) == want
+                    assert kept == [(item, pdb) for item, pdb in sorted(want[0].items())
+                                    if len(pdb) >= theta]
+                    assert [k - b for k, b in zip(kernel, before)] == \
+                        [l - k for l, k in zip(loop, kernel)]
+                    pruned += len(dead - miner._infrequent)
+                    stack += [(list(pdb.items()), len(pdb)) for _, pdb in kept]
+        assert pruned > 100, pruned
 
 
 #: MiningCounters fields of mine and of mine_ppcc, in declaration order

@@ -8,7 +8,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from mddmine import MiningCounters, mine_ppcc
+from mddmine import MiningCounters, build_mdd, mine_ppcc
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -43,3 +43,16 @@ def test_traced_job_counts_what_the_query_job_counts(tmp_path):
         assert traced["counters"] == query["counters"], name
         assert traced["sha256"] == query["sha256"] == traced["oracle"]["sha256"], name
         assert query["patterns"] > 0, name
+
+
+def test_workload_diagrams_store_windows(tmp_path):
+    # every benchmark workload imposes gap bounds on the ordering attribute
+    # only, so each successor row must stay a window and never be copied
+    for name, workload in WORKLOADS.items():
+        args = _smoke_args(tmp_path, workload)
+        db = worker.load_db(args)
+        specs, _ = worker._setting(args, db)
+        mdd = build_mdd(db, specs)
+        assert all(type(row) is range for rows in mdd.succ for row in rows), name
+        assert all(starts == range(len(seq))
+                   for starts, seq in zip(mdd.starts, db.sequences)), name
