@@ -194,8 +194,7 @@ def _parse_profile(text: str):
 
 def _cmd_gen_attrs(args: argparse.Namespace) -> int:
     db = parse_spmf(Path(args.db).read_text())
-    profile = _parse_profile(args.profile) if args.profile else DEFAULT_PROFILE
-    table = generate_attributes(db, args.seed, profile)
+    table = generate_attributes(db, args.seed, _parse_profile(args.profile))
     _write(args.output, format_attribute_tsv(table))
     return 0
 
@@ -263,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-attrs", help="generate synthetic attributes")
     p.add_argument("--db", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profile", default="time:time,price:uniform,quality:uniform",
+    p.add_argument("--profile", default=",".join(map(":".join, DEFAULT_PROFILE)),
                    help="comma list of name:time|uniform")
     p.add_argument("--output", default="-")
 
@@ -291,6 +290,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
         if args.max_len is not None and args.miner != "brute":
             parser.error("--max-len applies only to --miner brute")
+        if args.max_len is not None and args.max_len < 1:
+            parser.error("--max-len must be at least 1")
         if args.disable_prop5 and args.miner == "brute":
             parser.error("--disable-prop5 has no effect with --miner brute")
     try:

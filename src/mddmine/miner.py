@@ -16,24 +16,24 @@ entry's successors, sequence by sequence in ascending index order.  One call
 of the plan's generated ``scan`` kernel does a whole projection: per
 sequence it extends every parent entry along the successor tables (the
 diagram's here, the raw-row step scan in ``mine_ppcc``), deduplicates,
-admits, and files the admitted entries under their items; the root scan
-runs it from the empty occurrence.  Items whose plain sequence support is
-below the threshold are abandoned before any scan, and between sequences
-an item whose remaining attainable support provably falls below the
-threshold is abandoned too (`prop5_prune`, inlined in the kernel).  An
-abandoned successor costs one set lookup and gets no entry; neither rule
-changes the mined output.  A pattern is emitted when enough sequences own an
-entry whose ``witness`` verdict passes every constraint; entries that are
-not witnesses yet stay in the projection in case an extension completes
-them.  The search is one depth-first traversal in the calling thread, with
-the cyclic garbage collector off.
+admits, and files the admitted entries under their items; the root scan runs
+it from the empty occurrence.  Items whose plain sequence support is below
+the threshold are abandoned before any scan, and between sequences an item
+whose remaining attainable support provably falls below the threshold is
+abandoned too (`prop5_prune`, inlined in the kernel as a limit; ``sup_p``
+turns it off).  An abandoned successor costs one set lookup and gets no
+entry; neither rule changes the mined output.  A pattern is emitted when
+enough sequences own an entry whose ``witness`` verdict passes every
+constraint; entries that are not witnesses yet stay in the projection in
+case an extension completes them.  The search is one depth-first traversal
+in the calling thread, with the cyclic garbage collector off.
 
 Statistics, admission, the scan gate, ``witness`` and the kernel are
 compiled by ``StatPlan`` for the spec list (and the diagram miner's store).
-An admission verdict is the index of the first failing spec; the kernel
-counts verdicts in a histogram, which the plan's prefix tables turn into
-constraint checks and information probes once per scan.  The only
-per-entry call left in mining is ``witness`` at emission.
+An admission verdict is the index of the first failing spec, or the spec
+count when the entry stays; the kernel counts verdicts in a histogram,
+which the plan's prefix tables turn into checks and probes once per scan.
+The only per-entry call left in mining is ``witness`` at emission.
 """
 from __future__ import annotations
 
@@ -174,9 +174,9 @@ class _ProjectionMiner:
         plan, use_prop5 = self.plan, self.use_prop5
         dead: set[int] = set(self._infrequent) if use_prop5 else set()
         hist = [0] * (len(plan.specs) + 1)  # admission verdicts
+        limit = sup_p - self.theta if use_prop5 else sup_p  # n - sup_i < sup_p
         candidates, visited, scanned = plan.scan(
-            projection, *self._tables(dead), self._items, dead, hist,
-            use_prop5, sup_p - self.theta)
+            projection, *self._tables(dead), self._items, dead, hist, limit)
         counters = self.counters
         counters.nodes_visited += visited
         counters.entries_created += hist[-1]

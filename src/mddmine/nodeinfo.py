@@ -119,25 +119,29 @@ def med_dominates(a: MedTriple, b: MedTriple, bound: int) -> bool:
 _WIDTH = {"span": 2, "sum": 1, "avg": 2, "med": 3, "maxlen": 1}
 
 
-def _derive_needs(specs: SequenceT[ConstraintSpec]) -> tuple[tuple, ...]:
-    """The information keys the specs call for, in record order.
+def _key(spec: ConstraintSpec) -> tuple | None:
+    """The information key ``spec`` reads, or ``None``.
 
-    ``max<=`` and ``min>=`` are anti-monotone: admission tests them on the
-    occurrence alone and, unlike ``span<=``, no gate reads their reachable
-    window, so they call for no span.
+    ``max<=`` and ``min>=`` are anti-monotone, tested on the occurrence
+    alone, and unlike ``span<=`` no gate reads their window: they read none.
     """
-    keys: set[tuple] = set()
-    for spec in specs:
-        attr, kind, s = spec.attribute, spec.kind, _sign(spec.direction)
-        if kind is Kind.SPAN or (kind in (Kind.MAX, Kind.MIN)
-                                 and classify(spec) is Monotonicity.MONOTONE):
-            keys.add(("span", attr))
-        elif kind is Kind.SUM:
-            keys.add(("sum", attr, s))
-        elif kind in (Kind.AVG, Kind.MED):
-            keys.add((kind.value, attr, s, s * spec.c))
-        elif kind is Kind.LENGTH and spec.direction == GE:
-            keys.add(("maxlen",))
+    kind, attr = spec.kind, spec.attribute
+    if kind is Kind.SPAN or (kind in (Kind.MAX, Kind.MIN)
+                             and classify(spec) is Monotonicity.MONOTONE):
+        return ("span", attr)
+    if kind is Kind.SUM:
+        return ("sum", attr, _sign(spec.direction))
+    if kind in (Kind.AVG, Kind.MED):
+        s = _sign(spec.direction)
+        return (kind.value, attr, s, s * spec.c)
+    if kind is Kind.LENGTH and spec.direction == GE:
+        return ("maxlen",)
+    return None
+
+
+def _derive_needs(specs: SequenceT[ConstraintSpec]) -> tuple[tuple, ...]:
+    """The information keys the specs call for, in record order."""
+    keys = {_key(spec) for spec in specs} - {None}
     return tuple(sorted(keys, key=lambda k: (list(_WIDTH).index(k[0]), k)))
 
 
@@ -353,20 +357,21 @@ class StatPlan:
     Two functions are generated as Python source (kept in ``source``) with
     columns, signs, bounds and the store's records bound as constants:
 
-    * ``scan(projection, STARTS, NEXTS, ITEMS, dead, hist, prop5, limit)``
-      is the miners' loop over a projection's ``(si, parents)`` pairs.  Each
-      parent entry that passes the gate is extended to every position of
+    * ``scan(projection, STARTS, NEXTS, ITEMS, dead, hist, limit)`` is the
+      miners' loop over a projection's ``(si, parents)`` pairs.  Each parent
+      entry that passes the gate is extended to every position of
       ``NEXTS[si][endpoint]`` whose item is not in ``dead``, building the new
       stats in O(1) with median folds inlined.  New entries are deduplicated
-      with one hash when there are several parents, admitted, and counted in
-      ``hist`` by verdict: the index of the first spec whose test fails, or
-      ``len(specs)`` when the entry stays.  After each sequence, with
-      ``prop5``, an item that ``prop5_prune`` abandons (``limit = sup_p -
-      theta``) joins ``dead`` and loses its entries.  It returns
-      ``({item: {si: [entry, ...]}}, visited, scanned)``.
-    * ``witness(si, entry)`` returns the index of the first spec the
-      occurrence itself fails, or ``len(specs)``, exactly as
-      ``check_occurrence`` would decide it.
+      with one hash when there are several parents, then admitted:
+      ``hist[i]`` counts the entries whose first failing test is spec
+      ``i``'s, and ``hist[len(specs)]`` the admitted ones.  After each
+      sequence an item that has missed more than ``limit`` of them joins
+      ``dead`` and loses its entries: ``sup_p - theta`` is ``prop5_prune``,
+      ``sup_p`` abandons none.  It returns ``({item: {si: [entry, ...]}},
+      visited, scanned)``.
+    * ``witness(si, entry)`` folds the endpoint in as ``scan`` folds a
+      parent's and returns the index of the first spec the occurrence
+      fails, or ``len(specs)``, exactly as ``check_occurrence`` decides it.
 
     ``scan`` inlines two tests, looking the parent's and the entry's records
     up once each and reading the slots the layout gives:
@@ -401,16 +406,18 @@ class StatPlan:
     max and min read ``ln``, ``lo`` and ``hi``; a sum compares its oriented
     slot with ``s*c`` and an average, as ``ln > 0``, with ``s*c*ln``.  The
     endpoint's oriented value folded into the stored triple gives the whole
-    occurrence's triple, whose median reaches the oriented bound ``b`` iff
-    more values lie at or above ``b`` than below (``t1 > 0``), or the counts
-    tie and the two middle values, the largest below and the smallest at or
-    above ``b``, average at least ``b`` (``t2 + t3 >= 2b``).  ``span>=`` is
-    exact here; its relaxation is an admission matter only.
+    occurrence's triple ``(m1, m2, m3)``, whose median reaches the oriented
+    bound ``b`` iff more values lie at or above ``b`` than below
+    (``m1 > 0``), or the counts tie and the two middle values, the largest
+    below and the smallest at or above ``b``, average at least ``b``
+    (``m2 + m3 >= 2b``).  ``span>=`` is exact here; its relaxation is an
+    admission matter only.
 
-    An admission verdict ``r`` ran the tests of specs 0..r; it costs
-    ``constraint_checks[r]`` occurrence-level checks and ``info_probes[r]``
-    information lookups, counted apart because lookups replace checks and
-    the relative cost of the two is what the miners are compared on.
+    An admission verdict ``r``, the ``hist`` slot an entry counts in, ran
+    the tests of specs 0..r; it costs ``constraint_checks[r]`` occurrence
+    checks and ``info_probes[r]`` information lookups, counted apart
+    because lookups replace checks and the relative cost of the two is what
+    the miners are compared on.
 
     A store that lacks information the specs need, because it was
     propagated for other specs, is rejected with a ``ValueError``.
@@ -446,9 +453,10 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     slots are named with a ``p`` in front (``pln``, ``plo0``, ``ps0``),
     except the median triples, which are folded in place.  ``scan`` is put
     together from unindented line lists: ``identity`` (the empty
-    occurrence), ``fold`` (the parent's endpoint ``old`` into the median
-    triples), ``step`` (the slots of the entry that appends ``new``), and
-    the gate's, the thresholds' and admission's lines.
+    occurrence), ``fold`` (the endpoint ``old`` into the median triples,
+    which ``witness`` runs too), ``step`` (the slots of the entry that
+    appends ``new``), and the gate's, the thresholds' and admission's
+    lines, which find each record slot by the spec's ``_key``.
     """
     const, make = _generator()
     attrs = dict.fromkeys(spec.attribute for spec in plan.specs if spec.attribute)
@@ -502,8 +510,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
 
     def exact(spec: ConstraintSpec) -> str | None:
         """The test failing the occurrence itself; arcs enforce gap and
-        item-set rules, and a median reads the whole occurrence's triple
-        (t1, t2, t3) that ``witness`` folds first."""
+        item-set rules, and a median reads the folded triple."""
         kind, c, attr = spec.kind, spec.c, spec.attribute
         sign = _sign(spec.direction) if spec.direction else 0
         test = {Kind.LENGTH: "ln", Kind.SPAN: f"{hi.get(attr)} - {lo.get(attr)}",
@@ -511,24 +518,17 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
         if test is not None:
             return test + f" {'<' if sign > 0 else '>'} {c}"
         if kind in (Kind.SUM, Kind.AVG):
-            return f"{acc[attr, sign]} < {sign * c}{' * ln' if kind is Kind.AVG else ''}"
+            return f"{acc[_key(spec)[1:3]]} < {sign * c}{' * ln' if kind is Kind.AVG else ''}"
         if kind is Kind.MED:
-            return f"not (t1 > 0 or t1 == 0 and t2 + t3 >= {2 * sign * c})"
+            t1, t2, t3 = med[_key(spec)[1:]]
+            return f"not ({t1} > 0 or {t1} == 0 and {t2} + {t3} >= {2 * sign * c})"
         return None
 
-    wit = [f"pos, {stats} = entry"]
-    for i, spec in enumerate(plan.specs):
-        if spec.kind is Kind.MED:
-            sign = _sign(spec.direction)
-            p1, p2, p3 = med[spec.attribute, sign, sign * spec.c]
-            # the endpoint folded in gives the whole occurrence's triple
-            wit += [f"v = {'' if sign > 0 else '-'}{col[spec.attribute]}[si][pos]",
-                    f"if v >= {sign * spec.c}: t1, t2, t3 = {p1} + 1, {p2}, "
-                    f"({p3} if {p3} < v else v)",
-                    f"else: t1, t2, t3 = {p1} - 1, ({p2} if {p2} > v else v), {p3}"]
-        test = exact(spec)
-        if test is not None:
-            wit.append(f"if {test}: return {i}")
+    # the endpoint folded in gives the whole occurrence's triple
+    wit = [f"old, {stats} = entry"]
+    wit += [h for h, a in zip(hoists, used) if a in {k[0] for k in plan.med_keys}] + fold
+    wit += [f"if {test}: return {i}" for i, test in enumerate(map(exact, plan.specs))
+            if test is not None]
 
     # the gate's lines read the parent's slots and record R[old]; the
     # thresholds q<i> come from the parent's length and sums; admission's
@@ -543,7 +543,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
         return f"r[{store.layout[key] + j}]"
 
     for i, spec in enumerate(plan.specs):
-        kind, c, attr = spec.kind, spec.c, spec.attribute
+        kind, c, attr, key = spec.kind, spec.c, spec.attribute, _key(spec)
         anti = classify(spec) is Monotonicity.ANTI_MONOTONE
         sign = _sign(spec.direction) if spec.direction else 0
         test = exact(spec) if anti else None
@@ -551,16 +551,15 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             gate.append(f"if pln >= {c}: continue")
         elif kind is Kind.LENGTH and store is not None:
             head.append(f"q{i} = {c} - pln")
-            test = f"{slot(adm, 'R[new]', ('maxlen',))} < q{i}"
+            test = f"{slot(adm, 'R[new]', key)} < q{i}"
         elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and anti:
             if kind is Kind.SPAN and store is not None:
                 # the reachable window must overlap [max - c, min + c]
-                key, low, high = ("span", attr), f"p{lo[attr]}", f"p{hi[attr]}"
+                low, high = f"p{lo[attr]}", f"p{hi[attr]}"
                 gate += [f"L, H = {slot(gate, 'R[old]', key)}, {slot(gate, 'R[old]', key, 1)}",
                          f"if (L if L > {high} - {c} else {high} - {c}) > "
                          f"(H if H < {low} + {c} else {low} + {c}): continue"]
         elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and store is not None:
-            key = ("span", attr)
             adm.append(f"L, H = {slot(adm, 'R[new]', key)}, {slot(adm, 'R[new]', key, 1)}")
             top = f"({hi[attr]} if {hi[attr]} > H else H)"
             bottom = f"({lo[attr]} if {lo[attr]} < L else L)"
@@ -569,25 +568,23 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
         elif kind in (Kind.SUM, Kind.AVG) and store is not None:
             # the stored value counts the final event, so it adds to the
             # parent's sum: ps + b1 < sc * (pln + b2) for an average
-            sc, prefix = sign * c, f"p{acc[attr, sign]}"
+            sc, prefix = sign * c, f"p{acc[key[1:3]]}"
             if kind is Kind.SUM:
                 head.append(f"q{i} = {sc} - {prefix}")
-                test = f"{slot(adm, 'R[new]', ('sum', attr, sign))} < q{i}"
+                test = f"{slot(adm, 'R[new]', key)} < q{i}"
             else:
-                key = ("avg", attr, sign, sc)
                 head.append(f"q{i} = {sc} * pln - {prefix}")
                 test = (f"{slot(adm, 'R[new]', key)} {'-' if sc >= 0 else '+'} "
                         f"{abs(sc)} * {slot(adm, 'R[new]', key, 1)} < q{i}")
         elif kind is Kind.MED and store is not None:
-            p1, p2, p3 = med[attr, sign, sign * c]
-            key = ("med", attr, sign, sign * c)
+            p1, p2, p3 = med[key[1:]]
             # the deciding values are read only when the balances cancel
             t2, t3 = slot(adm, "R[new]", key, 1), slot(adm, "R[new]", key, 2)
             adm.append(f"t1 = {slot(adm, 'R[new]', key)} + {p1}")
             test = (f"t1 < 0 or t1 == 0 and ({p2} if {p2} > {t2} else {t2}) + "
                     f"({p3} if {p3} < {t3} else {t3}) < {2 * sign * c}")
         if test is not None:
-            adm.append(f"if {test}: v = {i}; break")
+            adm.append(f"if {test}: hist[{i}] += 1; continue")
         checks.append(checks[-1] + (test is not None and anti))
         probes.append(probes[-1] + (test is not None and not anti))
     plan.constraint_checks = tuple(checks[1:]) + (checks[-1],)
@@ -631,13 +628,8 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             "                add(entry)",
             "                if len(seen) == size:",
             "                    continue",
-            "            while True:",
-            *_indent(adm, 4),
-            f"                v = {n}",
-            "                break",
-            "            hist[v] += 1",
-            f"            if v != {n}:",
-            "                continue",
+            *_indent(adm, 3),
+            f"            hist[{n}] += 1",
             "            got = fresh.get(item)",
             "            if got is None:",
             "                fresh[item] = [entry]",
@@ -646,7 +638,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             # Prop. 5 reads n and the number of sequences a candidate holds
             "    for item, entries in fresh.items():",
             "        pdb = candidates.get(item)",
-            "        if prop5 and n - (1 if pdb is None else len(pdb) + 1) > limit:",
+            "        if n - (1 if pdb is None else len(pdb) + 1) > limit:",
             "            dead.add(item)",
             "            candidates.pop(item, None)",
             "            continue",
@@ -658,7 +650,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
 
     plan.source, (plan.witness, plan.scan) = make([
         "    def witness(si, entry):", *_indent(wit, 2), f"        return {n}",
-        "    def scan(projection, STARTS, NEXTS, ITEMS, dead, hist, prop5, limit):",
+        "    def scan(projection, STARTS, NEXTS, ITEMS, dead, hist, limit):",
         *_indent(scan, 2),
         "    return witness, scan",
     ])

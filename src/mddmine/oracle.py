@@ -148,6 +148,8 @@ def mine_bruteforce(
     """
     if theta < 1:
         raise ValueError("minimum support must be at least 1")
+    if max_len is not None and max_len < 1:
+        raise ValueError("the pattern length cap must be at least 1")
     if max_len is None:
         max_len = max((len(seq) for seq in db.sequences), default=0)
     candidates: set[tuple[int, ...]] = set()

@@ -225,6 +225,17 @@ def format_attribute_tsv(table: AttributeTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _column_name_problem(names: SequenceT[str]) -> str | None:
+    """What breaks the column-name rule, or ``None``: attribute names are
+    non-empty, distinct, and neither ``sid`` nor ``pos``."""
+    for name in names:
+        if not name:
+            return "empty column name"
+        if name in ("sid", "pos") or names.count(name) > 1:
+            return f"duplicate column name {name!r}"
+    return None
+
+
 def parse_attribute_tsv(text: str) -> AttributeTable:
     header, names, rows = None, (), []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -235,10 +246,9 @@ def parse_attribute_tsv(text: str) -> AttributeTable:
             header, names = fields, tuple(fields[2:])
             if header[:2] != ["sid", "pos"]:
                 raise SeqDbError("attribute table header must start with 'sid\\tpos'")
-            for name in names:
-                if name in ("sid", "pos") or names.count(name) > 1:
-                    raise SeqDbError(f"attribute table line {lineno}: "
-                                     f"duplicate column name {name!r}")
+            problem = _column_name_problem(names)
+            if problem:
+                raise SeqDbError(f"attribute table line {lineno}: {problem}")
             continue
         if len(fields) != len(header):
             raise SeqDbError(f"attribute row {lineno} has {len(fields)} fields, "
@@ -340,6 +350,9 @@ def generate_attributes(
     for name, kind in profile:
         if kind not in ("time", "uniform"):
             raise ValueError(f"unknown generation profile kind {kind!r} for {name!r}")
+    problem = _column_name_problem(names)
+    if problem:
+        raise ValueError(f"generation profile: {problem}")
     rng = random.Random(seed)
     columns: dict[str, list[list[int]]] = {}
     for name in names:

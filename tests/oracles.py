@@ -141,7 +141,7 @@ def scan_entry(plan, db, si: int, occ):
     hist = [0] * (len(plan.specs) + 1)
     candidates, visited, _ = plan.scan(
         ((si, parents),), {si: starts}, {si: nexts}, {si: db.sequences[si].items},
-        set(), hist, False, 0)
+        set(), hist, 1)
     fresh = {item: pdb[si] for item, pdb in candidates.items()}
     return fresh, hist, visited
 

@@ -137,6 +137,29 @@ class TestMine:
         assert err.value.code == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_max_len_below_one_is_an_argument_error(self, click_files, capsys, cap):
+        spmf, attrs = click_files
+        with pytest.raises(SystemExit) as err:
+            main(["mine", "--db", str(spmf), "--attrs", str(attrs),
+                  "--min-sup", "1", "--miner", "brute", "--max-len", cap])
+        assert err.value.code == 2
+        assert "--max-len must be at least 1" in capsys.readouterr().err
+
+    def test_emit_stats_writes_the_report_next_to_the_output(self, click_files, tmp_path):
+        run_mine(click_files, tmp_path, "--min-sup", "2", "--emit-stats")
+        report = tmp_path / "patterns.txt.report.tsv"
+        assert report.read_text().endswith("patterns_written\t3\n")
+
+    def test_emit_stats_with_stdout_output_reports_on_stderr(self, click_files, capsys):
+        spmf, attrs = click_files
+        assert main(["mine", "--db", str(spmf), "--attrs", str(attrs),
+                     "--min-sup", "2", "--emit-stats"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "1\t#SUP: 2\n2\t#SUP: 2\n2 2\t#SUP: 2\n"
+        assert err.startswith("mdd_build_seconds\t")
+        assert err.endswith("patterns_written\t3\n")
+
     def test_max_len_caps_the_brute_miner(self, click_files, tmp_path):
         text = run_mine(click_files, tmp_path, "--min-sup", "1",
                         "--miner", "brute", "--max-len", "1")
@@ -252,6 +275,31 @@ class TestOtherCommands:
         text = out.read_text()
         assert text.startswith("digraph mdd {")
         assert 'n1_2 [label="2@1"];' in text
+
+    @pytest.mark.parametrize("profile, message", [
+        ("time:time,time:uniform", "duplicate column name 'time'"),
+        ("sid:uniform", "duplicate column name 'sid'"),
+        ("", "bad profile entry ''; expected name:time or name:uniform"),
+        ("price:gauss", "bad profile entry 'price:gauss'"),
+    ])
+    def test_gen_attrs_rejects_unreadable_profiles(self, click_files, tmp_path,
+                                                   capsys, profile, message):
+        spmf, _ = click_files
+        out = tmp_path / "gen.tsv"
+        assert main(["gen-attrs", "--db", str(spmf), "--profile", profile,
+                     "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ordering_attr_none_skips_the_ordering_check(self, tmp_path, capsys):
+        spmf, attrs = tmp_path / "two.spmf", tmp_path / "two.tsv"
+        spmf.write_text("1 -1 2 -1 -2\n")
+        attrs.write_text("sid\tpos\ttime\n1\t1\t5\n1\t2\t5\n")
+        base = ["stats", "--db", str(spmf), "--attrs", str(attrs)]
+        assert main(base) == 1
+        assert "not strictly increasing" in capsys.readouterr().err
+        assert main(base + ["--ordering-attr", "none"]) == 0
+        assert "n_sequences\t1" in capsys.readouterr().out
 
     def test_scenario_table(self):
         assert len(SCENARIOS[1]) == 4

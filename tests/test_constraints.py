@@ -208,6 +208,26 @@ class TestSyntax:
         with pytest.raises(ValueError):
             ConstraintSpec(Kind.ITEM_SET, items=frozenset())
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(kind=Kind.ITEM_SET, items={1}, c=3),
+         "item_set constraint takes no attribute, direction, or bound"),
+        (dict(kind=Kind.SUM, attribute="x", direction=GE, c=3, items={1}),
+         "sum constraint takes no item set"),
+        (dict(kind=Kind.SUM, attribute="x", direction="=", c=3),
+         "sum constraint needs direction '>=' or '<='"),
+        (dict(kind=Kind.SUM, attribute="x", direction=GE, c=3.5),
+         "sum constraint needs an integer bound"),
+    ])
+    def test_spec_validation_messages(self, fields, message):
+        with pytest.raises(ValueError) as err:
+            ConstraintSpec(**fields)
+        assert str(err.value) == message
+
+    def test_median_of_nothing_is_undefined(self):
+        with pytest.raises(EmptyOccurrenceError) as err:
+            exact_median([])
+        assert str(err.value) == "median of an empty value list is undefined"
+
 
 class TestPairwiseRules:
     def test_gap_bounds_compose(self):

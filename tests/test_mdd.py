@@ -257,6 +257,25 @@ class TestValidate:
         problems = validate(mdd, click_db).problems
         assert "sid 1: start positions differ from the imposed rules" in problems
 
+    def test_missing_sequence_table_detected(self, click_db):
+        mdd = build_mdd(click_db)
+        mdd.succ.pop()
+        assert validate(mdd, click_db).problems == [
+            "successor tables do not cover the 3 sequences"]
+
+    # the second sequence's first event has successors 2 and 3
+    @pytest.mark.parametrize("row, problem", [
+        (None, "sid 2: successor table has the wrong length"),
+        ((2,), "sid 2: missing arc 1->2"),
+        ((2, 1), "sid 2: successors of 1 not ascending"),
+    ])
+    def test_tampered_row_detected(self, click_db, row, problem):
+        mdd = build_mdd(click_db)
+        rows = list(mdd.succ[1])
+        assert tuple(rows[0]) == (1, 2)
+        mdd.succ[1] = tuple(rows[:2]) if row is None else (row, *rows[1:])
+        assert validate(mdd, click_db).problems == [problem]
+
 
 #: the click database's header and node lines
 CLICK_DOT_HEAD = """\

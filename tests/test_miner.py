@@ -327,7 +327,7 @@ def scan_sequence(miner, si, parents, dead, hist):
     the miner's own tables, without Prop. 5: the admitted entries by item
     and the visited count."""
     candidates, visited, _ = miner.plan.scan(
-        ((si, parents),), *miner._tables(dead), miner._items, dead, hist, False, 0)
+        ((si, parents),), *miner._tables(dead), miner._items, dead, hist, 1)
     return {item: pdb[si] for item, pdb in candidates.items()}, visited
 
 
@@ -497,7 +497,7 @@ class TestScanKernel:
                     hist = [0] * (len(specs) + 1)
                     candidates, _, _ = miner.plan.scan(
                         projection, *miner._tables(dead), miner._items, dead, hist,
-                        True, sup_p - theta)
+                        sup_p - theta)
                     before = astuple(miner.counters)
                     kept = miner._scan_candidates(projection, sup_p)
                     kernel = astuple(miner.counters)

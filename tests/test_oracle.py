@@ -30,6 +30,11 @@ class TestBruteForce:
         out = mine_bruteforce(click_db, (), 1, max_len=1)
         assert as_pairs(out) == [((A,), 2), ((B,), 2), ((C,), 1)]
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_max_len_below_one_rejected(self, click_db, cap):
+        with pytest.raises(ValueError, match="length cap must be at least 1"):
+            mine_bruteforce(click_db, (), 1, max_len=cap)
+
     def test_theta_zero_rejected(self, click_db):
         with pytest.raises(ValueError):
             mine_bruteforce(click_db, (), 0)

@@ -17,9 +17,11 @@ from mddmine import (
     to_spmf,
 )
 from mddmine.seqdb import (
+    AttributedDatabase,
     AttributeCoverageError,
     OrderingError,
     SeqDbError,
+    Sequence,
     SpmfFormatError,
     UnsupportedItemsetError,
 )
@@ -64,6 +66,15 @@ class TestParseSpmf:
     def test_sequence_without_events(self):
         with pytest.raises(SpmfFormatError):
             parse_spmf("-2")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 -1 2 -2", "line 1: itemset not closed by -1 before -2"),
+        ("1 -1 -1 -2", "line 1: empty itemset"),
+    ])
+    def test_itemset_errors(self, text, message):
+        with pytest.raises(SpmfFormatError) as err:
+            parse_spmf(text)
+        assert str(err.value) == message
 
     def test_item_universe(self):
         db = parse_spmf(CLICK_SPMF)
@@ -136,9 +147,9 @@ class TestAttachAttributes:
         table = parse_attribute_tsv(CLICK_ATTR_TSV)
         assert format_attribute_tsv(table) == CLICK_ATTR_TSV
 
-    @pytest.mark.parametrize("names", ["price\tprice", "time\tsid", "pos"])
+    @pytest.mark.parametrize("names", ["price\tprice", "time\tsid", "pos", ""])
     def test_duplicate_column_names_rejected(self, names):
-        with pytest.raises(SeqDbError, match="line 1"):
+        with pytest.raises(SeqDbError, match="line 1: (duplicate|empty) column name"):
             parse_attribute_tsv(f"sid\tpos\t{names}\n1\t1\t5\t6\n")
 
     @pytest.mark.parametrize("text, message", [
@@ -151,6 +162,11 @@ class TestAttachAttributes:
         with pytest.raises(SeqDbError) as err:
             parse_attribute_tsv(text)
         assert str(err.value) == message
+
+    def test_header_must_start_with_sid_and_pos(self):
+        with pytest.raises(SeqDbError) as err:
+            parse_attribute_tsv("pos\tsid\tt\n1\t1\t5\n")
+        assert str(err.value) == "attribute table header must start with 'sid\\tpos'"
 
 
 def shuffled_tsv(text: str, seed: int) -> str:
@@ -268,6 +284,23 @@ class TestMakeDatabaseShapes:
         assert str(err.value) == "negative item id at sid 2 pos 2"
 
 
+class TestDatabaseChecks:
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(SeqDbError) as err:
+            AttributedDatabase([Sequence((1,)), Sequence(())])
+        assert str(err.value) == "sequence 2 is empty"
+
+    def test_missing_attribute_rejected(self):
+        with pytest.raises(SeqDbError) as err:
+            AttributedDatabase([Sequence((1,), {"t": (4,)})], ("t", "price"))
+        assert str(err.value) == "sequence 1 lacks attribute 'price'"
+
+    def test_undeclared_ordering_rejected(self):
+        with pytest.raises(SeqDbError) as err:
+            AttributedDatabase([Sequence((1,), {"t": (4,)})], ("t",), "time")
+        assert str(err.value) == "ordering attribute 'time' is not declared"
+
+
 class TestGenerateSessions:
     def test_first_sessions_of_criterion_6(self):
         # the draws of a session do not depend on how many sessions follow,
@@ -333,6 +366,16 @@ class TestGenerateAttributes:
     def test_unknown_profile_kind(self):
         with pytest.raises(ValueError):
             generate_attributes(self._db(1), seed=0, profile=(("x", "zipf"),))
+
+    @pytest.mark.parametrize("profile, message", [
+        ((("t", "time"), ("t", "uniform")), "duplicate column name 't'"),
+        ((("pos", "uniform"),), "duplicate column name 'pos'"),
+        ((("", "uniform"),), "empty column name"),
+    ])
+    def test_unreadable_column_names_rejected(self, profile, message):
+        with pytest.raises(ValueError) as err:
+            generate_attributes(self._db(1), seed=0, profile=profile)
+        assert str(err.value) == f"generation profile: {message}"
 
 
 class TestStats:
