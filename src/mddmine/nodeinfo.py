@@ -6,22 +6,24 @@ paths that follow arcs of the same sequence down to the terminal:
 
 * span/max/min: the minimum and maximum attribute value reachable;
 * sum: the extremal reachable path sum (maximal for >=, minimal for <=);
-* avg: the (sum, count) pair of the path maximizing sum - c*count, which is
-  the path whose average clears the bound c best;
+* avg: the largest sum of (value - c) over a path, since an average clears
+  the bound c exactly when its values' excesses over c sum to at least 0;
 * med: a (count difference, best value below c, best value at or above c)
   triple of a path selected through dominance rules;
 * remaining length: the longest arc path ahead, for length lower bounds.
 
 Upper-bound directions reuse the lower-bound machinery on negated values:
 stat(V) <= c holds exactly when stat(-V) >= -c for sums, averages, and
-medians, so sums, average pairs, and median triples are stored in "oriented"
-form, over s*value with s = +1 for >= and s = -1 for <=.  Everything is exact
-integer arithmetic; division never happens in a feasibility decision.
+medians, so sums, average excesses, and median triples are stored in
+"oriented" form, over s*value with s = +1 for >= and s = -1 for <=.
+Everything is exact integer arithmetic; division never happens in a
+feasibility decision.
 
-Each event's information is one flat record tuple holding every key's slots
-at fixed offsets: (lo, hi) per span key, one oriented sum, an avg pair
-(b1, b2), a median triple, and maxlen.  ``propagate`` generates one backward
-pass per spec list that builds all of them at once.
+Each event's information is one record of ``width`` integer slots holding
+every key's slots at fixed offsets: (lo, hi) per span key, one oriented sum,
+one average excess, a median triple, and maxlen.  ``propagate`` generates
+one backward pass per spec list that builds all of them at once, and packs a
+sequence's records into one flat ``array('q')`` when it is done.
 
 The extension tests combine a pattern occurrence's running statistics with
 the information stored at its final event.  The stored values include that
@@ -39,7 +41,11 @@ that ``propagate`` inlines, with the argument that makes it exact.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, starmap
+from struct import Struct
+from struct import error as StructError
 from typing import Sequence as SequenceT
 
 from .constraints import (
@@ -116,7 +122,7 @@ def med_dominates(a: MedTriple, b: MedTriple, bound: int) -> bool:
 # --- derived needs -------------------------------------------------------------
 
 #: information kinds in record order, with their slot counts
-_WIDTH = {"span": 2, "sum": 1, "avg": 2, "med": 3, "maxlen": 1}
+_WIDTH = {"span": 2, "sum": 1, "avg": 1, "med": 3, "maxlen": 1}
 
 
 def _key(spec: ConstraintSpec) -> tuple | None:
@@ -170,27 +176,33 @@ def _sentinel_table(columns, sign: int) -> list[tuple[int, int]]:
 
 @dataclass
 class InfoStore:
-    """One information record per event of ``mdd``, ``records[si][pos]``.
+    """One information record per event of ``mdd``, packed per sequence.
 
-    ``mdd`` is the diagram the records were propagated over.  A record is a
-    flat tuple: key ``k``'s information starts at slot ``layout[k]``.
-    ``("span", attr)`` holds (lo, hi), ``("sum", attr, s)`` the oriented
-    sum, ``("avg", attr, s, b)`` the pair (b1, b2), ``("med", attr, s, b)``
-    the triple and ``("maxlen",)`` the longest path ahead; keys are ordered
-    by kind in that order, then sorted.  A spec list that
-    needs no information gets an empty layout and no records.
+    ``mdd`` is the diagram the records were propagated over.  A record is
+    ``width`` integer slots: key ``k``'s information starts at slot
+    ``layout[k]``.  ``("span", attr)`` holds (lo, hi), ``("sum", attr, s)``
+    the oriented sum, ``("avg", attr, s, b)`` the oriented excess over ``b``,
+    ``("med", attr, s, b)`` the triple and ``("maxlen",)`` the longest path
+    ahead; keys are ordered by kind in that order, then sorted.
+    ``records[si]`` holds sequence ``si``'s records back to back, the slot
+    ``s`` of position ``pos`` at ``pos * width + s``: an ``array('q')``, or
+    a flat ``list`` for a sequence holding a value outside 64 bits, so every
+    integer stays exact.  A spec list that needs no information gets an
+    empty layout, width 0 and no records.
     """
 
     mdd: Mdd
     layout: dict[tuple, int] = field(default_factory=dict)
-    records: list[list[tuple]] = field(default_factory=list)
+    records: list[array | list[int]] = field(default_factory=list)
+    width: int = 0
 
     def info(self, key: tuple) -> list[list]:
         """One key's values per sequence and position; a tuple if several slots."""
-        at, width = self.layout[key], _WIDTH[key[0]]
-        if width == 1:
-            return [[r[at] for r in seq] for seq in self.records]
-        return [[r[at:at + width] for r in seq] for seq in self.records]
+        at, slots, w = self.layout[key], _WIDTH[key[0]], self.width
+        if slots == 1:
+            return [list(rows[at::w]) for rows in self.records]
+        return [list(zip(*(rows[at + j::w] for j in range(slots))))
+                for rows in self.records]
 
 
 def propagate(
@@ -212,25 +224,45 @@ def propagate(
     keys = _derive_needs(specs)
     if not keys:
         return InfoStore(mdd)
-    walk, layout = _compile_propagate(db, keys)
-    return InfoStore(mdd, layout, walk(mdd.succ))
+    walk, layout, width = _compile_propagate(db, keys)
+    return InfoStore(mdd, layout, walk(mdd.succ), width)
+
+
+def _packer(width: int):
+    """Pack one sequence's record tuples into a flat ``array('q')``, or into a
+    flat list when a value does not fit in 64 bits."""
+    pack = Struct(f"{width}q").pack
+
+    def packed(rows: list[tuple]) -> array | list[int]:
+        try:
+            return array("q", b"".join(starmap(pack, rows)))
+        except StructError:
+            return list(chain.from_iterable(rows))
+
+    return packed
 
 
 def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
-    """Generate and ``exec`` the fused backward pass; returns it and the layout.
+    """Generate and ``exec`` the fused backward pass; returns it, the layout
+    and the width.
 
     ``fields`` lists the record's slot expressions; each key's offset is the
-    length of the list when its slots are appended.  Per successor the
-    record is unpacked once and each key folds its slots in:
+    length of the list when its slots are appended.  Within a sequence the
+    records are tuples; per successor one is unpacked once and each key
+    folds its slots in:
 
     * span keeps the smallest ``lo`` and largest ``hi``;
-    * sum and maxlen keep the largest successor value, against 0 for the
-      path that stops here, and add the event's own;
-    * avg keeps the first successor pair of highest ``b1 - b*b2``, against
-      (0, 0) for stopping here, and adds (v, 1);
+    * sum, avg and maxlen keep the largest successor value, against 0 for
+      the path that stops here, and add the event's own term: its oriented
+      value, its excess ``s*x - b``, or 1.  The average term is exact
+      because avg(V) >= c iff sum(v - c for v in V) >= 0 on a non-empty V,
+      and the excesses of a prefix and a path ahead add up, so the largest
+      excess ahead decides whether any extension reaches the bound;
     * med starts from the event alone and folds the event's value into each
       successor triple, keeping the first that no later one beats
       (``med_fold`` and ``med_dominates`` inlined).
+
+    A finished sequence's tuples are packed by ``_packer``.
     """
     const, make = _generator()
     attrs = dict.fromkeys(key[1] for key in keys if key[0] != "maxlen")
@@ -253,15 +285,12 @@ def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
             continue
         # maxlen is the longest path's sum of ones
         v = "1" if kind == "maxlen" else f"{'' if key[2] > 0 else '-'}{x[key[1]]}"
-        if kind in ("sum", "maxlen"):
+        if kind != "med":
+            if kind == "avg":
+                v += f" - {key[3]}" if key[3] >= 0 else f" + {-key[3]}"
             own.append(f"                g{n} = 0")
             step.append(f"                    if {u[0]} > g{n}: g{n} = {u[0]}")
             fields.append(f"{v} + g{n}")
-        elif kind == "avg":
-            own.append(f"                p{n} = q{n} = g{n} = 0")
-            step += [f"                    g = {u[0]} - {key[3]} * {u[1]}",
-                     f"                    if g > g{n}: p{n}, q{n}, g{n} = {u[0]}, {u[1]}, g"]
-            fields += [f"{v} + p{n}", f"1 + q{n}"]
         else:
             bound, two = key[3], 2 * key[3]
             b1, b2, b3, ok = f"m{n}a", f"m{n}b", f"m{n}c", f"ok{n}"
@@ -296,11 +325,11 @@ def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
         f"                    {', '.join(f'u{i}' for i in range(len(fields)))}, = R[k]",
         *step,
         f"                R[j] = ({', '.join(fields)},)",
-        "            out.append(R)",
+        f"            out.append({const(_packer(len(fields)))}(R))",
         "        return out",
         "    return walk",
     ])
-    return walk, layout
+    return walk, layout, len(fields)
 
 
 def _generator():
@@ -370,11 +399,13 @@ class StatPlan:
       ``sup_p`` abandons none.  It returns ``({item: {si: [entry, ...]}},
       visited, scanned)``.
     * ``witness(si, entry)`` folds the endpoint in as ``scan`` folds a
-      parent's and returns the index of the first spec the occurrence
-      fails, or ``len(specs)``, exactly as ``check_occurrence`` decides it.
+      parent's, each median key just before the first test that reads it,
+      and returns the index of the first spec the occurrence fails, or
+      ``len(specs)``, exactly as ``check_occurrence`` decides it.
 
-    ``scan`` inlines two tests, looking the parent's and the entry's records
-    up once each and reading the slots the layout gives:
+    ``scan`` inlines two tests, computing the offset ``r = pos * width`` of
+    the parent's and the entry's records once each and reading slot ``s``
+    as ``R[r + s]``, each at most once:
 
     * the gate stops a parent when no extension of it can pass a
       ``length<=`` constraint, or, with a store, a ``span<=`` one: the
@@ -382,8 +413,9 @@ class StatPlan:
       ``[max - c, min + c]``;
     * admission follows ``classify``: anti-monotone constraints must hold on
       the occurrence now, monotone and non-monotone ones must stay reachable
-      by the store (the reachable span, sum and average bounds, the longest
-      path for ``length>=``, and for medians the feasibility rule stated in
+      by the store (the reachable span and sum bounds, the largest excess
+      ahead for averages, the longest path for ``length>=``, and for
+      medians the feasibility rule stated in
       ``med_dominates``; without a store, as in the raw-database baseline,
       these are left to emission), and gap and item-set rules are enforced
       by arcs or the baseline's step scan.
@@ -391,7 +423,8 @@ class StatPlan:
     ``scan`` does the parent-level work once per parent: the gate, the
     unpack, ``ln + 1``, the median folds of the old endpoint, and the
     thresholds admission compares against (``c - pln``, ``sc - ps`` and
-    ``sc * pln - ps``, from the parent's length and oriented sum).  Each
+    ``sc * pln - ps``, from the parent's length and oriented sum; an
+    average's stored excess A passes when ``ps - sc * pln + A >= 0``).  Each
     successor then costs its value reads, the span and sum updates, one
     tuple and the admission chain.  The root parent ``None`` is the
     identity, the empty occurrence: ``ln`` 0, each span's ``(lo, hi)``
@@ -453,10 +486,10 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     slots are named with a ``p`` in front (``pln``, ``plo0``, ``ps0``),
     except the median triples, which are folded in place.  ``scan`` is put
     together from unindented line lists: ``identity`` (the empty
-    occurrence), ``fold`` (the endpoint ``old`` into the median triples,
-    which ``witness`` runs too), ``step`` (the slots of the entry that
-    appends ``new``), and the gate's, the thresholds' and admission's
-    lines, which find each record slot by the spec's ``_key``.
+    occurrence), ``fold(key, column)`` (the endpoint ``old`` into one
+    median triple, which ``witness`` runs too), ``step`` (the slots of the
+    entry that appends ``new``), and the gate's, the thresholds' and
+    admission's lines, which find each record slot by the spec's ``_key``.
     """
     const, make = _generator()
     attrs = dict.fromkeys(spec.attribute for spec in plan.specs if spec.attribute)
@@ -490,16 +523,16 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
                      f"{med[k][1]}, {med[k][2]} = "
                      f"{const(_sentinel_table(columns[k[0]], k[1]))}[si]"]
 
-    # the triple excludes the final event, so the old endpoint folds in
-    fold = []
-    for (attr, sign, bound), (t1, t2, t3) in med.items():
-        fold += [f"y = {'' if sign > 0 else '-'}{hoisted[attr]}[old]",
-                 f"if y >= {bound}:",
-                 f"    {t1} += 1",
-                 f"    if y < {t3}: {t3} = y",
-                 "else:",
-                 f"    {t1} -= 1",
-                 f"    if y > {t2}: {t2} = y"]
+    def fold(key: tuple, column: str) -> list[str]:
+        # the triple excludes the final event, so the old endpoint folds in
+        (_, sign, bound), (t1, t2, t3) = key, med[key]
+        return [f"y = {'' if sign > 0 else '-'}{column}[old]",
+                f"if y >= {bound}:",
+                f"    {t1} += 1",
+                f"    if y < {t3}: {t3} = y",
+                "else:",
+                f"    {t1} -= 1",
+                f"    if y > {t2}: {t2} = y"]
 
     step = [f"{x[a]} = {hoisted[a]}[new]" for a in value_attrs]
     for a in plan.span_attrs:
@@ -524,23 +557,29 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             return f"not ({t1} > 0 or {t1} == 0 and {t2} + {t3} >= {2 * sign * c})"
         return None
 
-    # the endpoint folded in gives the whole occurrence's triple
-    wit = [f"old, {stats} = entry"]
-    wit += [h for h, a in zip(hoists, used) if a in {k[0] for k in plan.med_keys}] + fold
-    wit += [f"if {test}: return {i}" for i, test in enumerate(map(exact, plan.specs))
-            if test is not None]
+    # the endpoint folded in gives the whole occurrence's triple; each key
+    # folds just before the first test that reads it
+    wit, folded = [f"old, {stats} = entry"], set()
+    for i, spec in enumerate(plan.specs):
+        test, key = exact(spec), _key(spec)
+        if spec.kind is Kind.MED and key not in folded:
+            folded.add(key)
+            wit += fold(key[1:], f"{col[spec.attribute]}[si]")
+        if test is not None:
+            wit.append(f"if {test}: return {i}")
 
-    # the gate's lines read the parent's slots and record R[old]; the
+    # the gate's lines read the parent's slots and the record of old; the
     # thresholds q<i> come from the parent's length and sums; admission's
-    # lines read the entry's slots, the thresholds and record R[new]
+    # lines read the entry's slots, the thresholds and the record of new
     gate, head, adm = [], [], []
     checks, probes = [0], [0]
 
-    def slot(lines: list[str], record: str, key: tuple, j: int = 0) -> str:
-        # the record is looked up once, before its first read
-        if f"r = {record}" not in lines:
-            lines.append(f"r = {record}")
-        return f"r[{store.layout[key] + j}]"
+    def slot(lines: list[str], pos: str, key: tuple, j: int = 0) -> str:
+        # the record's first slot r is computed once, before its first read
+        if f"r = {pos} * {store.width}" not in lines:
+            lines.append(f"r = {pos} * {store.width}")
+        at = store.layout[key] + j
+        return f"R[r + {at}]" if at else "R[r]"
 
     for i, spec in enumerate(plan.specs):
         kind, c, attr, key = spec.kind, spec.c, spec.attribute, _key(spec)
@@ -551,38 +590,35 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             gate.append(f"if pln >= {c}: continue")
         elif kind is Kind.LENGTH and store is not None:
             head.append(f"q{i} = {c} - pln")
-            test = f"{slot(adm, 'R[new]', key)} < q{i}"
+            test = f"{slot(adm, 'new', key)} < q{i}"
         elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and anti:
             if kind is Kind.SPAN and store is not None:
                 # the reachable window must overlap [max - c, min + c]
                 low, high = f"p{lo[attr]}", f"p{hi[attr]}"
-                gate += [f"L, H = {slot(gate, 'R[old]', key)}, {slot(gate, 'R[old]', key, 1)}",
+                gate += [f"L, H = {slot(gate, 'old', key)}, {slot(gate, 'old', key, 1)}",
                          f"if (L if L > {high} - {c} else {high} - {c}) > "
                          f"(H if H < {low} + {c} else {low} + {c}): continue"]
         elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and store is not None:
-            adm.append(f"L, H = {slot(adm, 'R[new]', key)}, {slot(adm, 'R[new]', key, 1)}")
+            adm.append(f"L, H = {slot(adm, 'new', key)}, {slot(adm, 'new', key, 1)}")
             top = f"({hi[attr]} if {hi[attr]} > H else H)"
             bottom = f"({lo[attr]} if {lo[attr]} < L else L)"
             test = {Kind.SPAN: f"{top} - {bottom} < {c}",
                     Kind.MAX: f"{top} < {c}", Kind.MIN: f"{bottom} > {c}"}[kind]
         elif kind in (Kind.SUM, Kind.AVG) and store is not None:
             # the stored value counts the final event, so it adds to the
-            # parent's sum: ps + b1 < sc * (pln + b2) for an average
+            # parent's: ps + A < sc for a sum, ps - sc * pln + A < 0 for an
+            # average, whose A sums the excesses over sc
             sc, prefix = sign * c, f"p{acc[key[1:3]]}"
-            if kind is Kind.SUM:
-                head.append(f"q{i} = {sc} - {prefix}")
-                test = f"{slot(adm, 'R[new]', key)} < q{i}"
-            else:
-                head.append(f"q{i} = {sc} * pln - {prefix}")
-                test = (f"{slot(adm, 'R[new]', key)} {'-' if sc >= 0 else '+'} "
-                        f"{abs(sc)} * {slot(adm, 'R[new]', key, 1)} < q{i}")
+            head.append(f"q{i} = {sc}{' * pln' if kind is Kind.AVG else ''} - {prefix}")
+            test = f"{slot(adm, 'new', key)} < q{i}"
         elif kind is Kind.MED and store is not None:
             p1, p2, p3 = med[key[1:]]
-            # the deciding values are read only when the balances cancel
-            t2, t3 = slot(adm, "R[new]", key, 1), slot(adm, "R[new]", key, 2)
-            adm.append(f"t1 = {slot(adm, 'R[new]', key)} + {p1}")
-            test = (f"t1 < 0 or t1 == 0 and ({p2} if {p2} > {t2} else {t2}) + "
-                    f"({p3} if {p3} < {t3} else {t3}) < {2 * sign * c}")
+            # the deciding values are read only when the balances cancel,
+            # and each once
+            adm.append(f"t1 = {slot(adm, 'new', key)} + {p1}")
+            t2, t3 = slot(adm, "new", key, 1), slot(adm, "new", key, 2)
+            test = (f"t1 < 0 or t1 == 0 and ({p2} if {p2} > (t2 := {t2}) else t2) + "
+                    f"({p3} if {p3} < (t3 := {t3}) else t3) < {2 * sign * c}")
         if test is not None:
             adm.append(f"if {test}: hist[{i}] += 1; continue")
         checks.append(checks[-1] + (test is not None and anti))
@@ -612,7 +648,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             "        else:",
             f"            {punpack}",
             *_indent(gate, 3),
-            *_indent(fold, 3),
+            *_indent([line for k in plan.med_keys for line in fold(k, hoisted[k[0]])], 3),
             "            succs = nexts[old]",
             "        ln = pln + 1",
             *_indent(head, 2),

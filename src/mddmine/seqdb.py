@@ -245,7 +245,8 @@ def parse_attribute_tsv(text: str) -> AttributeTable:
         if header is None:  # the first non-blank line
             header, names = fields, tuple(fields[2:])
             if header[:2] != ["sid", "pos"]:
-                raise SeqDbError("attribute table header must start with 'sid\\tpos'")
+                raise SeqDbError(f"attribute table line {lineno}: "
+                                 "header must start with 'sid\\tpos'")
             problem = _column_name_problem(names)
             if problem:
                 raise SeqDbError(f"attribute table line {lineno}: {problem}")

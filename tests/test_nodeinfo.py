@@ -1,5 +1,8 @@
+import gc
 import random
 import re
+import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -11,17 +14,27 @@ from mddmine import (
     ConstraintSpec,
     Kind,
     StatPlan,
+    attach_attributes,
     build_mdd,
     check_occurrence,
     dump_info_tsv,
+    generate_attributes,
+    generate_sessions,
     make_database,
     mine,
     mine_bruteforce,
     parse_constraint,
     propagate,
 )
+from mddmine.cli import SCENARIOS
 from mddmine.constraints import exact_median
-from mddmine.nodeinfo import _sentinel_table, med_dominates, med_fold, oriented_sentinels
+from mddmine.nodeinfo import (
+    _WIDTH,
+    _sentinel_table,
+    med_dominates,
+    med_fold,
+    oriented_sentinels,
+)
 
 from conftest import A, B, C
 from dbgen import random_db, random_specs
@@ -65,15 +78,13 @@ class TestPropagateOnClickDb:
         mdd = build_mdd(click_db)
         spec = parse_constraint("avg(price)>=3")
         store = propagate(mdd, click_db, (spec,))
-        b1, b2 = store.info(("avg", "price", 1, 3))[SECOND][0]
-        assert b1 - 3 * b2 == 0
+        assert store.info(("avg", "price", 1, 3))[SECOND][0] == 0
 
     def test_avg_price_objective_minus_one_at_bound_four(self, click_db):
         mdd = build_mdd(click_db)
         spec = parse_constraint("avg(price)>=4")
         store = propagate(mdd, click_db, (spec,))
-        b1, b2 = store.info(("avg", "price", 1, 4))[SECOND][0]
-        assert b1 - 4 * b2 == -1
+        assert store.info(("avg", "price", 1, 4))[SECOND][0] == -1
 
 
 def _admitted_with_window(values, occ, text):
@@ -241,9 +252,9 @@ class TestOracleEquivalence:
                         assert beta == sum_ground_truth(db, mdd, si, pos, attr, sign)
             for (attr, sign, bound), arrays in store_arrays(store, "avg").items():
                 for si, arr in enumerate(arrays):
-                    for pos, (b1, b2) in enumerate(arr):
+                    for pos, beta in enumerate(arr):
                         truth = avg_objective_ground_truth(db, mdd, si, pos, attr, sign, bound)
-                        assert b1 - bound * b2 == truth
+                        assert beta == truth
             for si, arr in enumerate(store.info(("maxlen",))):
                 for pos, value in enumerate(arr):
                     assert value == maxlen_ground_truth(mdd, si, pos)
@@ -445,7 +456,8 @@ class TestWitness:
 
 
 #: ``dump_info_tsv`` of the click database under ``DUMP_SPECS``, as rendered
-#: from the per-kind arrays that preceded the record layout
+#: from the per-kind arrays that preceded the record layout, with each
+#: average pair (b1, b2) rewritten as its excess b1 - 3*b2
 DUMP_TEXT = (
     "sid\tpos\tinfo\tvalues\n"
     "1\t1\tspan(time)\t1,3\n"
@@ -464,14 +476,14 @@ DUMP_TEXT = (
     "3\t1\tsum(price,<=)\t-1\n"
     "3\t2\tsum(price,<=)\t-2\n"
     "3\t3\tsum(price,<=)\t-3\n"
-    "1\t1\tavg(price,>=3)\t5,1\n"
-    "1\t2\tavg(price,>=3)\t3,1\n"
-    "2\t1\tavg(price,>=3)\t3,1\n"
-    "2\t2\tavg(price,>=3)\t1,1\n"
-    "2\t3\tavg(price,>=3)\t3,1\n"
-    "3\t1\tavg(price,>=3)\t1,1\n"
-    "3\t2\tavg(price,>=3)\t2,1\n"
-    "3\t3\tavg(price,>=3)\t3,1\n"
+    "1\t1\tavg(price,>=3)\t2\n"
+    "1\t2\tavg(price,>=3)\t0\n"
+    "2\t1\tavg(price,>=3)\t0\n"
+    "2\t2\tavg(price,>=3)\t-2\n"
+    "2\t3\tavg(price,>=3)\t0\n"
+    "3\t1\tavg(price,>=3)\t-2\n"
+    "3\t2\tavg(price,>=3)\t-1\n"
+    "3\t3\tavg(price,>=3)\t0\n"
     "1\t1\tmed(price,<=2)\t-1,-5,-2\n"
     "1\t2\tmed(price,<=2)\t-1,-3,-2\n"
     "2\t1\tmed(price,<=2)\t0,-3,-1\n"
@@ -545,6 +557,72 @@ class TestRecordLayout:
             assert set(part.layout) <= set(full.layout)
             for key in part.layout:
                 assert part.info(key) == full.info(key), key
+
+
+class TestPackedStore:
+    """Each sequence's records are one flat block of ``width`` slots per
+    event: an ``array('q')``, or a list where a value leaves 64 bits."""
+
+    def test_rows_are_int64_arrays_of_width_per_event(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            db = random_db(rng, n_max=8, len_max=6)
+            specs = random_specs(rng, db, max_specs=5) + (
+                ConstraintSpec(Kind.LENGTH, direction=GE, c=2),
+            )
+            store = propagate(build_mdd(db, specs), db, specs)
+            assert store.width == sum(_WIDTH[key[0]] for key in store.layout)
+            assert len(store.records) == len(db)
+            for rows, seq in zip(store.records, db.sequences):
+                assert isinstance(rows, array) and rows.typecode == "q"
+                assert len(rows) == store.width * len(seq)
+
+    def test_values_beyond_64_bits_fall_back_to_a_list(self):
+        big = 2 ** 62
+        # two events near 2**62 sum past 2**63 - 1; one event, or small
+        # values, fit
+        times = [[big, big + 1], [big], [1, 2, 3], [big - 5, big, big + 5], [7, big]]
+        items = [[1, 2], [1], [1, 2, 3], [2, 1, 2], [1, 2]]
+        db = make_database(items, {"time": times}, ordering_attribute="time")
+        specs = tuple(map(parse_constraint, (
+            f"sum(time)>={big}", f"avg(time)<={big}", "sum(time)<=4", f"avg(time)>={big - 3}")))
+        mdd = build_mdd(db, specs)
+        store = propagate(mdd, db, specs)
+        for seq, rows in zip(db.sequences, store.records):
+            assert len(rows) == store.width * len(seq)
+            fits = all(-2 ** 63 <= v < 2 ** 63 for v in rows)
+            assert isinstance(rows, array) if fits else type(rows) is list
+        assert {type(rows) for rows in store.records} == {array, list}
+        for (attr, sign), arrays in store_arrays(store, "sum").items():
+            for si, arr in enumerate(arrays):
+                assert arr == [sum_ground_truth(db, mdd, si, pos, attr, sign)
+                               for pos in range(len(arr))]
+        for (attr, sign, bound), arrays in store_arrays(store, "avg").items():
+            for si, arr in enumerate(arrays):
+                assert arr == [avg_objective_ground_truth(db, mdd, si, pos, attr, sign, bound)
+                               for pos in range(len(arr))]
+        for theta in (1, 2):
+            for subset in (specs, specs[:2], specs[1:2], specs[3:]):
+                assert (mine(mdd, store, db, subset, theta)
+                        == mine_bruteforce(db, subset, theta)), (theta, subset)
+
+    def test_store_costs_eight_bytes_a_slot(self):
+        # a tuple of boxed ints per event took about 190 B at width 9
+        base = generate_sessions(2000, 1000, seed=2024)
+        db = attach_attributes(base, generate_attributes(base, seed=99),
+                               ordering_attribute="time")
+        specs = tuple(parse_constraint(t) for t in SCENARIOS[3])
+        mdd = build_mdd(db, specs)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            store = propagate(mdd, db, specs)
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        events = sum(len(seq) for seq in db.sequences)
+        assert abs(size / (8 * store.width * events) - 1) <= 0.25, (size / events, store.width)
 
 
 def test_dump_info_tsv_smoke(click_db):

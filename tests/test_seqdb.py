@@ -157,6 +157,7 @@ class TestAttachAttributes:
         ("\nsid\tpos\tt\n \n1\t1\t2\n1\t2\n", "attribute row 5 has 2 fields, expected 3"),
         ("\n  \nsid\tpos\tt\tt\n1\t1\t5\t6\n",
          "attribute table line 3: duplicate column name 't'"),
+        ("\n\npos\tsid\tt\n", "attribute table line 3: header must start with 'sid\\tpos'"),
     ])
     def test_errors_name_the_file_line_after_blank_lines(self, text, message):
         with pytest.raises(SeqDbError) as err:
@@ -166,7 +167,7 @@ class TestAttachAttributes:
     def test_header_must_start_with_sid_and_pos(self):
         with pytest.raises(SeqDbError) as err:
             parse_attribute_tsv("pos\tsid\tt\n1\t1\t5\n")
-        assert str(err.value) == "attribute table header must start with 'sid\\tpos'"
+        assert str(err.value) == "attribute table line 1: header must start with 'sid\\tpos'"
 
 
 def shuffled_tsv(text: str, seed: int) -> str:
