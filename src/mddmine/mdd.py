@@ -54,7 +54,7 @@ class Mdd:
 
     def __init__(self, db: AttributedDatabase, imposed: tuple[ConstraintSpec, ...]):
         self.db = db
-        self.n_layers = max((len(seq) for seq in db.sequences), default=0)
+        self.n_layers = max(map(len, db.items), default=0)
         self.imposed = imposed
         #: per sequence index: tuple over 0-based positions of successor rows,
         #: windows ``range(a, b)`` unless filtered, then tuples
@@ -64,24 +64,22 @@ class Mdd:
 
     def layer_items(self, layer: int) -> list[int]:
         """The items of the layer's nodes, ascending."""
-        return sorted({seq.items[layer - 1] for seq in self.db.sequences
-                       if len(seq) >= layer})
+        return sorted({items[layer - 1] for items in self.db.items if len(items) >= layer})
 
     def labels(self, layer: int, item: int) -> dict[int, tuple[int, ...]]:
         """sid -> attribute values, aligned with the database attribute names,
         of the event each sequence holds in node ``(layer, item)``."""
-        pos = layer - 1
-        names = self.db.attribute_names
-        return {si + 1: tuple(seq.attr_values(name)[pos] for name in names)
-                for si, seq in enumerate(self.db.sequences)
-                if len(seq) > pos and seq.items[pos] == item}
+        pos, columns = layer - 1, self.db.attrs.values()
+        return {si + 1: tuple(col[si][pos] for col in columns)
+                for si, items in enumerate(self.db.items)
+                if len(items) > pos and items[pos] == item}
 
     def arcs(self) -> dict[tuple[Node, Node], list[int]]:
         """(source, target) -> ascending sids, in (source, target) order."""
         root, terminal = (0, ROOT_ITEM), (self.n_layers + 1, TERMINAL_ITEM)
         arcs: dict[tuple[Node, Node], list[int]] = {}
-        for si, seq in enumerate(self.db.sequences):
-            nodes = [(pos + 1, item) for pos, item in enumerate(seq.items)]
+        for si, items in enumerate(self.db.items):
+            nodes = [(pos + 1, item) for pos, item in enumerate(items)]
             pairs = [(root, nodes[k]) for k in self.starts[si]]
             pairs += [(nodes[j], nodes[k])
                       for j, row in enumerate(self.succ[si]) for k in row]
@@ -121,11 +119,10 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
     allowed = rules.allowed_items
     filtered = allowed is not None or bool(others)
 
-    for seq in db.sequences:
-        items = seq.items
+    for si, items in enumerate(db.items):
         length = len(items)
-        ord_col = seq.attr_values(ordering) if ordering is not None else None
-        checks = [(seq.attr_values(attr), lo, hi) for attr, lo, hi in others]
+        ord_col = db.columns(ordering)[si] if ordering is not None else None
+        checks = [(db.columns(attr)[si], lo, hi) for attr, lo, hi in others]
         alive = [allowed is None or item in allowed for item in items]
         succ_rows: list[SequenceT[int]] = [()] * length
         for j in range(length):
@@ -177,7 +174,7 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
     report = MddValidationReport()
 
     # successor tables and starts, one direct rule per sequence
-    n_seq = len(db.sequences)
+    n_seq = len(db)
     if not len(mdd.succ) == len(mdd.starts) == n_seq:
         report.fail(f"successor tables do not cover the {n_seq} sequences")
         return report

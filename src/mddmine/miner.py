@@ -147,7 +147,7 @@ class _ProjectionMiner:
         self.plan = plan
         self.counters = counters if counters is not None else MiningCounters()
         self.use_prop5 = use_prop5
-        self._items = [seq.items for seq in plan.db.sequences]
+        self._items = plan.db.items
         plain = Counter(item for items in self._items for item in set(items))
         self._infrequent = frozenset(i for i, sup in plain.items() if sup < theta)
 

@@ -13,7 +13,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence as SequenceT
 
-from .constraints import ConstraintSpec, pairwise_rules, support_of
+from .constraints import (
+    ConstraintSpec,
+    has_satisfying_embedding,
+    pairwise_rules,
+    require_known_attributes,
+)
 from .miner import MiningCounters, PatternSet, _ProjectionMiner
 from .nodeinfo import StatPlan
 from .seqdb import AttributedDatabase
@@ -32,7 +37,7 @@ class PpccMiner(_ProjectionMiner):
         use_prop5: bool = True,
     ):
         super().__init__(StatPlan(db, specs), theta, counters, use_prop5)
-        self._table = _StepTable(_Steps(db, specs, self._items, self.counters))
+        self._table = _StepTable(_Steps(db, specs, self.counters))
 
     def _tables(self, dead: set[int]):
         self._table.steps.dead = dead
@@ -65,9 +70,9 @@ class _Steps:
     __slots__ = ("items", "counters", "allowed", "gaps", "ord_col", "ord_hi", "si", "dead")
 
     def __init__(self, db: AttributedDatabase, specs: SequenceT[ConstraintSpec],
-                 items: list, counters: MiningCounters):
+                 counters: MiningCounters):
         rules = pairwise_rules(specs)
-        self.items, self.counters, self.allowed = items, counters, rules.allowed_items
+        self.items, self.counters, self.allowed = db.items, counters, rules.allowed_items
         self.gaps = [(db.columns(attr), lo, hi) for attr, lo, hi in rules.gap_bounds]
         self.ord_col = self.ord_hi = None
         for attr, _, hi in rules.gap_bounds:
@@ -150,14 +155,16 @@ def mine_bruteforce(
         raise ValueError("minimum support must be at least 1")
     if max_len is not None and max_len < 1:
         raise ValueError("the pattern length cap must be at least 1")
+    require_known_attributes(specs, db.attribute_names)
     if max_len is None:
-        max_len = max((len(seq) for seq in db.sequences), default=0)
+        max_len = max(map(len, db.items), default=0)
     candidates: set[tuple[int, ...]] = set()
-    for seq in db.sequences:
-        candidates.update(_distinct_subsequences(seq.items, max_len))
+    for items in db.items:
+        candidates.update(_distinct_subsequences(items, max_len))
+    sequences = db.sequences  # each access builds new views, so build them once
     out = PatternSet()
     for pattern in candidates:
-        support = support_of(pattern, db, specs)
+        support = sum(has_satisfying_embedding(seq, pattern, specs) for seq in sequences)
         if support >= theta:
             out.add(pattern, support)
     return out

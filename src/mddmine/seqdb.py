@@ -1,15 +1,17 @@
 """Sequence database model, SPMF ingestion, and attribute tooling.
 
-The database is a list of sequences stored column-wise: each sequence holds
-a tuple of item identifiers (non-negative integers) and, per declared
-attribute, one tuple of integer values aligned with the items.  A sequence
-is addressed by its 0-based index in the list; its id in files and messages
-(``sid``) is that index + 1.  The event at position j is ``items[j]`` with
-its values ``values[name][j]``; the same item may occur with different
-attribute values at different positions.  These tuples are the only copy of
-the data: ``attr_values`` and ``AttributedDatabase.columns`` hand them out
-as they are.  When an ordering attribute is declared (typically ``time``),
-its values must be strictly increasing along each sequence.
+The database is stored as columns: ``items``, a list holding each
+sequence's tuple of item identifiers (non-negative integers), and per
+declared attribute one list holding each sequence's tuple of integer
+values, aligned with its items.  A sequence is addressed by its 0-based
+index in these lists; its id in files and messages (``sid``) is that index
++ 1.  The event at position j of sequence si is ``items[si][j]`` with the
+values ``columns(name)[si][j]``; the same item may occur with different
+attribute values at different positions.  These tuples are the only copy
+of the data, and no object is stored per sequence: ``sequences`` builds
+``Sequence`` views over the tuples on each call, for the reference code.
+When an ordering attribute is declared (typically ``time``), its values
+must be strictly increasing along each sequence.
 
 Two on-disk formats are understood:
 
@@ -29,7 +31,7 @@ import random
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Mapping, Sequence as SequenceT
 
 
@@ -57,7 +59,8 @@ class OrderingError(SeqDbError):
 
 @dataclass
 class Sequence:
-    """One ordered event sequence; its id is its index in the database + 1.
+    """A view of one sequence over the database's stored tuples, built by
+    ``AttributedDatabase.sequences`` for the reference code.
 
     ``values`` maps each attribute name to a tuple aligned with ``items``.
     """
@@ -74,55 +77,69 @@ class Sequence:
 
 @dataclass
 class AttributedDatabase:
-    sequences: list[Sequence]
-    attribute_names: tuple[str, ...] = ()
+    """The sequences as columns: ``items[si]`` is the item tuple of sequence
+    ``si`` and ``attrs[name][si]`` (``columns(name)[si]``) its value tuple of
+    attribute ``name``.
+
+    The constructor makes every cell a tuple and checks the columns in turn:
+    no sequence is empty or holds a negative item, each attribute has one
+    value per item, and the ordering attribute is declared and strictly
+    increasing along each sequence.
+    """
+
+    items: list[tuple[int, ...]]
+    attrs: dict[str, list[tuple[int, ...]]] = field(default_factory=dict)
     ordering_attribute: str | None = None
 
     def __post_init__(self):
-        self.attribute_names = tuple(self.attribute_names)
-        for sid, seq in enumerate(self.sequences, start=1):
-            if not seq.items:
+        self.items = items = list(map(tuple, self.items))
+        for sid, seq in enumerate(items, start=1):
+            if not seq:
                 raise SeqDbError(f"sequence {sid} is empty")
-            if min(seq.items) < 0:
-                pos = next(p for p, item in enumerate(seq.items, start=1) if item < 0)
+            if min(seq) < 0:
+                pos = next(p for p, item in enumerate(seq, start=1) if item < 0)
                 raise SeqDbError(f"negative item id at sid {sid} pos {pos}")
-            for name in self.attribute_names:
-                values = seq.values.get(name)
-                if values is None:
-                    raise SeqDbError(f"sequence {sid} lacks attribute {name!r}")
-                if len(values) != len(seq.items):
-                    raise SeqDbError(
-                        f"attribute {name!r} has {len(values)} values for the "
-                        f"{len(seq.items)} items of sid {sid}"
-                    )
-        if self.ordering_attribute is not None:
-            if self.ordering_attribute not in self.attribute_names:
-                raise SeqDbError(
-                    f"ordering attribute {self.ordering_attribute!r} is not declared"
-                )
-            _check_ordering(self.sequences, self.ordering_attribute)
+        self.attrs = {name: list(map(tuple, col)) for name, col in self.attrs.items()}
+        for name, column in self.attrs.items():
+            if len(column) != len(items):
+                sid = min(len(column), len(items)) + 1
+                problem = ("no values for" if len(column) < len(items)
+                           else "values for unknown")
+                raise SeqDbError(f"attribute {name!r} has {problem} sid {sid}")
+            for sid, (seq, values) in enumerate(zip(items, column), start=1):
+                if len(values) != len(seq):
+                    raise SeqDbError(f"attribute {name!r} has {len(values)} values for "
+                                     f"the {len(seq)} items of sid {sid}")
+        name = self.ordering_attribute
+        if name is not None and name not in self.attrs:
+            raise SeqDbError(f"ordering attribute {name!r} is not declared")
+        for sid, values in enumerate(self.attrs.get(name, ()), start=1):
+            for j in range(1, len(values)):
+                if values[j] <= values[j - 1]:
+                    raise OrderingError(f"attribute {name!r} not strictly increasing "
+                                        f"in sequence {sid} at position {j + 1}")
+
+    @property
+    def attribute_names(self) -> tuple[str, ...]:
+        return tuple(self.attrs)
+
+    @property
+    def sequences(self) -> list[Sequence]:
+        """A fresh ``Sequence`` view per sequence, over the stored tuples."""
+        columns = self.attrs.items()
+        return [Sequence(seq, {name: col[si] for name, col in columns})
+                for si, seq in enumerate(self.items)]
 
     @property
     def item_universe(self) -> frozenset[int]:
-        return frozenset(item for seq in self.sequences for item in seq.items)
+        return frozenset(chain.from_iterable(self.items))
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.items)
 
     def columns(self, name: str) -> list[tuple[int, ...]]:
-        """The stored per-sequence value tuples of one attribute, not copies."""
-        return [seq.values[name] for seq in self.sequences]
-
-
-def _check_ordering(sequences: list[Sequence], name: str) -> None:
-    for sid, seq in enumerate(sequences, start=1):
-        values = seq.attr_values(name)
-        for j in range(1, len(values)):
-            if values[j] <= values[j - 1]:
-                raise OrderingError(
-                    f"attribute {name!r} not strictly increasing in sequence "
-                    f"{sid} at position {j + 1}"
-                )
+        """The stored per-sequence value tuples of one attribute."""
+        return self.attrs[name]
 
 
 def make_database(
@@ -130,30 +147,15 @@ def make_database(
     attrs: Mapping[str, SequenceT[SequenceT[int]]] | None = None,
     ordering_attribute: str | None = None,
 ) -> AttributedDatabase:
-    """Build a database from parallel item and attribute-value lists.
-
-    Every attribute needs one value list per sequence, one value per item.
-    """
-    attrs = attrs or {}
-    names = tuple(attrs)
-    for name in names:
-        n_lists, n_seqs = len(attrs[name]), len(item_lists)
-        if n_lists != n_seqs:
-            sid = min(n_lists, n_seqs) + 1
-            problem = "no values for" if n_lists < n_seqs else "values for unknown"
-            raise SeqDbError(f"attribute {name!r} has {problem} sid {sid}")
-    sequences = [
-        Sequence(tuple(items), {name: tuple(attrs[name][i]) for name in names})
-        for i, items in enumerate(item_lists)
-    ]
-    return AttributedDatabase(sequences, names, ordering_attribute)
+    """Build a database from parallel item and attribute-value lists."""
+    return AttributedDatabase(item_lists, attrs or {}, ordering_attribute)
 
 
 # --- SPMF format --------------------------------------------------------------
 
 def parse_spmf(text: str) -> AttributedDatabase:
     """Parse SPMF sequence lines into an attribute-free database."""
-    sequences: list[Sequence] = []
+    sequences: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -192,20 +194,12 @@ def parse_spmf(text: str) -> AttributedDatabase:
             raise SpmfFormatError("missing -2 terminator", lineno)
         if not items:
             raise SpmfFormatError("sequence without events", lineno)
-        sequences.append(Sequence(tuple(items)))
+        sequences.append(tuple(items))
     return AttributedDatabase(sequences)
 
 
 def to_spmf(db: AttributedDatabase) -> str:
-    lines = []
-    for seq in db.sequences:
-        parts: list[str] = []
-        for item in seq.items:
-            parts.append(str(item))
-            parts.append("-1")
-        parts.append("-2")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join("".join(f"{item} -1 " for item in items) + "-2\n" for items in db.items)
 
 
 # --- attribute tables ---------------------------------------------------------
@@ -272,18 +266,19 @@ def attach_attributes(
     """
     rows = sorted(table.rows)
     rows.append((math.inf, math.inf, ()))  # sorts after every event: rows run out at a gap
-    width, sequences, end = len(table.names), [], 0
-    for sid, seq in enumerate(db.sequences, start=1):
-        start, end = end, end + len(seq)
+    width, end = len(table.names), 0
+    columns = [[] for _ in table.names]
+    for sid, items in enumerate(db.items, start=1):
+        start, end = end, end + len(items)
         block = rows[start:end]
         for pos, (at_sid, at, values) in enumerate(block, start=1):
             if at_sid != sid or at != pos or len(values) != width:
                 raise _coverage_error(rows, start + pos - 1, (sid, pos), width)
-        columns = zip(*[values for _, _, values in block])
-        sequences.append(Sequence(seq.items, dict(zip(table.names, columns))))
+        for column, values in zip(columns, zip(*[values for _, _, values in block])):
+            column.append(values)
     if end < len(rows) - 1:
         raise _coverage_error(rows, end, rows[-1][:2], width)
-    return AttributedDatabase(sequences, table.names, ordering_attribute)
+    return AttributedDatabase(db.items, dict(zip(table.names, columns)), ordering_attribute)
 
 
 def _coverage_error(rows: list, i: int, expected: tuple, width: int) -> AttributeCoverageError:
@@ -359,10 +354,10 @@ def generate_attributes(
     for name in names:
         per_seq: list[list[int]] = []
         if kinds[name] == "time":
-            for seq in db.sequences:
+            for items in db.items:
                 clock = 0
                 stamps = []
-                for _ in seq.items:
+                for _ in items:
                     if rng.random() < LONG_DELAY_PROBABILITY:
                         delta = rng.randint(*LONG_DELAY_RANGE)
                     else:
@@ -371,12 +366,12 @@ def generate_attributes(
                     stamps.append(clock)
                 per_seq.append(stamps)
         else:
-            for seq in db.sequences:
-                per_seq.append([rng.randint(*UNIFORM_RANGE) for _ in seq.items])
+            for items in db.items:
+                per_seq.append([rng.randint(*UNIFORM_RANGE) for _ in items])
         columns[name] = per_seq
     rows = []
-    for i, seq in enumerate(db.sequences):
-        for j in range(len(seq)):
+    for i, items in enumerate(db.items):
+        for j in range(len(items)):
             rows.append((i + 1, j + 1, tuple(columns[name][i][j] for name in names)))
     return AttributeTable(names, rows)
 
@@ -392,11 +387,11 @@ class DbStats:
 
 
 def stats(db: AttributedDatabase) -> DbStats:
-    if not db.sequences:
+    if not db.items:
         return DbStats(0, 0, 0, Fraction(0))
-    lengths = [len(seq) for seq in db.sequences]
+    lengths = list(map(len, db.items))
     return DbStats(
-        n_sequences=len(db.sequences),
+        n_sequences=len(db.items),
         n_items=len(db.item_universe),
         max_len=max(lengths),
         avg_len=Fraction(sum(lengths), len(lengths)),

@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +24,6 @@ from mddmine.seqdb import (
     AttributeCoverageError,
     OrderingError,
     SeqDbError,
-    Sequence,
     SpmfFormatError,
     UnsupportedItemsetError,
 )
@@ -252,14 +254,34 @@ class TestColumns:
     def test_columns_are_the_stored_tuples(self, click_db):
         for name in click_db.attribute_names:
             column = click_db.columns(name)
+            assert click_db.columns(name) is column
             for si, seq in enumerate(click_db.sequences):
                 assert column[si] is seq.attr_values(name)
+                assert seq.items is click_db.items[si]
                 assert type(column[si]) is tuple
 
     def test_attached_columns_are_the_stored_tuples(self):
         db = attach_attributes(parse_spmf(CLICK_SPMF), parse_attribute_tsv(CLICK_ATTR_TSV))
         assert db.columns("price")[1] is db.sequences[1].attr_values("price")
         assert db.columns("price")[1] == (3, 1, 3)
+
+    def test_database_costs_little_beyond_its_tuples(self):
+        # an object and a dict stored per sequence would cost about 1.37x
+        base = generate_sessions(2000, 1000, seed=7)
+        spmf, tsv = to_spmf(base), format_attribute_tsv(generate_attributes(base, seed=7))
+        del base
+        gc.collect()  # also empties the free lists, whose reuse tracemalloc misses
+        tracemalloc.start()
+        try:
+            db = attach_attributes(parse_spmf(spmf), parse_attribute_tsv(tsv))
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        cells = [*db.items, *(cell for name in db.attribute_names for cell in db.columns(name))]
+        boxed = {id(v): v for cell in cells for v in cell if not -5 <= v <= 256}
+        payload = sum(map(sys.getsizeof, [*cells, *boxed.values()]))
+        assert size <= 1.15 * payload, size / payload
 
 
 class TestMakeDatabaseShapes:
@@ -288,17 +310,17 @@ class TestMakeDatabaseShapes:
 class TestDatabaseChecks:
     def test_empty_sequence_rejected(self):
         with pytest.raises(SeqDbError) as err:
-            AttributedDatabase([Sequence((1,)), Sequence(())])
+            AttributedDatabase([(1,), ()])
         assert str(err.value) == "sequence 2 is empty"
 
-    def test_missing_attribute_rejected(self):
+    def test_short_column_rejected(self):
         with pytest.raises(SeqDbError) as err:
-            AttributedDatabase([Sequence((1,), {"t": (4,)})], ("t", "price"))
-        assert str(err.value) == "sequence 1 lacks attribute 'price'"
+            AttributedDatabase([(1,), (2,)], {"t": [(4,)]})
+        assert str(err.value) == "attribute 't' has no values for sid 2"
 
     def test_undeclared_ordering_rejected(self):
         with pytest.raises(SeqDbError) as err:
-            AttributedDatabase([Sequence((1,), {"t": (4,)})], ("t",), "time")
+            AttributedDatabase([(1,)], {"t": [(4,)]}, "time")
         assert str(err.value) == "ordering attribute 'time' is not declared"
 
 
