@@ -4,7 +4,7 @@ Builds a few thousand sessions with a skewed item distribution, generates
 time/price/quality attributes, and mines under one, two, and three attribute
 constraint groups, comparing the diagram miner against raw prefix projection
 with checks.  A scaled-down version of the acceptance smoke test; expect
-roughly ten seconds.
+a few seconds.
 
 Run with:  python3 demos/03_clickstream_benchmark.py
 """

@@ -80,11 +80,13 @@ def med_dominates(a: MedTriple, b: MedTriple, bound: int) -> bool:
 
     A triple summarizes a non-empty multiset S of oriented values against the
     bound c: (#{v >= c} - #{v < c}, largest v < c, smallest v >= c), with the
-    column's sentinels (min - 1, max + 1) for an empty side.  A prefix P,
-    summarized alike, is feasible with S when median(P + S) >= c, which holds
-    exactly when the balances sum to more than 0, or they cancel and
-    max(p2, t2) + min(p3, t3) >= 2c (both sides of c are then non-empty in
-    P + S, so no sentinel survives the max and min).
+    attribute's oriented pair over the database, (min - 1, max + 1), for an
+    empty side.  A prefix P, summarized alike, is feasible with S when
+    median(P + S) >= c, which holds exactly when the balances sum to more
+    than 0, or they cancel and max(p2, t2) + min(p3, t3) >= 2c (both sides
+    of c are then non-empty in P + S, so no sentinel survives the max and
+    min).  (a) and (b) hold for any pair below and above every value, as the
+    exhaustive test's window-wide sentinels exercise.
 
     (a) On realizable triples the rule is a total preorder that matches
         semantic dominance: ``a`` beats ``b`` iff every prefix feasible with
@@ -160,16 +162,11 @@ def _info_label(key: tuple) -> str:
     return f"{kind}({attr},{GE if sign > 0 else LE}{''.join(str(sign * b) for b in bound)})"
 
 
-def oriented_sentinels(values: SequenceT[int]) -> tuple[int, int]:
-    """(below-everything, above-everything) sentinels for one oriented column."""
-    return min(values) - 1, max(values) + 1
-
-
-def _sentinel_table(columns, sign: int) -> list[tuple[int, int]]:
-    """``oriented_sentinels`` of each column times ``sign``, without the copy."""
-    if sign > 0:
-        return [oriented_sentinels(col) for col in columns]
-    return [(-max(col) - 1, -min(col) + 1) for col in columns]
+def _sentinels(columns, sign: int) -> tuple[int, int]:
+    """The oriented (min - 1, max + 1) of one attribute over the whole
+    database: below and above every value of every sequence."""
+    lo, hi = min(map(min, columns), default=0), max(map(max, columns), default=0)
+    return (lo - 1, hi + 1) if sign > 0 else (-hi - 1, -lo + 1)
 
 
 # --- the information store ------------------------------------------------------
@@ -235,7 +232,8 @@ def _packer(width: int):
 
     def packed(rows: list[tuple]) -> array | list[int]:
         try:
-            return array("q", b"".join(starmap(pack, rows)))
+            # array('q', bytes) over-allocates; the slice is an exact-size copy
+            return array("q", b"".join(starmap(pack, rows)))[:]
         except StructError:
             return list(chain.from_iterable(rows))
 
@@ -258,8 +256,9 @@ def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
       because avg(V) >= c iff sum(v - c for v in V) >= 0 on a non-empty V,
       and the excesses of a prefix and a path ahead add up, so the largest
       excess ahead decides whether any extension reaches the bound;
-    * med starts from the event alone and folds the event's value into each
-      successor triple, keeping the first that no later one beats
+    * med starts from the event alone, its empty side holding the key's
+      ``_sentinels`` pair as constants, and folds the event's value into
+      each successor triple, keeping the first that no later one beats
       (``med_fold`` and ``med_dominates`` inlined).
 
     A finished sequence's tuples are packed by ``_packer``.
@@ -294,12 +293,11 @@ def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
         else:
             bound, two = key[3], 2 * key[3]
             b1, b2, b3, ok = f"m{n}a", f"m{n}b", f"m{n}c", f"ok{n}"
-            seq.append(f"            e{n}, f{n} = "
-                       f"{const(_sentinel_table(db.columns(key[1]), key[2]))}[si]")
+            e, f = _sentinels(db.columns(key[1]), key[2])
             own += [f"                v{n} = {v}",
                     f"                up{n} = v{n} >= {bound}",
                     f"                {b1}, {b2}, {b3} = "
-                    f"(1, e{n}, v{n}) if up{n} else (-1, v{n}, f{n})",
+                    f"(1, {e}, v{n}) if up{n} else (-1, v{n}, {f})",
                     f"                {ok} = {b2} + {b3} >= {two}"]
             # a folded triple of lower balance loses whatever its values
             step += [f"                    t1 = {u[0]} + 1 if up{n} else {u[0]} - 1",
@@ -429,9 +427,9 @@ class StatPlan:
     tuple and the admission chain.  The root parent ``None`` is the
     identity, the empty occurrence: ``ln`` 0, each span's ``(lo, hi)``
     (+inf, -inf), which the first event replaces by its value, zero sums,
-    and median triples ``(0, e, f)`` of the oriented column's sentinels with
-    nothing to fold.  It has no gate and reads ``STARTS[si]`` instead of
-    ``NEXTS[si]``.
+    and median triples ``(0, e, f)`` with nothing to fold, ``(e, f)`` the
+    key's ``_sentinels`` pair, bound as constants.  It has no gate and
+    reads ``STARTS[si]`` instead of ``NEXTS[si]``.
 
     ``witness`` needs only the endpoint and the stats: on an occurrence that
     follows arcs (or the baseline's step scan) every gap and item-set rule
@@ -493,8 +491,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     """
     const, make = _generator()
     attrs = dict.fromkeys(spec.attribute for spec in plan.specs if spec.attribute)
-    columns = {a: plan.db.columns(a) for a in attrs}
-    col = {a: const(columns[a]) for a in attrs}
+    col = {a: const(plan.db.columns(a)) for a in attrs}
     x = {a: f"x{i}" for i, a in enumerate(attrs)}  # a column's value at one position
     lo = {a: f"lo{i}" for i, a in enumerate(plan.span_attrs)}
     hi = {a: f"hi{i}" for i, a in enumerate(plan.span_attrs)}
@@ -519,9 +516,8 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     identity += [f"p{lo[a]}, p{hi[a]} = {inf}, -{inf}" for a in plan.span_attrs]
     identity += [f"p{acc[k]} = 0" for k in plan.sum_keys]
     for k in plan.med_keys:
-        identity += [f"{med[k][0]} = 0",
-                     f"{med[k][1]}, {med[k][2]} = "
-                     f"{const(_sentinel_table(columns[k[0]], k[1]))}[si]"]
+        e, f = _sentinels(plan.db.columns(k[0]), k[1])
+        identity.append(f"{', '.join(med[k])} = 0, {e}, {f}")
 
     def fold(key: tuple, column: str) -> list[str]:
         # the triple excludes the final event, so the old endpoint folds in

@@ -104,12 +104,18 @@ def med_triple(values, bound, sentinels):
             min(above, default=sentinels[1]))
 
 
+def database_sentinels(db, attr: str, sign: int) -> tuple[int, int]:
+    """(min - 1, max + 1) of ``attr``'s oriented values over the database."""
+    oriented = [sign * v for col in db.columns(attr) for v in col]
+    return min(oriented) - 1, max(oriented) + 1
+
+
 def definition_stats(plan, db, si: int, positions):
     """Each slot of the plan's flat stats tuple, by its definition, placed at
     the plan's offset for its key: the length, (min, max) per span
     attribute, the oriented sum per (attribute, sign), and the oriented
     median triple per median key over the occurrence excluding its final
-    event, with the oriented column's sentinels (min - 1, max + 1)."""
+    event, with ``database_sentinels`` for an empty side."""
     slots = {0: len(positions)}
     for attr, at in plan.span_at.items():
         vals = [db.columns(attr)[si][p] for p in positions]
@@ -118,9 +124,8 @@ def definition_stats(plan, db, si: int, positions):
         vals = [db.columns(attr)[si][p] for p in positions]
         slots[at] = sign * sum(vals)
     for (attr, sign, bound), at in plan.med_at.items():
-        oriented = [sign * v for v in db.columns(attr)[si]]
-        sentinels = (min(oriented) - 1, max(oriented) + 1)
-        triple = med_triple([oriented[p] for p in positions[:-1]], bound, sentinels)
+        values = [sign * db.columns(attr)[si][p] for p in positions[:-1]]
+        triple = med_triple(values, bound, database_sentinels(db, attr, sign))
         slots[at], slots[at + 1], slots[at + 2] = triple
     assert sorted(slots) == list(range(len(slots)))  # offsets tile the tuple
     return tuple(slots[i] for i in range(len(slots)))

@@ -1,8 +1,4 @@
-"""Smoke runs of the fast demos, each in a fresh interpreter.
-
-``demos/03_clickstream_benchmark.py`` is left out: it is a benchmark that
-runs for about ten seconds.
-"""
+"""Smoke runs of the demos, each in a fresh interpreter."""
 import os
 import subprocess
 import sys
@@ -29,3 +25,11 @@ def test_encode_demo_prints_derived_labels():
 def test_mining_demo_runs():
     result = run_demo("02_constrained_mining.py")
     assert result.returncode == 0, result.stderr
+
+
+def test_clickstream_benchmark_agrees_with_raw_projection():
+    # the demo asserts that mine and mine_ppcc agree on each scenario
+    result = run_demo("03_clickstream_benchmark.py")
+    assert result.returncode == 0, result.stderr
+    assert [line.split(":")[0] for line in result.stdout.splitlines()
+            if line.startswith("scenario")] == ["scenario 1", "scenario 2", "scenario 3"]

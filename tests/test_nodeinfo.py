@@ -30,16 +30,16 @@ from mddmine.cli import SCENARIOS
 from mddmine.constraints import exact_median
 from mddmine.nodeinfo import (
     _WIDTH,
-    _sentinel_table,
+    _sentinels,
     med_dominates,
     med_fold,
-    oriented_sentinels,
 )
 
 from conftest import A, B, C
 from dbgen import random_db, random_specs
 from oracles import (
     avg_objective_ground_truth,
+    database_sentinels,
     definition_stats,
     extension_exists,
     iter_arc_consistent_occurrences,
@@ -55,6 +55,16 @@ from oracles import (
 )
 
 SECOND = 1  # sequence index of the three-event B,A,B sequence
+
+
+@pytest.fixture(scope="module")
+def sessions_s3():
+    """2k click sessions under scenario 3: the database, specs and diagram."""
+    base = generate_sessions(2000, 1000, seed=2024)
+    db = attach_attributes(base, generate_attributes(base, seed=99),
+                           ordering_attribute="time")
+    specs = tuple(parse_constraint(t) for t in SCENARIOS[3])
+    return db, specs, build_mdd(db, specs)
 
 
 class TestPropagateOnClickDb:
@@ -166,13 +176,16 @@ class TestMedHelpers:
         # incomparable tie: neither dominates
         assert not med_dominates((0, 4, 6), (0, 4, 6), bound=5)
 
-    def test_sentinel_table_equals_sentinels_of_the_oriented_copy(self):
+    def test_sentinels_bracket_the_oriented_values_of_all_columns(self):
         rng = random.Random(12)
-        columns = [tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 8)))
-                   for _ in range(200)]
-        for sign in (1, -1):
-            expected = [oriented_sentinels([sign * v for v in col]) for col in columns]
-            assert _sentinel_table(columns, sign) == expected
+        for _ in range(200):
+            columns = [tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 8)))
+                       for _ in range(rng.randint(1, 5))]
+            for sign in (1, -1):
+                oriented = [sign * v for col in columns for v in col]
+                assert _sentinels(columns, sign) == (min(oriented) - 1, max(oriented) + 1)
+        # a database without sequences still gets an ordered pair
+        assert _sentinels([], 1) == _sentinels([], -1) == (-1, 1)
 
 
 def _feasible(p, t, bound):
@@ -297,9 +310,9 @@ class TestOracleEquivalence:
             mdd = build_mdd(db, specs)
             store = propagate(mdd, db, specs)
             for (attr, sign, bound), arrays in store_arrays(store, "med").items():
+                lo, hi = database_sentinels(db, attr, sign)
                 for si, col in enumerate(db.columns(attr)):
                     oriented = [sign * v for v in col]
-                    lo, hi = oriented_sentinels(oriented)
                     ref = [None] * len(col)
                     for j in range(len(col) - 1, -1, -1):
                         best = med_fold(oriented[j], bound, (0, lo, hi))
@@ -328,6 +341,21 @@ class TestStatPlan:
             fresh, _, _ = scan_entry(plan, db, si, positions)
             assert fresh == {items[positions[-1]]: [
                 (positions[-1], *definition_stats(plan, db, si, positions))]}
+
+    def test_plan_retains_no_table_per_sequence(self, sessions_s3):
+        # the median keys' sentinels are one constant pair each; a pair per
+        # sequence kept about 730 KB alive here
+        db, specs, mdd = sessions_s3
+        store = propagate(mdd, db, specs)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            plan = StatPlan(db, specs, store)
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert plan.med_keys and size <= 64 * 1024, size
 
     def test_source_is_kept(self, click_db):
         plan = StatPlan(click_db, (parse_constraint("span(time)<=4"),))
@@ -457,7 +485,8 @@ class TestWitness:
 
 #: ``dump_info_tsv`` of the click database under ``DUMP_SPECS``, as rendered
 #: from the per-kind arrays that preceded the record layout, with each
-#: average pair (b1, b2) rewritten as its excess b1 - 3*b2
+#: average pair (b1, b2) rewritten as its excess b1 - 3*b2, and each median
+#: triple's empty side holding the attribute's pair over the database, (-6, 0)
 DUMP_TEXT = (
     "sid\tpos\tinfo\tvalues\n"
     "1\t1\tspan(time)\t1,3\n"
@@ -484,13 +513,13 @@ DUMP_TEXT = (
     "3\t1\tavg(price,>=3)\t-2\n"
     "3\t2\tavg(price,>=3)\t-1\n"
     "3\t3\tavg(price,>=3)\t0\n"
-    "1\t1\tmed(price,<=2)\t-1,-5,-2\n"
-    "1\t2\tmed(price,<=2)\t-1,-3,-2\n"
+    "1\t1\tmed(price,<=2)\t-1,-5,0\n"
+    "1\t2\tmed(price,<=2)\t-1,-3,0\n"
     "2\t1\tmed(price,<=2)\t0,-3,-1\n"
-    "2\t2\tmed(price,<=2)\t1,-4,-1\n"
+    "2\t2\tmed(price,<=2)\t1,-6,-1\n"
     "2\t3\tmed(price,<=2)\t-1,-3,0\n"
-    "3\t1\tmed(price,<=2)\t2,-4,-2\n"
-    "3\t2\tmed(price,<=2)\t1,-4,-2\n"
+    "3\t1\tmed(price,<=2)\t2,-6,-2\n"
+    "3\t2\tmed(price,<=2)\t1,-6,-2\n"
     "3\t3\tmed(price,<=2)\t-1,-3,0\n"
     "1\t1\tmaxlen\t2\n"
     "1\t2\tmaxlen\t1\n"
@@ -606,13 +635,9 @@ class TestPackedStore:
                 assert (mine(mdd, store, db, subset, theta)
                         == mine_bruteforce(db, subset, theta)), (theta, subset)
 
-    def test_store_costs_eight_bytes_a_slot(self):
+    def test_store_costs_eight_bytes_a_slot(self, sessions_s3):
         # a tuple of boxed ints per event took about 190 B at width 9
-        base = generate_sessions(2000, 1000, seed=2024)
-        db = attach_attributes(base, generate_attributes(base, seed=99),
-                               ordering_attribute="time")
-        specs = tuple(parse_constraint(t) for t in SCENARIOS[3])
-        mdd = build_mdd(db, specs)
+        db, specs, mdd = sessions_s3
         gc.collect()
         tracemalloc.start()
         try:
@@ -622,7 +647,7 @@ class TestPackedStore:
         finally:
             tracemalloc.stop()
         events = sum(len(seq) for seq in db.sequences)
-        assert abs(size / (8 * store.width * events) - 1) <= 0.25, (size / events, store.width)
+        assert abs(size / (8 * store.width * events) - 1) <= 0.10, (size / events, store.width)
 
 
 def test_dump_info_tsv_smoke(click_db):
