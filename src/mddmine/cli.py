@@ -12,10 +12,11 @@ Minimum support is an absolute count, or a fraction of the sequence count
 when it contains a decimal point or is written ``a/b`` (converted by
 ceiling, so 0.04 or 1/25 of 80 rounds up to 4).  Scenario presets install
 fixed constraint sets over time, price, and quality attributes.  With
-``--emit-stats`` a run report (phase wall times and miner counters,
-tab-separated) is written next to the output; it leaves out what the
-selected miner does not measure: ``ppcc`` builds no diagram and propagates
-nothing, and ``brute`` keeps no counters.  An option the selected path
+``--emit-stats`` a run report (phase wall times, peak RSS in MB after
+loading, indexing and mining, and miner counters, tab-separated) is written
+next to the output; it leaves out what the selected miner does not measure:
+``ppcc`` builds no diagram and propagates nothing, and ``brute`` keeps no
+counters.  An option the selected path
 would ignore (``--max-len`` without ``--miner brute``, ``--disable-prop5``
 with it, ``--ordering-attr`` without ``--attrs``) is an argument error.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -133,6 +135,7 @@ def _write(path: str, text: str) -> None:
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     db = _load_db(args)
+    peaks = [("peak_rss_mb_load", _peak_rss_mb())]
     specs = _specs_from(args)
     theta = _resolve_theta(args.min_sup, len(db))
     counters: MiningCounters | None = MiningCounters()
@@ -141,6 +144,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         mdd = build_mdd(db, specs)
         t1 = time.perf_counter()
         store = propagate(mdd, db, specs)
+        peaks.append(("peak_rss_mb_index", _peak_rss_mb()))
         t2 = time.perf_counter()
         patterns = mine(
             mdd, store, db, specs, theta,
@@ -158,10 +162,11 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         patterns = mine_bruteforce(db, specs, theta, max_len=args.max_len)
         phases = [("mining_seconds", time.perf_counter() - t0)]
         counters = None
+    peaks.append(("peak_rss_mb_mine", _peak_rss_mb()))
 
     _write(args.output, patterns.render())
     if args.emit_stats or args.report:  # --report implies --emit-stats
-        report = _format_report(phases, counters, len(patterns))
+        report = _format_report(phases, peaks, counters, len(patterns))
         if args.report:
             _write(args.report, report)
         elif args.output != "-":
@@ -171,10 +176,19 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_report(phases, counters: MiningCounters | None, written: int) -> str:
-    """The measured phase times, the counters unless the miner keeps none,
-    and the number of patterns written."""
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MB; ``ru_maxrss``
+    counts kilobytes on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
+def _format_report(phases, peaks, counters: MiningCounters | None, written: int) -> str:
+    """The measured phase times, the peak RSS after each phase that ran, the
+    counters unless the miner keeps none, and the number of patterns
+    written."""
     rows = [(name, f"{seconds:.6f}") for name, seconds in phases]
+    rows += [(name, f"{mb:.1f}") for name, mb in peaks]
     rows += asdict(counters).items() if counters is not None else []
     rows.append(("patterns_written", written))
     return "\n".join(f"{k}\t{v}" for k, v in rows) + "\n"

@@ -223,14 +223,22 @@ def support_of(
     """Constrained support: sequences holding >=1 embedding satisfying all specs.
 
     Embeddings are enumerated exhaustively, which makes this the reference
-    primitive for the oracles (and far too slow for real mining).
+    primitive for the oracles (and far too slow for real mining).  Only a
+    sequence whose items hold the pattern as a subsequence gets a view.
     """
     if not pattern:
         raise ValueError("support is undefined for the empty pattern")
     require_known_attributes(specs, db.attribute_names)
     return sum(
-        1 for seq in db.sequences if has_satisfying_embedding(seq, pattern, specs)
+        1 for si, items in enumerate(db.items)
+        if _holds(items, pattern) and has_satisfying_embedding(db.sequence(si), pattern, specs)
     )
+
+
+def _holds(items: Sequence[int], pattern: Sequence[int]) -> bool:
+    """Whether ``pattern`` is a subsequence of ``items``."""
+    rest = iter(items)
+    return all(item in rest for item in pattern)
 
 
 # --- pairwise (arc-level) rules ---------------------------------------------

@@ -230,10 +230,14 @@ class _ProjectionMiner:
         return out
 
     def _dfs(self, base: list[tuple[int, Projection]], out: PatternSet) -> None:
+        """Search from the root candidates in ``base``, which it empties: the
+        stack is then the only owner of a projection, and one dies as soon
+        as the search pops it."""
         counters = self.counters
         stack: list[tuple[tuple[int, ...], Projection, int]] = []
         live = 0
-        for item, pdb in reversed(base):
+        while base:
+            item, pdb = base.pop()
             stack.append(((item,), pdb, sum(map(len, pdb.values()))))
             live += stack[-1][2]
         counters.peak_entries = max(counters.peak_entries, live)

@@ -15,7 +15,10 @@ paths that follow arcs of the same sequence down to the terminal:
 Upper-bound directions reuse the lower-bound machinery on negated values:
 stat(V) <= c holds exactly when stat(-V) >= -c for sums, averages, and
 medians, so sums, average excesses, and median triples are stored in
-"oriented" form, over s*value with s = +1 for >= and s = -1 for <=.
+"oriented" form, over s*value with s = +1 for >= and s = -1 for <=.  The
+store alone is oriented.  A search entry holds one plain sum per attribute
+and median triples over raw values, so it holds no freshly negated
+integer; the generated tests let the sign pick each comparison instead.
 Everything is exact integer arithmetic; division never happens in a
 feasibility decision.
 
@@ -375,11 +378,17 @@ class StatPlan:
 
     An entry is one flat tuple ``(pos, length, lo_0, hi_0, ..., sum_0, ...,
     m1_0, m2_0, m3_0, ...)``: the endpoint, then the stats, which are the
-    occurrence's (min, max) per span attribute, its oriented sum per
-    (attribute, sign), shared by sum and average constraints, and its
-    oriented median triple per median key over the occurrence excluding its
-    final event.  ``span_at``, ``sum_at`` and ``med_at`` map each key to its
-    first slot in the stats, which is one less than its slot in the entry.
+    occurrence's (min, max) per span attribute, its plain sum per attribute,
+    shared by every sum and average constraint of either sign, and its
+    median triple per median key ``(attr, s, b)`` over the occurrence
+    excluding its final event.  The triple is the oriented one with its two
+    values times ``s``: the balance of values on the bound's side, then the
+    raw value nearest the bound on the other side and the one nearest it on
+    its own, ``(e, f)`` times ``s`` for an empty side.  So the stats hold
+    only column values and their sums, never a negated copy.
+    ``span_at``, ``sum_at`` and ``med_at`` map each span attribute, sum
+    attribute and median key to its first slot in the stats, which is one
+    less than its slot in the entry.
 
     Two functions are generated as Python source (kept in ``source``) with
     columns, signs, bounds and the store's records bound as constants:
@@ -420,29 +429,33 @@ class StatPlan:
 
     ``scan`` does the parent-level work once per parent: the gate, the
     unpack, ``ln + 1``, the median folds of the old endpoint, and the
-    thresholds admission compares against (``c - pln``, ``sc - ps`` and
-    ``sc * pln - ps``, from the parent's length and oriented sum; an
-    average's stored excess A passes when ``ps - sc * pln + A >= 0``).  Each
+    thresholds admission compares against (``c - pln``, ``sc - s*ps`` and
+    ``sc * pln - s*ps``, from the parent's length and its sum ``ps`` oriented
+    by the spec's sign; an average's stored excess A passes when
+    ``s*ps - sc * pln + A >= 0``).  A median test reads the store's oriented
+    triple against the parent's raw one and, under sign -1, negates the two
+    stored values it reads, only when the balances cancel.  Each
     successor then costs its value reads, the span and sum updates, one
     tuple and the admission chain.  The root parent ``None`` is the
     identity, the empty occurrence: ``ln`` 0, each span's ``(lo, hi)``
     (+inf, -inf), which the first event replaces by its value, zero sums,
-    and median triples ``(0, e, f)`` with nothing to fold, ``(e, f)`` the
+    and median triples ``(0, s*e, s*f)`` with nothing to fold, ``(e, f)`` the
     key's ``_sentinels`` pair, bound as constants.  It has no gate and
     reads ``STARTS[si]`` instead of ``NEXTS[si]``.
 
     ``witness`` needs only the endpoint and the stats: on an occurrence that
     follows arcs (or the baseline's step scan) every gap and item-set rule
     holds, and each other kind is a function of the slots.  Length, span,
-    max and min read ``ln``, ``lo`` and ``hi``; a sum compares its oriented
-    slot with ``s*c`` and an average, as ``ln > 0``, with ``s*c*ln``.  The
-    endpoint's oriented value folded into the stored triple gives the whole
-    occurrence's triple ``(m1, m2, m3)``, whose median reaches the oriented
-    bound ``b`` iff more values lie at or above ``b`` than below
-    (``m1 > 0``), or the counts tie and the two middle values, the largest
-    below and the smallest at or above ``b``, average at least ``b``
-    (``m2 + m3 >= 2b``).  ``span>=`` is exact here; its relaxation is an
-    admission matter only.
+    max and min read ``ln``, ``lo`` and ``hi``; a sum compares its slot with
+    ``c`` and an average, as ``ln > 0``, with ``c*ln``, by ``<`` for ``>=``
+    and by ``>`` for ``<=``.  The endpoint's value folded into the stored
+    triple gives the whole occurrence's triple ``(m1, m2, m3)``, whose
+    median reaches the oriented bound ``b`` iff more oriented values lie at
+    or above ``b`` than below (``m1 > 0``), or the counts tie and the two
+    middle values, the largest below and the smallest at or above ``b``,
+    average at least ``b``: ``m2 + m3 >= 2c`` for ``>=`` and
+    ``m2 + m3 <= 2c`` for ``<=`` in raw values.  ``span>=`` is exact here;
+    its relaxation is an admission matter only.
 
     An admission verdict ``r``, the ``hist`` slot an entry counts in, ran
     the tests of specs 0..r; it costs ``constraint_checks[r]`` occurrence
@@ -471,7 +484,7 @@ class StatPlan:
                                  f"specs; it lacks {', '.join(missing)}")
         self.span_attrs = tuple(sorted({spec.attribute for spec in specs
                                         if spec.kind in (Kind.SPAN, Kind.MAX, Kind.MIN)}))
-        self.sum_keys = tuple(dict.fromkeys(k[1:3] for k in keys if k[0] in ("sum", "avg")))
+        self.sum_attrs = tuple(dict.fromkeys(k[1] for k in keys if k[0] in ("sum", "avg")))
         self.med_keys = tuple(k[1:] for k in keys if k[0] == "med")
         _compile(self, store)
 
@@ -495,16 +508,16 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     x = {a: f"x{i}" for i, a in enumerate(attrs)}  # a column's value at one position
     lo = {a: f"lo{i}" for i, a in enumerate(plan.span_attrs)}
     hi = {a: f"hi{i}" for i, a in enumerate(plan.span_attrs)}
-    acc = {k: f"s{j}" for j, k in enumerate(plan.sum_keys)}
+    acc = {a: f"s{j}" for j, a in enumerate(plan.sum_attrs)}
     med = {k: (f"m{j}a", f"m{j}b", f"m{j}c") for j, k in enumerate(plan.med_keys)}
     fields = ["ln"] + [f for a in plan.span_attrs for f in (lo[a], hi[a])]
     fields += list(acc.values()) + [f for k in plan.med_keys for f in med[k]]
     plan.span_at = {a: fields.index(lo[a]) for a in plan.span_attrs}
-    plan.sum_at = {k: fields.index(acc[k]) for k in plan.sum_keys}
+    plan.sum_at = {a: fields.index(acc[a]) for a in plan.sum_attrs}
     plan.med_at = {k: fields.index(med[k][0]) for k in plan.med_keys}
     stats = ", ".join(fields)
     punpack = "old, " + ", ".join(f if f[0] == "m" else "p" + f for f in fields) + " = st"
-    value_attrs = dict.fromkeys(list(plan.span_attrs) + [a for a, _ in plan.sum_keys])
+    value_attrs = dict.fromkeys(plan.span_attrs + plan.sum_attrs)
     # scan hoists each column's row of a sequence into c<i>
     used = dict.fromkeys(list(value_attrs) + [k[0] for k in plan.med_keys])
     hoists = [f"c{i} = {col[a]}[si]" for i, a in enumerate(used)]
@@ -514,28 +527,29 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     inf = const(math.inf)
     identity = ["pln = 0"]
     identity += [f"p{lo[a]}, p{hi[a]} = {inf}, -{inf}" for a in plan.span_attrs]
-    identity += [f"p{acc[k]} = 0" for k in plan.sum_keys]
+    identity += [f"p{acc[a]} = 0" for a in plan.sum_attrs]
     for k in plan.med_keys:
         e, f = _sentinels(plan.db.columns(k[0]), k[1])
-        identity.append(f"{', '.join(med[k])} = 0, {e}, {f}")
+        identity.append(f"{', '.join(med[k])} = 0, {k[1] * e}, {k[1] * f}")
 
     def fold(key: tuple, column: str) -> list[str]:
-        # the triple excludes the final event, so the old endpoint folds in
+        # the triple excludes the final event, so the old endpoint folds in;
+        # its raw value is compared the way its oriented value would be
         (_, sign, bound), (t1, t2, t3) = key, med[key]
-        return [f"y = {'' if sign > 0 else '-'}{column}[old]",
-                f"if y >= {bound}:",
+        ge, lt, gt = (">=", "<", ">") if sign > 0 else ("<=", ">", "<")
+        return [f"y = {column}[old]",
+                f"if y {ge} {sign * bound}:",
                 f"    {t1} += 1",
-                f"    if y < {t3}: {t3} = y",
+                f"    if y {lt} {t3}: {t3} = y",
                 "else:",
                 f"    {t1} -= 1",
-                f"    if y > {t2}: {t2} = y"]
+                f"    if y {gt} {t2}: {t2} = y"]
 
     step = [f"{x[a]} = {hoisted[a]}[new]" for a in value_attrs]
     for a in plan.span_attrs:
         step += [f"{lo[a]} = {x[a]} if {x[a]} < p{lo[a]} else p{lo[a]}",
                  f"{hi[a]} = {x[a]} if {x[a]} > p{hi[a]} else p{hi[a]}"]
-    step += [f"{acc[a, s]} = p{acc[a, s]} {'+' if s > 0 else '-'} {x[a]}"
-             for a, s in plan.sum_keys]
+    step += [f"{acc[a]} = p{acc[a]} + {x[a]}" for a in plan.sum_attrs]
 
     def exact(spec: ConstraintSpec) -> str | None:
         """The test failing the occurrence itself; arcs enforce gap and
@@ -547,10 +561,11 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
         if test is not None:
             return test + f" {'<' if sign > 0 else '>'} {c}"
         if kind in (Kind.SUM, Kind.AVG):
-            return f"{acc[_key(spec)[1:3]]} < {sign * c}{' * ln' if kind is Kind.AVG else ''}"
+            return f"{acc[attr]} {'<' if sign > 0 else '>'} {c}{' * ln' if kind is Kind.AVG else ''}"
         if kind is Kind.MED:
             t1, t2, t3 = med[_key(spec)[1:]]
-            return f"not ({t1} > 0 or {t1} == 0 and {t2} + {t3} >= {2 * sign * c})"
+            return (f"not ({t1} > 0 or {t1} == 0 and "
+                    f"{t2} + {t3} {'>=' if sign > 0 else '<='} {2 * c})")
         return None
 
     # the endpoint folded in gives the whole occurrence's triple; each key
@@ -602,19 +617,22 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
                     Kind.MAX: f"{top} < {c}", Kind.MIN: f"{bottom} > {c}"}[kind]
         elif kind in (Kind.SUM, Kind.AVG) and store is not None:
             # the stored value counts the final event, so it adds to the
-            # parent's: ps + A < sc for a sum, ps - sc * pln + A < 0 for an
-            # average, whose A sums the excesses over sc
-            sc, prefix = sign * c, f"p{acc[key[1:3]]}"
-            head.append(f"q{i} = {sc}{' * pln' if kind is Kind.AVG else ''} - {prefix}")
+            # parent's oriented sum s*ps: s*ps + A < sc for a sum,
+            # s*ps - sc * pln + A < 0 for an average, whose A sums the
+            # excesses over sc
+            sc, prefix = sign * c, f"{'-' if sign > 0 else '+'} p{acc[attr]}"
+            head.append(f"q{i} = {sc}{' * pln' if kind is Kind.AVG else ''} {prefix}")
             test = f"{slot(adm, 'new', key)} < q{i}"
         elif kind is Kind.MED and store is not None:
             p1, p2, p3 = med[key[1:]]
-            # the deciding values are read only when the balances cancel,
-            # and each once
+            # the stored triple is oriented and the parent's raw: under
+            # sign -1 the deciding values are negated, and the comparisons
+            # flip.  They are read only when the balances cancel, each once
+            gt, lt, neg = (">", "<", "") if sign > 0 else ("<", ">", "-")
             adm.append(f"t1 = {slot(adm, 'new', key)} + {p1}")
             t2, t3 = slot(adm, "new", key, 1), slot(adm, "new", key, 2)
-            test = (f"t1 < 0 or t1 == 0 and ({p2} if {p2} > (t2 := {t2}) else t2) + "
-                    f"({p3} if {p3} < (t3 := {t3}) else t3) < {2 * sign * c}")
+            test = (f"t1 < 0 or t1 == 0 and ({p2} if {p2} {gt} (t2 := {neg}{t2}) else t2) + "
+                    f"({p3} if {p3} {lt} (t3 := {neg}{t3}) else t3) {lt} {2 * c}")
         if test is not None:
             adm.append(f"if {test}: hist[{i}] += 1; continue")
         checks.append(checks[-1] + (test is not None and anti))

@@ -21,17 +21,22 @@ Two on-disk formats are understood:
   flattening would change support semantics.
 * Attribute tables: tab-separated with header ``sid<TAB>pos<TAB><attr>...``,
   one row per event, positions 1-based, rows in any order (written sorted by
-  (sid, pos)).  Of several coverage defects the first in (sid, pos) order is
-  reported, a missing row before an unknown row that sorts into its place.
+  (sid, pos)).  A table is parsed into columns, one flat ``array('q')`` per
+  field (``AttributeTable``), block by block, and attaching slices each
+  attribute column into the database's per-sequence tuples; no row or
+  whole-file line list is ever built.  Of several coverage defects the first
+  in (sid, pos) order is reported, a missing row before an unknown row that
+  sorts into its place.
 """
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Mapping, Sequence as SequenceT
 
 
@@ -126,9 +131,11 @@ class AttributedDatabase:
     @property
     def sequences(self) -> list[Sequence]:
         """A fresh ``Sequence`` view per sequence, over the stored tuples."""
-        columns = self.attrs.items()
-        return [Sequence(seq, {name: col[si] for name, col in columns})
-                for si, seq in enumerate(self.items)]
+        return list(map(self.sequence, range(len(self.items))))
+
+    def sequence(self, si: int) -> Sequence:
+        """A fresh ``Sequence`` view of sequence ``si``."""
+        return Sequence(self.items[si], {name: col[si] for name, col in self.attrs.items()})
 
     @property
     def item_universe(self) -> frozenset[int]:
@@ -206,16 +213,44 @@ def to_spmf(db: AttributedDatabase) -> str:
 
 @dataclass
 class AttributeTable:
-    """Attribute rows: (sid, 1-based pos, values aligned with ``names``)."""
+    """An attribute table as columns: row ``i`` gives the event at 1-based
+    position ``pos[i]`` of sequence ``sid[i]`` the value ``columns[k][i]`` of
+    attribute ``names[k]``.  Each column is an ``array('q')``, or a list once
+    it holds a value outside 64 bits, so every integer stays exact.  Rows
+    keep the order they were read or generated in."""
 
     names: tuple[str, ...]
-    rows: list[tuple[int, int, tuple[int, ...]]]
+    sid: array | list[int]
+    pos: array | list[int]
+    columns: list[array | list[int]]
+
+
+def _keys(lengths: list[int]) -> tuple[array, array]:
+    """The (sid, pos) columns of every event, in order, for sequence lengths."""
+    return (array("q", chain.from_iterable(map(repeat, range(1, len(lengths) + 1), lengths))),
+            array("q", chain.from_iterable(range(1, n + 1) for n in lengths)))
+
+
+def _in_key_order(table: AttributeTable, lengths: list[int]) -> bool:
+    """Whether the table holds one full row per event, in (sid, pos) order;
+    the expected key arrays die on return, before any tuple is cut."""
+    sid, pos = _keys(lengths)
+    return (table.sid == sid and table.pos == pos and len(table.columns) == len(table.names)
+            and all(len(column) == len(sid) for column in table.columns))
+
+
+def _key_order(table: AttributeTable) -> list[int]:
+    """Row indices in (sid, pos) order, a full row before a narrow one (past
+    the end of a short column) of the same key."""
+    sid, pos, short = table.sid, table.pos, min(map(len, table.columns), default=len(table.sid))
+    return sorted(range(len(sid)), key=lambda i: (sid[i], pos[i], i >= short))
 
 
 def format_attribute_tsv(table: AttributeTable) -> str:
+    columns = (table.sid, table.pos, *table.columns)
     lines = ["\t".join(("sid", "pos") + table.names)]
-    for sid, pos, values in sorted(table.rows):
-        lines.append("\t".join(str(v) for v in (sid, pos) + values))
+    lines += ["\t".join([str(column[i]) for column in columns if i < len(column)])
+              for i in _key_order(table)]
     return "\n".join(lines) + "\n"
 
 
@@ -230,30 +265,86 @@ def _column_name_problem(names: SequenceT[str]) -> str | None:
     return None
 
 
-def parse_attribute_tsv(text: str) -> AttributeTable:
-    header, names, rows = None, (), []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+#: characters of attribute-table text parsed at a time; a block's split
+#: lines are the parser's only transient copy of the text
+_BLOCK_CHARS = 1 << 14
+
+
+def _blocks(text: str):
+    """``text`` in blocks of whole lines, as (first line number, lines)."""
+    start, lineno = 0, 1
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        lines = text[start:end].splitlines()
+        yield lineno, lines
+        start, lineno = end, lineno + len(lines)
+
+
+def _block_fields(lines: list[str], lineno: int, width: int) -> list:
+    """The integers of one block's rows, field by field.  A block with a
+    blank or malformed row is read again line by line, so that the first
+    malformed line, numbered from ``lineno``, raises its error."""
+    rows = [line.split("\t") for line in lines]
+    if set(map(len, rows)) == {width}:
+        try:
+            return [list(map(int, values)) for values in zip(*rows)]
+        except ValueError:
+            pass
+    rows = []
+    for lineno, line in enumerate(lines, start=lineno):
         if not line.strip():
             continue
         fields = line.split("\t")
-        if header is None:  # the first non-blank line
-            header, names = fields, tuple(fields[2:])
+        if len(fields) != width:
+            raise SeqDbError(f"attribute row {lineno} has {len(fields)} fields, "
+                             f"expected {width}")
+        try:
+            rows.append(list(map(int, fields)))
+        except ValueError:
+            raise SeqDbError(f"attribute row {lineno}: non-integer field") from None
+    return list(zip(*rows))
+
+
+def _extend(column: array | list[int], values: list[int]) -> array | list[int]:
+    """``column`` extended by ``values``; an ``array('q')`` column that
+    meets a value outside 64 bits becomes a list."""
+    try:
+        column.extend(array("q", values))
+    except OverflowError:
+        column = list(column)
+        column.extend(values)
+    return column
+
+
+def parse_attribute_tsv(text: str) -> AttributeTable:
+    """Parse a tab-separated attribute table into columns.
+
+    Lines are split at tabs only and read in blocks of about
+    ``_BLOCK_CHARS`` characters: a block's rows are transposed into fields,
+    and each field's integers extend its column.  Blank lines are skipped,
+    and every error names its file line.
+    """
+    width, fields = None, []
+    for lineno, lines in _blocks(text):
+        if width is None:  # the header is the first non-blank line
+            skip = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+            if skip == len(lines):
+                continue
+            header, lineno = lines[skip].split("\t"), lineno + skip
+            names, lines, width = tuple(header[2:]), lines[skip + 1:], len(header)
             if header[:2] != ["sid", "pos"]:
                 raise SeqDbError(f"attribute table line {lineno}: "
                                  "header must start with 'sid\\tpos'")
             problem = _column_name_problem(names)
             if problem:
                 raise SeqDbError(f"attribute table line {lineno}: {problem}")
-            continue
-        if len(fields) != len(header):
-            raise SeqDbError(f"attribute row {lineno} has {len(fields)} fields, "
-                             f"expected {len(header)}")
-        try:
-            sid, pos, *values = map(int, fields)
-        except ValueError:
-            raise SeqDbError(f"attribute row {lineno}: non-integer field") from None
-        rows.append((sid, pos, tuple(values)))
-    return AttributeTable(names, rows)
+            fields, lineno = [array("q") for _ in header], lineno + 1
+        for k, values in enumerate(_block_fields(lines, lineno, width)):
+            fields[k] = _extend(fields[k], values)
+    if width is None:
+        return AttributeTable((), array("q"), array("q"), [])
+    sid, pos, *columns = fields
+    return AttributeTable(names, sid, pos, columns)
 
 
 def attach_attributes(
@@ -263,35 +354,50 @@ def attach_attributes(
 
     The rows, in any order, must cover every (sid, pos) pair once with one
     value per name; any attributes already on the database are replaced.
+    Rows in (sid, pos) order are sliced per sequence as they are; otherwise
+    an index permutation sorts them first, and the first defect in (sid,
+    pos) order is reported.
     """
-    rows = sorted(table.rows)
-    rows.append((math.inf, math.inf, ()))  # sorts after every event: rows run out at a gap
-    width, end = len(table.names), 0
-    columns = [[] for _ in table.names]
-    for sid, items in enumerate(db.items, start=1):
-        start, end = end, end + len(items)
-        block = rows[start:end]
-        for pos, (at_sid, at, values) in enumerate(block, start=1):
-            if at_sid != sid or at != pos or len(values) != width:
-                raise _coverage_error(rows, start + pos - 1, (sid, pos), width)
-        for column, values in zip(columns, zip(*[values for _, _, values in block])):
-            column.append(values)
-    if end < len(rows) - 1:
-        raise _coverage_error(rows, end, rows[-1][:2], width)
-    return AttributedDatabase(db.items, dict(zip(table.names, columns)), ordering_attribute)
+    lengths, width = list(map(len, db.items)), len(table.names)
+    sid, pos, columns = table.sid, table.pos, table.columns
+    if len(pos) != len(sid) or any(len(column) > len(sid) for column in columns):
+        raise AttributeCoverageError("attribute table columns have different lengths")
+    if not _in_key_order(table, lengths):
+        order, events = _key_order(table), sum(lengths)
+        short = min(map(len, columns), default=len(sid))
+        for k, key in enumerate(zip(*_keys(lengths))):
+            if (k == len(order) or (sid[order[k]], pos[order[k]]) != key
+                    or len(columns) != width or order[k] >= short):
+                raise _coverage_error(table, order, k, key)
+        if len(order) > events:
+            raise _coverage_error(table, order, events, (math.inf, math.inf))
+        columns = [[column[i] for i in order] for column in columns]
+    ends = list(accumulate(lengths))
+    return AttributedDatabase(
+        db.items,
+        {name: [tuple(column[end - n:end]) for n, end in zip(lengths, ends)]
+         for name, column in zip(table.names, columns)},
+        ordering_attribute)
 
 
-def _coverage_error(rows: list, i: int, expected: tuple, width: int) -> AttributeCoverageError:
-    """Why sorted ``rows[i]`` is not the row keyed ``expected`` with ``width`` values."""
-    sid, pos, values = rows[i]
-    if i and rows[i - 1][:2] == (sid, pos):
+def _coverage_error(table: AttributeTable, order: list[int], k: int,
+                    expected: tuple) -> AttributeCoverageError:
+    """Why the ``k``-th row in key ``order`` is not the row keyed
+    ``expected`` with one value per name; past the last row, a row is
+    missing."""
+    if k == len(order):
+        return AttributeCoverageError("missing attribute row for sid %d pos %d" % expected)
+    i = order[k]
+    sid, pos = table.sid[i], table.pos[i]
+    if k and (table.sid[order[k - 1]], table.pos[order[k - 1]]) == (sid, pos):
         return AttributeCoverageError(f"duplicate attribute row for sid {sid} pos {pos}")
     if (sid, pos) > expected:
         return AttributeCoverageError("missing attribute row for sid %d pos %d" % expected)
     if (sid, pos) < expected:
         return AttributeCoverageError(f"attribute row for unknown sid {sid} pos {pos}")
+    values = sum(i < len(column) for column in table.columns)
     return AttributeCoverageError(f"attribute row for sid {sid} pos {pos} has "
-                                  f"{len(values)} values for {width} attributes")
+                                  f"{values} values for {len(table.names)} attributes")
 
 
 # --- synthetic data -------------------------------------------------------------
@@ -350,30 +456,24 @@ def generate_attributes(
     if problem:
         raise ValueError(f"generation profile: {problem}")
     rng = random.Random(seed)
-    columns: dict[str, list[list[int]]] = {}
+    columns = []
     for name in names:
-        per_seq: list[list[int]] = []
+        column = array("q")
         if kinds[name] == "time":
             for items in db.items:
                 clock = 0
-                stamps = []
                 for _ in items:
                     if rng.random() < LONG_DELAY_PROBABILITY:
                         delta = rng.randint(*LONG_DELAY_RANGE)
                     else:
                         delta = rng.randint(*SHORT_DELAY_RANGE)
                     clock += max(delta, 1)
-                    stamps.append(clock)
-                per_seq.append(stamps)
+                    column.append(clock)
         else:
             for items in db.items:
-                per_seq.append([rng.randint(*UNIFORM_RANGE) for _ in items])
-        columns[name] = per_seq
-    rows = []
-    for i, items in enumerate(db.items):
-        for j in range(len(items)):
-            rows.append((i + 1, j + 1, tuple(columns[name][i][j] for name in names)))
-    return AttributeTable(names, rows)
+                column.extend(rng.randint(*UNIFORM_RANGE) for _ in items)
+        columns.append(column)
+    return AttributeTable(names, *_keys(list(map(len, db.items))), columns)
 
 
 # --- statistics ---------------------------------------------------------------

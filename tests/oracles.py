@@ -113,20 +113,20 @@ def database_sentinels(db, attr: str, sign: int) -> tuple[int, int]:
 def definition_stats(plan, db, si: int, positions):
     """Each slot of the plan's flat stats tuple, by its definition, placed at
     the plan's offset for its key: the length, (min, max) per span
-    attribute, the oriented sum per (attribute, sign), and the oriented
-    median triple per median key over the occurrence excluding its final
-    event, with ``database_sentinels`` for an empty side."""
+    attribute, the plain sum per attribute, and per median key the
+    oriented median triple over the occurrence excluding its final event,
+    with ``database_sentinels`` for an empty side, its values times the sign
+    (back to raw values)."""
     slots = {0: len(positions)}
     for attr, at in plan.span_at.items():
         vals = [db.columns(attr)[si][p] for p in positions]
         slots[at], slots[at + 1] = min(vals), max(vals)
-    for (attr, sign), at in plan.sum_at.items():
-        vals = [db.columns(attr)[si][p] for p in positions]
-        slots[at] = sign * sum(vals)
+    for attr, at in plan.sum_at.items():
+        slots[at] = sum(db.columns(attr)[si][p] for p in positions)
     for (attr, sign, bound), at in plan.med_at.items():
         values = [sign * db.columns(attr)[si][p] for p in positions[:-1]]
-        triple = med_triple(values, bound, database_sentinels(db, attr, sign))
-        slots[at], slots[at + 1], slots[at + 2] = triple
+        t1, t2, t3 = med_triple(values, bound, database_sentinels(db, attr, sign))
+        slots[at], slots[at + 1], slots[at + 2] = t1, sign * t2, sign * t3
     assert sorted(slots) == list(range(len(slots)))  # offsets tile the tuple
     return tuple(slots[i] for i in range(len(slots)))
 

@@ -83,13 +83,16 @@ class TestMine:
 
     @pytest.mark.parametrize("miner, rows", [
         ("mpp", ["mdd_build_seconds", "info_prop_seconds", "mining_seconds",
+                 "peak_rss_mb_load", "peak_rss_mb_index", "peak_rss_mb_mine",
                  "nodes_visited", "entries_created", "scanned_sequences",
                  "constraint_checks", "info_probes", "patterns_emitted",
                  "peak_entries", "patterns_written"]),
-        ("ppcc", ["mining_seconds", "nodes_visited", "entries_created",
-                  "scanned_sequences", "constraint_checks", "info_probes",
-                  "patterns_emitted", "peak_entries", "patterns_written"]),
-        ("brute", ["mining_seconds", "patterns_written"]),
+        ("ppcc", ["mining_seconds", "peak_rss_mb_load", "peak_rss_mb_mine",
+                  "nodes_visited", "entries_created", "scanned_sequences",
+                  "constraint_checks", "info_probes", "patterns_emitted",
+                  "peak_entries", "patterns_written"]),
+        ("brute", ["mining_seconds", "peak_rss_mb_load", "peak_rss_mb_mine",
+                   "patterns_written"]),
     ])
     def test_report_leaves_out_what_the_miner_does_not_measure(
             self, click_files, tmp_path, miner, rows):
@@ -99,6 +102,8 @@ class TestMine:
         lines = [line.split("\t") for line in report.read_text().splitlines()]
         assert [name for name, _ in lines] == rows
         assert dict(lines)["patterns_written"] == "3"
+        peaks = [float(mb) for name, mb in lines if name.startswith("peak_rss_mb_")]
+        assert 0 < peaks[0] and peaks == sorted(peaks), peaks  # a peak never falls
         if miner != "brute":
             assert dict(lines)["patterns_emitted"] == "3"
 

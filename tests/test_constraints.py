@@ -161,6 +161,14 @@ class TestSupport:
     def test_single_item(self, click_db):
         assert support_of([C], click_db) == 1
 
+    def test_views_only_for_sequences_holding_the_pattern(self, click_db, monkeypatch):
+        viewed, view = [], type(click_db).sequence
+        monkeypatch.setattr(type(click_db), "sequence",
+                            lambda db, si: viewed.append(si) or view(db, si))
+        assert support_of([B, A], click_db) == 1  # only sid 2 holds B before A
+        assert support_of([C, C, A], click_db) == 1
+        assert viewed == [1, 2]
+
     def test_empty_pattern_rejected(self, click_db):
         with pytest.raises(ValueError):
             support_of([], click_db)

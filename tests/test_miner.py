@@ -235,6 +235,17 @@ def collector():
     (gc.enable if enabled else gc.disable)()
 
 
+def test_search_empties_the_root_candidates(click_db):
+    # the stack is then a root projection's only owner, so it dies when popped
+    mdd = build_mdd(click_db)
+    miner, out = MppMiner(mdd, None, click_db, (), 2), PatternSet()
+    base = miner.root_candidates()
+    assert len(base) == 2
+    miner._dfs(base, out)
+    assert base == []
+    assert out == mine(mdd, None, click_db, (), 2)
+
+
 class TestCollectorGuard:
     """The search runs with the cyclic collector off, restores its prior
     state, and leaves no cyclic garbage that grows with the input."""

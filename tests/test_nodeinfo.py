@@ -28,6 +28,7 @@ from mddmine import (
 )
 from mddmine.cli import SCENARIOS
 from mddmine.constraints import exact_median
+from mddmine.miner import MppMiner
 from mddmine.nodeinfo import (
     _WIDTH,
     _sentinels,
@@ -357,6 +358,33 @@ class TestStatPlan:
             tracemalloc.stop()
         assert plan.med_keys and size <= 64 * 1024, size
 
+    @pytest.mark.parametrize("text", ["med(time)>=2000", "med(time)<=2000"])
+    def test_median_slots_hold_the_column_values(self, sessions_s3, text):
+        # raw triples: a deciding slot is a sentinel or the column's own int
+        # object, never a negated copy
+        db, specs = sessions_s3[0], (parse_constraint(text),)
+        mdd = build_mdd(db, specs)
+        miner = MppMiner(mdd, propagate(mdd, db, specs), db, specs, 20)
+        (key, at), = miner.plan.med_at.items()
+        sentinels = [key[1] * v for v in database_sentinels(db, "time", key[1])]
+        todo, entries, real = [pdb for _, pdb in miner.root_candidates()], 0, 0
+        while todo and entries < 20000:
+            pdb = todo.pop()
+            for si, admitted in pdb.items():
+                stored = set(map(id, db.columns("time")[si]))
+                for entry in admitted:
+                    entries += 1
+                    for value, sentinel in zip(entry[at + 2:at + 4], sentinels):
+                        assert value == sentinel or id(value) in stored, (entry, at)
+                        real += value > 256  # not a cached small int
+            todo += [child for _, child in miner.extend(pdb)]
+        assert entries >= 20000 and real > 1000, (entries, real)
+
+    def test_one_sum_per_attribute(self, sessions_s3):
+        db, specs, _ = sessions_s3
+        plan = StatPlan(db, specs)
+        assert list(plan.sum_at) == ["price", "quality"]
+
     def test_source_is_kept(self, click_db):
         plan = StatPlan(click_db, (parse_constraint("span(time)<=4"),))
         assert re.findall(r"^ *def (\w+)\(", plan.source, re.M) == ["_make", "witness", "scan"]
@@ -649,20 +677,3 @@ class TestPackedStore:
         events = sum(len(seq) for seq in db.sequences)
         assert abs(size / (8 * store.width * events) - 1) <= 0.10, (size / events, store.width)
 
-
-def test_dump_info_tsv_smoke(click_db):
-    specs = (
-        parse_constraint("span(time)>=5"),
-        parse_constraint("sum(price)<=9"),
-        parse_constraint("avg(price)>=3"),
-        parse_constraint("med(price)<=2"),
-        parse_constraint("length>=2"),
-    )
-    mdd = build_mdd(click_db, specs)
-    store = propagate(mdd, click_db, specs)
-    text = dump_info_tsv(store)
-    lines = text.splitlines()
-    assert lines[0] == "sid\tpos\tinfo\tvalues"
-    # 8 events, one row each for span, sum, avg, med, maxlen
-    assert len(lines) == 1 + 8 * 5
-    assert any("med(price,<=2)" in ln for ln in lines)

@@ -137,7 +137,14 @@ class TestAttachAttributes:
     def test_ragged_row_rejected(self, rows):
         db = parse_spmf("1 -1 2 -1 -2")
         with pytest.raises(AttributeCoverageError, match="sid 1 pos [12] has"):
-            attach_attributes(db, AttributeTable(("t",), rows))
+            attach_attributes(db, table_of(("t",), rows))
+
+    def test_ragged_table_is_written_as_it_is(self):
+        # reading the text back rejects the short row with its file line
+        text = format_attribute_tsv(table_of(("t",), [(1, 2, ()), (1, 1, (5,))]))
+        assert text == "sid\tpos\tt\n1\t1\t5\n1\t2\n"
+        with pytest.raises(SeqDbError, match="attribute row 3 has 2 fields"):
+            parse_attribute_tsv(text)
 
     def test_non_increasing_ordering(self):
         db = parse_spmf("1 -1 2 -1 -2")
@@ -160,6 +167,13 @@ class TestAttachAttributes:
         ("\n  \nsid\tpos\tt\tt\n1\t1\t5\t6\n",
          "attribute table line 3: duplicate column name 't'"),
         ("\n\npos\tsid\tt\n", "attribute table line 3: header must start with 'sid\\tpos'"),
+        ("sid\tpos\tt\n1\t1\t3 4\n", "attribute row 2: non-integer field"),
+        ("sid\tpos\tt\tu\n1\t1\t3\t4\n1\t2\t\t4\n", "attribute row 3: non-integer field"),
+        # rows past the first block of text, after blank lines in it
+        ("sid\tpos\tt\n" + "1\t1\t5\n\n" * 3000 + "1\t2\t6\t7\n",
+         "attribute row 6002 has 4 fields, expected 3"),
+        ("sid\tpos\tt\n" + "1\t1\t5\n" * 6000 + " \t1\t5\n",
+         "attribute row 6002: non-integer field"),
     ])
     def test_errors_name_the_file_line_after_blank_lines(self, text, message):
         with pytest.raises(SeqDbError) as err:
@@ -172,10 +186,44 @@ class TestAttachAttributes:
         assert str(err.value) == "attribute table line 1: header must start with 'sid\\tpos'"
 
 
+def rows_of(table: AttributeTable) -> list[tuple]:
+    """The table's rows as (sid, pos, values) tuples, in its order."""
+    return list(zip(table.sid, table.pos, zip(*table.columns)))
+
+
+def table_of(names: tuple[str, ...], rows: list[tuple]) -> AttributeTable:
+    """The columnar table of (sid, pos, values) rows.  Only its end can be
+    missing from a column, so rows with fewer values go last."""
+    rows = sorted(rows, key=lambda row: -len(row[2]))
+    width = len(rows[0][2]) if rows else 0
+    return AttributeTable(names, [row[0] for row in rows], [row[1] for row in rows],
+                          [[row[2][k] for row in rows if k < len(row[2])]
+                           for k in range(width)])
+
+
 def shuffled_tsv(text: str, seed: int) -> str:
     header, *rows = text.splitlines()
     random.Random(seed).shuffle(rows)
     return "\n".join([header, *rows]) + "\n"
+
+
+class TestWideValues:
+    def test_values_beyond_64_bits_parse_and_attach_exactly(self):
+        # the big value sits past the first block, after the column began as an array
+        events = 4000
+        db = make_database([[1] * events, [2]])
+        rows = [f"1\t{pos}\t{pos}" for pos in range(1, events)]
+        text = "\n".join(["sid\tpos\tt", *rows, f"1\t{events}\t{2**70}", "2\t1\t-5"])
+        table = parse_attribute_tsv(text)
+        assert table.columns[0][-2:] == [2**70, -5]
+        values = attach_attributes(db, table).columns("t")
+        assert values == [(*range(1, events), 2**70), (-5,)]
+
+    def test_a_sid_beyond_64_bits_is_an_unknown_row(self):
+        table = parse_attribute_tsv(f"sid\tpos\tt\n1\t1\t5\n{2**70}\t1\t6\n")
+        with pytest.raises(AttributeCoverageError) as err:
+            attach_attributes(parse_spmf("1 -1 -2"), table)
+        assert str(err.value) == f"attribute row for unknown sid {2**70} pos 1"
 
 
 class TestRowOrder:
@@ -217,13 +265,13 @@ class TestRowOrder:
     def test_single_defect_message_is_order_free(self, defect, message):
         # sid 5 has 8 events and its second event is row 36; sid 200 has 15
         assert [len(self.base.sequences[i]) for i in (4, 199)] == [8, 15]
-        assert self.table.rows[36][:2] == (5, 2)
-        rows = list(self.table.rows)
+        rows = rows_of(self.table)
+        assert rows[36][:2] == (5, 2)
         defect(rows)
         for seed in (None, 0, 1, 2):
             if seed is not None:
                 random.Random(seed).shuffle(rows)
-            table = AttributeTable(self.table.names, list(rows))
+            table = table_of(self.table.names, rows)
             with pytest.raises(AttributeCoverageError) as err:
                 attach_attributes(self.base, table)
             assert str(err.value) == message
@@ -246,7 +294,7 @@ class TestRowOrder:
         for seed in range(4):
             random.Random(seed).shuffle(rows)
             with pytest.raises(AttributeCoverageError) as err:
-                attach_attributes(db, AttributeTable(("t",), list(rows)))
+                attach_attributes(db, table_of(("t",), rows))
             assert str(err.value) == message
 
 
@@ -282,6 +330,22 @@ class TestColumns:
         boxed = {id(v): v for cell in cells for v in cell if not -5 <= v <= 256}
         payload = sum(map(sys.getsizeof, [*cells, *boxed.values()]))
         assert size <= 1.15 * payload, size / payload
+
+
+def test_parse_and_attach_peak_at_most_twice_the_attached_columns():
+    # row tuples and a whole-file line list peaked at about 4x
+    base = generate_sessions(2000, 1000, seed=7)
+    tsv = format_attribute_tsv(generate_attributes(base, seed=7))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        db = attach_attributes(base, parse_attribute_tsv(tsv))
+        gc.collect()
+        attached, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert db.attribute_names == ("time", "price", "quality")
+    assert peak <= 2 * attached, peak / attached
 
 
 class TestMakeDatabaseShapes:
@@ -365,7 +429,7 @@ class TestGenerateAttributes:
     def test_uniform_profile_range(self):
         db = make_database([[7]])
         table = generate_attributes(db, seed=5, profile=(("price", "uniform"),))
-        (_, _, (value,)), = table.rows
+        (_, _, (value,)), = rows_of(table)
         assert 1 <= value <= 100
 
     def test_long_delay_fraction_roughly_five_percent(self):
@@ -384,7 +448,7 @@ class TestGenerateAttributes:
 
     def test_empty_db(self):
         table = generate_attributes(parse_spmf(""), seed=0)
-        assert table.rows == []
+        assert rows_of(table) == []
 
     def test_unknown_profile_kind(self):
         with pytest.raises(ValueError):
