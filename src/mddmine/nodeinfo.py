@@ -6,24 +6,22 @@ paths that follow arcs of the same sequence down to the terminal:
 
 * span/max/min: the minimum and maximum attribute value reachable;
 * sum: the extremal reachable path sum (maximal for >=, minimal for <=);
-* avg: the largest sum of (value - c) over a path, since an average clears
-  the bound c exactly when its values' excesses over c sum to at least 0;
-* med: a (count difference, best value below c, best value at or above c)
-  triple of a path selected through dominance rules;
+* avg: the extremal sum of (value - c) over a path (maximal for >=,
+  minimal for <=), since an average reaches the bound c exactly when its
+  values' excesses over c sum to at least (at most) 0;
+* med: a (count difference, best value on the far side of c, best value on
+  c's own side) triple of a path selected through dominance rules;
 * remaining length: the longest arc path ahead, for length lower bounds.
 
-Upper-bound directions reuse the lower-bound machinery on negated values:
-stat(V) <= c holds exactly when stat(-V) >= -c for sums, averages, and
-medians, so sums, average excesses, and median triples are stored in
-"oriented" form, over s*value with s = +1 for >= and s = -1 for <=.  The
-store alone is oriented.  A search entry holds one plain sum per attribute
-and median triples over raw values, so it holds no freshly negated
-integer; the generated tests let the sign pick each comparison instead.
-Everything is exact integer arithmetic; division never happens in a
-feasibility decision.
+Every value stored or held by a search entry is a column value or a sum of
+them.  Upper-bound directions reuse the lower-bound rules: stat(V) <= c
+holds exactly when stat(-V) >= -c for sums, averages, and medians, so a
+rule stated for >= reads the same for <= with the comparisons ``_OPS``
+flips.  Everything is exact integer arithmetic; division never happens in
+a feasibility decision.
 
 Each event's information is one record of ``width`` integer slots holding
-every key's slots at fixed offsets: (lo, hi) per span key, one oriented sum,
+every key's slots at fixed offsets: (lo, hi) per span key, one sum,
 one average excess, a median triple, and maxlen.  ``propagate`` generates
 one backward pass per spec list that builds all of them at once, and packs a
 sequence's records into one flat ``array('q')`` when it is done.
@@ -70,8 +68,13 @@ def _sign(direction: str) -> int:
     return 1 if direction == GE else -1
 
 
+#: a direction's sign to the operators that stand for >=, < and > in a test
+#: stated for >=: a <= bound flips them, as stat(V) <= c iff stat(-V) >= -c
+_OPS = {1: (">=", "<", ">"), -1: ("<=", ">", "<")}
+
+
 def med_fold(value: int, bound: int, triple: MedTriple) -> MedTriple:
-    """Fold one oriented value into a median triple."""
+    """Fold one value into a ``>=`` median triple."""
     t1, t2, t3 = triple
     if value >= bound:
         return (t1 + 1, t2, value if value < t3 else t3)
@@ -81,15 +84,16 @@ def med_fold(value: int, bound: int, triple: MedTriple) -> MedTriple:
 def med_dominates(a: MedTriple, b: MedTriple, bound: int) -> bool:
     """Whether suffix triple ``a`` strictly beats ``b`` as stored information.
 
-    A triple summarizes a non-empty multiset S of oriented values against the
+    A triple summarizes a non-empty multiset S of values against a ``>=``
     bound c: (#{v >= c} - #{v < c}, largest v < c, smallest v >= c), with the
-    attribute's oriented pair over the database, (min - 1, max + 1), for an
-    empty side.  A prefix P, summarized alike, is feasible with S when
-    median(P + S) >= c, which holds exactly when the balances sum to more
-    than 0, or they cancel and max(p2, t2) + min(p3, t3) >= 2c (both sides
-    of c are then non-empty in P + S, so no sentinel survives the max and
-    min).  (a) and (b) hold for any pair below and above every value, as the
-    exhaustive test's window-wide sentinels exercise.
+    attribute's pair over the database, (min - 1, max + 1), for an empty
+    side; a ``<=`` bound reads the same through ``_OPS``.  A prefix P,
+    summarized alike, is feasible with S when median(P + S) >= c, which
+    holds exactly when the balances sum to more than 0, or they cancel and
+    max(p2, t2) + min(p3, t3) >= 2c (both sides of c are then non-empty in
+    P + S, so no sentinel survives the max and min).  (a) and (b) hold for
+    any pair below and above every value, as the exhaustive test's
+    window-wide sentinels exercise.
 
     (a) On realizable triples the rule is a total preorder that matches
         semantic dominance: ``a`` beats ``b`` iff every prefix feasible with
@@ -143,8 +147,7 @@ def _key(spec: ConstraintSpec) -> tuple | None:
     if kind is Kind.SUM:
         return ("sum", attr, _sign(spec.direction))
     if kind in (Kind.AVG, Kind.MED):
-        s = _sign(spec.direction)
-        return (kind.value, attr, s, s * spec.c)
+        return (kind.value, attr, _sign(spec.direction), spec.c)
     if kind is Kind.LENGTH and spec.direction == GE:
         return ("maxlen",)
     return None
@@ -162,14 +165,15 @@ def _info_label(key: tuple) -> str:
     if len(rest) < 2:
         return f"{kind}({rest[0]})" if rest else kind
     attr, sign, *bound = rest
-    return f"{kind}({attr},{GE if sign > 0 else LE}{''.join(str(sign * b) for b in bound)})"
+    return f"{kind}({attr},{GE if sign > 0 else LE}{''.join(map(str, bound))})"
 
 
 def _sentinels(columns, sign: int) -> tuple[int, int]:
-    """The oriented (min - 1, max + 1) of one attribute over the whole
-    database: below and above every value of every sequence."""
-    lo, hi = min(map(min, columns), default=0), max(map(max, columns), default=0)
-    return (lo - 1, hi + 1) if sign > 0 else (-hi - 1, -lo + 1)
+    """A median triple's empty-side values for one attribute: (min - 1,
+    max + 1) over the whole database, below and above every value of every
+    sequence, swapped for a ``<=`` bound, whose far side lies above it."""
+    lo, hi = min(map(min, columns), default=0) - 1, max(map(max, columns), default=0) + 1
+    return (lo, hi) if sign > 0 else (hi, lo)
 
 
 # --- the information store ------------------------------------------------------
@@ -181,9 +185,9 @@ class InfoStore:
     ``mdd`` is the diagram the records were propagated over.  A record is
     ``width`` integer slots: key ``k``'s information starts at slot
     ``layout[k]``.  ``("span", attr)`` holds (lo, hi), ``("sum", attr, s)``
-    the oriented sum, ``("avg", attr, s, b)`` the oriented excess over ``b``,
-    ``("med", attr, s, b)`` the triple and ``("maxlen",)`` the longest path
-    ahead; keys are ordered by kind in that order, then sorted.
+    the extremal path sum ahead, ``("avg", attr, s, c)`` the extremal excess
+    over ``c``, ``("med", attr, s, c)`` the triple and ``("maxlen",)`` the
+    longest path ahead; keys are ordered by kind in that order, then sorted.
     ``records[si]`` holds sequence ``si``'s records back to back, the slot
     ``s`` of position ``pos`` at ``pos * width + s``: an ``array('q')``, or
     a flat ``list`` for a sequence holding a value outside 64 bits, so every
@@ -253,16 +257,16 @@ def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
     folds its slots in:
 
     * span keeps the smallest ``lo`` and largest ``hi``;
-    * sum, avg and maxlen keep the largest successor value, against 0 for
-      the path that stops here, and add the event's own term: its oriented
-      value, its excess ``s*x - b``, or 1.  The average term is exact
-      because avg(V) >= c iff sum(v - c for v in V) >= 0 on a non-empty V,
-      and the excesses of a prefix and a path ahead add up, so the largest
-      excess ahead decides whether any extension reaches the bound;
+    * sum, avg and maxlen keep the largest successor value (the least under
+      ``<=``), against 0 for the path that stops here, and add the event's
+      own term: its value, its excess ``x - c``, or 1.  The average term is
+      exact because avg(V) >= c iff sum(v - c for v in V) >= 0 on a
+      non-empty V, and the excesses of a prefix and a path ahead add up, so
+      the extremal excess ahead decides whether any extension reaches c;
     * med starts from the event alone, its empty side holding the key's
       ``_sentinels`` pair as constants, and folds the event's value into
       each successor triple, keeping the first that no later one beats
-      (``med_fold`` and ``med_dominates`` inlined).
+      (``med_fold`` and ``med_dominates`` inlined, with the sign's ``_OPS``).
 
     A finished sequence's tuples are packed by ``_packer``.
     """
@@ -286,35 +290,36 @@ def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
             fields += [lo, hi]
             continue
         # maxlen is the longest path's sum of ones
-        v = "1" if kind == "maxlen" else f"{'' if key[2] > 0 else '-'}{x[key[1]]}"
+        v = "1" if kind == "maxlen" else x[key[1]]
+        ge, lt, gt = _OPS[1 if kind == "maxlen" else key[2]]
         if kind != "med":
             if kind == "avg":
                 v += f" - {key[3]}" if key[3] >= 0 else f" + {-key[3]}"
             own.append(f"                g{n} = 0")
-            step.append(f"                    if {u[0]} > g{n}: g{n} = {u[0]}")
+            step.append(f"                    if {u[0]} {gt} g{n}: g{n} = {u[0]}")
             fields.append(f"{v} + g{n}")
         else:
             bound, two = key[3], 2 * key[3]
             b1, b2, b3, ok = f"m{n}a", f"m{n}b", f"m{n}c", f"ok{n}"
             e, f = _sentinels(db.columns(key[1]), key[2])
             own += [f"                v{n} = {v}",
-                    f"                up{n} = v{n} >= {bound}",
+                    f"                up{n} = v{n} {ge} {bound}",
                     f"                {b1}, {b2}, {b3} = "
                     f"(1, {e}, v{n}) if up{n} else (-1, v{n}, {f})",
-                    f"                {ok} = {b2} + {b3} >= {two}"]
+                    f"                {ok} = {b2} + {b3} {ge} {two}"]
             # a folded triple of lower balance loses whatever its values
             step += [f"                    t1 = {u[0]} + 1 if up{n} else {u[0]} - 1",
                      f"                    if t1 >= {b1}:",
                      f"                        if up{n}:",
                      f"                            t2 = {u[1]}",
-                     f"                            t3 = {u[2]} if {u[2]} < v{n} else v{n}",
+                     f"                            t3 = {u[2]} if {u[2]} {lt} v{n} else v{n}",
                      "                        else:",
-                     f"                            t2 = {u[1]} if {u[1]} > v{n} else v{n}",
+                     f"                            t2 = {u[1]} if {u[1]} {gt} v{n} else v{n}",
                      f"                            t3 = {u[2]}",
-                     f"                        if t1 > {b1} or ((not {ok} or t2 > {b2}) "
-                     f"if t2 + t3 >= {two} else not {ok} and t3 > {b3}):",
+                     f"                        if t1 > {b1} or ((not {ok} or t2 {gt} {b2}) "
+                     f"if t2 + t3 {ge} {two} else not {ok} and t3 {gt} {b3}):",
                      f"                            {b1}, {b2}, {b3} = t1, t2, t3",
-                     f"                            {ok} = t2 + t3 >= {two}"]
+                     f"                            {ok} = t2 + t3 {ge} {two}"]
             fields += [b1, b2, b3]
     _, walk = make([
         "    def walk(succ_tables):",
@@ -357,9 +362,9 @@ def dump_info_tsv(store: InfoStore) -> str:
     """Flatten the store for inspection: sid, pos, info label, beta values.
 
     Reads the store alone: sid and pos are the 1-based sequence index and
-    position.  One block per key, in layout order.  Sum, average, and median
-    entries are reported in oriented form (values negated for <= bounds); the
-    label records the natural bound.
+    position.  One block per key, in layout order, its values as stored:
+    column values and their sums, labelled with the key's direction and
+    bound.
     """
     lines = ["sid\tpos\tinfo\tvalues"]
     for key in store.layout:
@@ -380,12 +385,12 @@ class StatPlan:
     m1_0, m2_0, m3_0, ...)``: the endpoint, then the stats, which are the
     occurrence's (min, max) per span attribute, its plain sum per attribute,
     shared by every sum and average constraint of either sign, and its
-    median triple per median key ``(attr, s, b)`` over the occurrence
-    excluding its final event.  The triple is the oriented one with its two
-    values times ``s``: the balance of values on the bound's side, then the
-    raw value nearest the bound on the other side and the one nearest it on
-    its own, ``(e, f)`` times ``s`` for an empty side.  So the stats hold
-    only column values and their sums, never a negated copy.
+    median triple per median key ``(attr, s, c)`` over the occurrence
+    excluding its final event, laid out as the store's: the balance of
+    values on the bound's side, then the value nearest the bound on the
+    other side and the one nearest it on its own, the key's ``_sentinels``
+    pair for an empty side.  So the stats, like the store, hold only column
+    values and their sums.
     ``span_at``, ``sum_at`` and ``med_at`` map each span attribute, sum
     attribute and median key to its first slot in the stats, which is one
     less than its slot in the entry.
@@ -429,17 +434,16 @@ class StatPlan:
 
     ``scan`` does the parent-level work once per parent: the gate, the
     unpack, ``ln + 1``, the median folds of the old endpoint, and the
-    thresholds admission compares against (``c - pln``, ``sc - s*ps`` and
-    ``sc * pln - s*ps``, from the parent's length and its sum ``ps`` oriented
-    by the spec's sign; an average's stored excess A passes when
-    ``s*ps - sc * pln + A >= 0``).  A median test reads the store's oriented
-    triple against the parent's raw one and, under sign -1, negates the two
-    stored values it reads, only when the balances cancel.  Each
-    successor then costs its value reads, the span and sum updates, one
-    tuple and the admission chain.  The root parent ``None`` is the
-    identity, the empty occurrence: ``ln`` 0, each span's ``(lo, hi)``
+    thresholds ``q`` admission compares against (``c - pln``, ``c - ps`` and
+    ``c * pln - ps``, from the parent's length and its sum ``ps``; a stored
+    sum or average excess ahead fails when it is below ``q`` under ``>=``
+    and above it under ``<=``).  A median test adds the stored balance to
+    the parent's and reads the two stored values only when the balances
+    cancel.  Each successor then costs its value reads, the span and sum
+    updates, one tuple and the admission chain.  The root parent ``None`` is
+    the identity, the empty occurrence: ``ln`` 0, each span's ``(lo, hi)``
     (+inf, -inf), which the first event replaces by its value, zero sums,
-    and median triples ``(0, s*e, s*f)`` with nothing to fold, ``(e, f)`` the
+    and median triples ``(0, e, f)`` with nothing to fold, ``(e, f)`` the
     key's ``_sentinels`` pair, bound as constants.  It has no gate and
     reads ``STARTS[si]`` instead of ``NEXTS[si]``.
 
@@ -450,12 +454,11 @@ class StatPlan:
     ``c`` and an average, as ``ln > 0``, with ``c*ln``, by ``<`` for ``>=``
     and by ``>`` for ``<=``.  The endpoint's value folded into the stored
     triple gives the whole occurrence's triple ``(m1, m2, m3)``, whose
-    median reaches the oriented bound ``b`` iff more oriented values lie at
-    or above ``b`` than below (``m1 > 0``), or the counts tie and the two
-    middle values, the largest below and the smallest at or above ``b``,
-    average at least ``b``: ``m2 + m3 >= 2c`` for ``>=`` and
-    ``m2 + m3 <= 2c`` for ``<=`` in raw values.  ``span>=`` is exact here;
-    its relaxation is an admission matter only.
+    median reaches the bound ``c`` iff more values lie on its side than on
+    the far side (``m1 > 0``), or the counts tie and the two middle values,
+    the nearest to ``c`` on either side, average at least ``c`` under
+    ``>=`` (``m2 + m3 >= 2c``) and at most ``c`` under ``<=``.  ``span>=``
+    is exact here; its relaxation is an admission matter only.
 
     An admission verdict ``r``, the ``hist`` slot an entry counts in, ran
     the tests of specs 0..r; it costs ``constraint_checks[r]`` occurrence
@@ -530,15 +533,14 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     identity += [f"p{acc[a]} = 0" for a in plan.sum_attrs]
     for k in plan.med_keys:
         e, f = _sentinels(plan.db.columns(k[0]), k[1])
-        identity.append(f"{', '.join(med[k])} = 0, {k[1] * e}, {k[1] * f}")
+        identity.append(f"{', '.join(med[k])} = 0, {e}, {f}")
 
     def fold(key: tuple, column: str) -> list[str]:
-        # the triple excludes the final event, so the old endpoint folds in;
-        # its raw value is compared the way its oriented value would be
+        # the triple excludes the final event, so the old endpoint folds in
         (_, sign, bound), (t1, t2, t3) = key, med[key]
-        ge, lt, gt = (">=", "<", ">") if sign > 0 else ("<=", ">", "<")
+        ge, lt, gt = _OPS[sign]
         return [f"y = {column}[old]",
-                f"if y {ge} {sign * bound}:",
+                f"if y {ge} {bound}:",
                 f"    {t1} += 1",
                 f"    if y {lt} {t3}: {t3} = y",
                 "else:",
@@ -555,17 +557,16 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
         """The test failing the occurrence itself; arcs enforce gap and
         item-set rules, and a median reads the folded triple."""
         kind, c, attr = spec.kind, spec.c, spec.attribute
-        sign = _sign(spec.direction) if spec.direction else 0
+        ge, lt, _ = _OPS[_sign(spec.direction)]
         test = {Kind.LENGTH: "ln", Kind.SPAN: f"{hi.get(attr)} - {lo.get(attr)}",
                 Kind.MAX: hi.get(attr), Kind.MIN: lo.get(attr)}.get(kind)
         if test is not None:
-            return test + f" {'<' if sign > 0 else '>'} {c}"
+            return f"{test} {lt} {c}"
         if kind in (Kind.SUM, Kind.AVG):
-            return f"{acc[attr]} {'<' if sign > 0 else '>'} {c}{' * ln' if kind is Kind.AVG else ''}"
+            return f"{acc[attr]} {lt} {c}{' * ln' if kind is Kind.AVG else ''}"
         if kind is Kind.MED:
             t1, t2, t3 = med[_key(spec)[1:]]
-            return (f"not ({t1} > 0 or {t1} == 0 and "
-                    f"{t2} + {t3} {'>=' if sign > 0 else '<='} {2 * c})")
+            return f"not ({t1} > 0 or {t1} == 0 and {t2} + {t3} {ge} {2 * c})"
         return None
 
     # the endpoint folded in gives the whole occurrence's triple; each key
@@ -595,7 +596,7 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     for i, spec in enumerate(plan.specs):
         kind, c, attr, key = spec.kind, spec.c, spec.attribute, _key(spec)
         anti = classify(spec) is Monotonicity.ANTI_MONOTONE
-        sign = _sign(spec.direction) if spec.direction else 0
+        _, lt, gt = _OPS[_sign(spec.direction)]
         test = exact(spec) if anti else None
         if kind is Kind.LENGTH and anti:
             gate.append(f"if pln >= {c}: continue")
@@ -616,23 +617,19 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
             test = {Kind.SPAN: f"{top} - {bottom} < {c}",
                     Kind.MAX: f"{top} < {c}", Kind.MIN: f"{bottom} > {c}"}[kind]
         elif kind in (Kind.SUM, Kind.AVG) and store is not None:
-            # the stored value counts the final event, so it adds to the
-            # parent's oriented sum s*ps: s*ps + A < sc for a sum,
-            # s*ps - sc * pln + A < 0 for an average, whose A sums the
-            # excesses over sc
-            sc, prefix = sign * c, f"{'-' if sign > 0 else '+'} p{acc[attr]}"
-            head.append(f"q{i} = {sc}{' * pln' if kind is Kind.AVG else ''} {prefix}")
-            test = f"{slot(adm, 'new', key)} < q{i}"
+            # the stored A counts the final event and adds to the parent's
+            # sum ps: a sum >= c fails when ps + A < c, an average when
+            # ps - c * pln + A < 0, A summing the excesses over c
+            head.append(f"q{i} = {c}{' * pln' if kind is Kind.AVG else ''} - p{acc[attr]}")
+            test = f"{slot(adm, 'new', key)} {lt} q{i}"
         elif kind is Kind.MED and store is not None:
+            # the deciding values are read only when the balances cancel,
+            # each once
             p1, p2, p3 = med[key[1:]]
-            # the stored triple is oriented and the parent's raw: under
-            # sign -1 the deciding values are negated, and the comparisons
-            # flip.  They are read only when the balances cancel, each once
-            gt, lt, neg = (">", "<", "") if sign > 0 else ("<", ">", "-")
             adm.append(f"t1 = {slot(adm, 'new', key)} + {p1}")
             t2, t3 = slot(adm, "new", key, 1), slot(adm, "new", key, 2)
-            test = (f"t1 < 0 or t1 == 0 and ({p2} if {p2} {gt} (t2 := {neg}{t2}) else t2) + "
-                    f"({p3} if {p3} {lt} (t3 := {neg}{t3}) else t3) {lt} {2 * c}")
+            test = (f"t1 < 0 or t1 == 0 and ({p2} if {p2} {gt} (t2 := {t2}) else t2) + "
+                    f"({p3} if {p3} {lt} (t3 := {t3}) else t3) {lt} {2 * c}")
         if test is not None:
             adm.append(f"if {test}: hist[{i}] += 1; continue")
         checks.append(checks[-1] + (test is not None and anti))

@@ -217,12 +217,22 @@ class AttributeTable:
     position ``pos[i]`` of sequence ``sid[i]`` the value ``columns[k][i]`` of
     attribute ``names[k]``.  Each column is an ``array('q')``, or a list once
     it holds a value outside 64 bits, so every integer stays exact.  Rows
-    keep the order they were read or generated in."""
+    keep the order they were read or generated in.  The constructor checks
+    the names and that ``pos`` and one column per name are as long as
+    ``sid``, so every row has one value per name."""
 
     names: tuple[str, ...]
     sid: array | list[int]
     pos: array | list[int]
     columns: list[array | list[int]]
+
+    def __post_init__(self):
+        problem = _column_name_problem(self.names)
+        if problem:
+            raise SeqDbError(f"attribute table: {problem}")
+        if len(self.columns) != len(self.names) or any(
+                len(column) != len(self.sid) for column in (self.pos, *self.columns)):
+            raise AttributeCoverageError("attribute table columns have different lengths")
 
 
 def _keys(lengths: list[int]) -> tuple[array, array]:
@@ -232,25 +242,22 @@ def _keys(lengths: list[int]) -> tuple[array, array]:
 
 
 def _in_key_order(table: AttributeTable, lengths: list[int]) -> bool:
-    """Whether the table holds one full row per event, in (sid, pos) order;
-    the expected key arrays die on return, before any tuple is cut."""
+    """Whether the table holds one row per event, in (sid, pos) order; the
+    expected key arrays die on return, before any tuple is cut."""
     sid, pos = _keys(lengths)
-    return (table.sid == sid and table.pos == pos and len(table.columns) == len(table.names)
-            and all(len(column) == len(sid) for column in table.columns))
+    return table.sid == sid and table.pos == pos
 
 
 def _key_order(table: AttributeTable) -> list[int]:
-    """Row indices in (sid, pos) order, a full row before a narrow one (past
-    the end of a short column) of the same key."""
-    sid, pos, short = table.sid, table.pos, min(map(len, table.columns), default=len(table.sid))
-    return sorted(range(len(sid)), key=lambda i: (sid[i], pos[i], i >= short))
+    """Row indices in (sid, pos) order."""
+    sid, pos = table.sid, table.pos
+    return sorted(range(len(sid)), key=lambda i: (sid[i], pos[i]))
 
 
 def format_attribute_tsv(table: AttributeTable) -> str:
     columns = (table.sid, table.pos, *table.columns)
     lines = ["\t".join(("sid", "pos") + table.names)]
-    lines += ["\t".join([str(column[i]) for column in columns if i < len(column)])
-              for i in _key_order(table)]
+    lines += ["\t".join([str(column[i]) for column in columns]) for i in _key_order(table)]
     return "\n".join(lines) + "\n"
 
 
@@ -352,22 +359,18 @@ def attach_attributes(
 ) -> AttributedDatabase:
     """Return a new database holding the table's attributes as columns.
 
-    The rows, in any order, must cover every (sid, pos) pair once with one
-    value per name; any attributes already on the database are replaced.
+    The rows, in any order, must cover every (sid, pos) pair once; any
+    attributes already on the database are replaced.
     Rows in (sid, pos) order are sliced per sequence as they are; otherwise
     an index permutation sorts them first, and the first defect in (sid,
     pos) order is reported.
     """
-    lengths, width = list(map(len, db.items)), len(table.names)
+    lengths = list(map(len, db.items))
     sid, pos, columns = table.sid, table.pos, table.columns
-    if len(pos) != len(sid) or any(len(column) > len(sid) for column in columns):
-        raise AttributeCoverageError("attribute table columns have different lengths")
     if not _in_key_order(table, lengths):
         order, events = _key_order(table), sum(lengths)
-        short = min(map(len, columns), default=len(sid))
         for k, key in enumerate(zip(*_keys(lengths))):
-            if (k == len(order) or (sid[order[k]], pos[order[k]]) != key
-                    or len(columns) != width or order[k] >= short):
+            if k == len(order) or (sid[order[k]], pos[order[k]]) != key:
                 raise _coverage_error(table, order, k, key)
         if len(order) > events:
             raise _coverage_error(table, order, events, (math.inf, math.inf))
@@ -383,8 +386,7 @@ def attach_attributes(
 def _coverage_error(table: AttributeTable, order: list[int], k: int,
                     expected: tuple) -> AttributeCoverageError:
     """Why the ``k``-th row in key ``order`` is not the row keyed
-    ``expected`` with one value per name; past the last row, a row is
-    missing."""
+    ``expected``; past the last row, a row is missing."""
     if k == len(order):
         return AttributeCoverageError("missing attribute row for sid %d pos %d" % expected)
     i = order[k]
@@ -393,11 +395,7 @@ def _coverage_error(table: AttributeTable, order: list[int], k: int,
         return AttributeCoverageError(f"duplicate attribute row for sid {sid} pos {pos}")
     if (sid, pos) > expected:
         return AttributeCoverageError("missing attribute row for sid %d pos %d" % expected)
-    if (sid, pos) < expected:
-        return AttributeCoverageError(f"attribute row for unknown sid {sid} pos {pos}")
-    values = sum(i < len(column) for column in table.columns)
-    return AttributeCoverageError(f"attribute row for sid {sid} pos {pos} has "
-                                  f"{values} values for {len(table.names)} attributes")
+    return AttributeCoverageError(f"attribute row for unknown sid {sid} pos {pos}")
 
 
 # --- synthetic data -------------------------------------------------------------

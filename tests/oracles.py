@@ -52,23 +52,18 @@ def span_ground_truth(db, mdd, si: int, pos: int, attr: str):
 
 
 def sum_ground_truth(db, mdd, si: int, pos: int, attr: str, sign: int):
-    best = None
-    for path in iter_ut_paths(mdd, si, pos):
-        total = sign * sum(path_values(db, si, path, attr))
-        if best is None or total > best:
-            best = total
-    return best
+    """The largest path sum for sign 1, the least for sign -1."""
+    sums = [sum(path_values(db, si, path, attr)) for path in iter_ut_paths(mdd, si, pos)]
+    return max(sums) if sign > 0 else min(sums)
 
 
 def avg_objective_ground_truth(db, mdd, si: int, pos: int, attr: str, sign: int, bound: int):
-    """Maximum of oriented path sum minus bound times path count."""
-    best = None
-    for path in iter_ut_paths(mdd, si, pos):
-        values = path_values(db, si, path, attr)
-        objective = sign * sum(values) - bound * len(values)
-        if best is None or objective > best:
-            best = objective
-    return best
+    """The path sum minus bound times path count: the largest for sign 1,
+    the least for sign -1."""
+    objectives = [sum(values) - bound * len(values)
+                  for values in (path_values(db, si, path, attr)
+                                 for path in iter_ut_paths(mdd, si, pos))]
+    return max(objectives) if sign > 0 else min(objectives)
 
 
 def maxlen_ground_truth(mdd, si: int, pos: int):
@@ -94,29 +89,35 @@ def iter_arc_consistent_occurrences(mdd, si: int, max_len: int | None = None):
                 yield path
 
 
-def med_triple(values, bound, sentinels):
-    """The median triple by its definition: the balance of values at or
-    above ``bound`` over those below, the largest below and the smallest at
-    or above, with ``sentinels`` for an empty side."""
-    below = [v for v in values if v < bound]
-    above = [v for v in values if v >= bound]
-    return (len(above) - len(below), max(below, default=sentinels[0]),
-            min(above, default=sentinels[1]))
+def med_triple(values, bound, sentinels, sign: int = 1):
+    """The median triple by its definition: for sign 1 the balance of
+    values at or above ``bound`` over those below, the largest below and
+    the smallest at or above; for sign -1 the balance of values at or below
+    over those above, the smallest above and the largest at or below;
+    ``sentinels`` for an empty side."""
+    if sign > 0:
+        far, own = [v for v in values if v < bound], [v for v in values if v >= bound]
+        return (len(own) - len(far), max(far, default=sentinels[0]),
+                min(own, default=sentinels[1]))
+    far, own = [v for v in values if v > bound], [v for v in values if v <= bound]
+    return (len(own) - len(far), min(far, default=sentinels[0]),
+            max(own, default=sentinels[1]))
 
 
 def database_sentinels(db, attr: str, sign: int) -> tuple[int, int]:
-    """(min - 1, max + 1) of ``attr``'s oriented values over the database."""
-    oriented = [sign * v for col in db.columns(attr) for v in col]
-    return min(oriented) - 1, max(oriented) + 1
+    """(min - 1, max + 1) of ``attr`` over the database, swapped for sign
+    -1: the far side's then the own side's empty value."""
+    values = [v for col in db.columns(attr) for v in col]
+    lo, hi = min(values) - 1, max(values) + 1
+    return (lo, hi) if sign > 0 else (hi, lo)
 
 
 def definition_stats(plan, db, si: int, positions):
     """Each slot of the plan's flat stats tuple, by its definition, placed at
     the plan's offset for its key: the length, (min, max) per span
     attribute, the plain sum per attribute, and per median key the
-    oriented median triple over the occurrence excluding its final event,
-    with ``database_sentinels`` for an empty side, its values times the sign
-    (back to raw values)."""
+    median triple over the occurrence excluding its final event, with
+    ``database_sentinels`` for an empty side."""
     slots = {0: len(positions)}
     for attr, at in plan.span_at.items():
         vals = [db.columns(attr)[si][p] for p in positions]
@@ -124,9 +125,9 @@ def definition_stats(plan, db, si: int, positions):
     for attr, at in plan.sum_at.items():
         slots[at] = sum(db.columns(attr)[si][p] for p in positions)
     for (attr, sign, bound), at in plan.med_at.items():
-        values = [sign * db.columns(attr)[si][p] for p in positions[:-1]]
-        t1, t2, t3 = med_triple(values, bound, database_sentinels(db, attr, sign))
-        slots[at], slots[at + 1], slots[at + 2] = t1, sign * t2, sign * t3
+        values = [db.columns(attr)[si][p] for p in positions[:-1]]
+        slots[at], slots[at + 1], slots[at + 2] = med_triple(
+            values, bound, database_sentinels(db, attr, sign), sign)
     assert sorted(slots) == list(range(len(slots)))  # offsets tile the tuple
     return tuple(slots[i] for i in range(len(slots)))
 

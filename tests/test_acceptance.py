@@ -88,13 +88,14 @@ def _check_beta_values(db, mdd, store, results, seed):
                 values = [cols[attr][q] for p in paths for q in p]
                 if arrays[si][pos] != (min(values), max(values)):
                     results.beta_value_errors.append((seed, "span", si, pos))
+            # the largest path sum or excess under >=, the least under <=
             for (attr, sign), arrays in sums.items():
-                best = max(sign * sum(cols[attr][q] for q in p) for p in paths)
+                best = (max if sign > 0 else min)(sum(cols[attr][q] for q in p) for p in paths)
                 if arrays[si][pos] != best:
                     results.beta_value_errors.append((seed, "sum", si, pos))
             for (attr, sign, bound), arrays in avg.items():
-                best = max(
-                    sign * sum(cols[attr][q] for q in p) - bound * len(p)
+                best = (max if sign > 0 else min)(
+                    sum(cols[attr][q] for q in p) - bound * len(p)
                     for p in paths
                 )
                 if arrays[si][pos] != best:

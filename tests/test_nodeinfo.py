@@ -177,16 +177,18 @@ class TestMedHelpers:
         # incomparable tie: neither dominates
         assert not med_dominates((0, 4, 6), (0, 4, 6), bound=5)
 
-    def test_sentinels_bracket_the_oriented_values_of_all_columns(self):
+    def test_sentinels_bracket_the_values_of_all_columns(self):
+        # the far side's empty value first: below every value under >=,
+        # above every value under <=
         rng = random.Random(12)
         for _ in range(200):
             columns = [tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 8)))
                        for _ in range(rng.randint(1, 5))]
-            for sign in (1, -1):
-                oriented = [sign * v for col in columns for v in col]
-                assert _sentinels(columns, sign) == (min(oriented) - 1, max(oriented) + 1)
-        # a database without sequences still gets an ordered pair
-        assert _sentinels([], 1) == _sentinels([], -1) == (-1, 1)
+            values = [v for col in columns for v in col]
+            assert _sentinels(columns, 1) == (min(values) - 1, max(values) + 1)
+            assert _sentinels(columns, -1) == (max(values) + 1, min(values) - 1)
+        # a database without sequences still gets a pair around 0
+        assert _sentinels([], 1) == (-1, 1) and _sentinels([], -1) == (1, -1)
 
 
 def _feasible(p, t, bound):
@@ -293,7 +295,9 @@ class TestOracleEquivalence:
     def test_med_arrays_equal_reference_fold(self):
         # propagate inlines the fold and the dominance test; its arrays must
         # be those of a backward fold through the reference forms, keeping
-        # the first triple that no later one dominates.  Values 0..4 and
+        # the first triple that no later one dominates.  The reference forms
+        # state the >= rule, so a <= key folds the negated values against
+        # -c and its deciding values are negated back.  Values 0..4 and
         # bounds around them make balances and deciding values tie often,
         # and a gap rule on the same values gives irregular successor sets.
         rng = random.Random(17)
@@ -310,8 +314,9 @@ class TestOracleEquivalence:
                                 c=rng.randint(-2, 2)),)
             mdd = build_mdd(db, specs)
             store = propagate(mdd, db, specs)
-            for (attr, sign, bound), arrays in store_arrays(store, "med").items():
-                lo, hi = database_sentinels(db, attr, sign)
+            for (attr, sign, c), arrays in store_arrays(store, "med").items():
+                bound = sign * c
+                lo, hi = (sign * v for v in database_sentinels(db, attr, sign))
                 for si, col in enumerate(db.columns(attr)):
                     oriented = [sign * v for v in col]
                     ref = [None] * len(col)
@@ -322,7 +327,7 @@ class TestOracleEquivalence:
                             if med_dominates(cand, best, bound):
                                 best = cand
                         ref[j] = best
-                    assert arrays[si] == ref
+                    assert arrays[si] == [(t1, sign * t2, sign * t3) for t1, t2, t3 in ref]
 
 
 class TestStatPlan:
@@ -366,7 +371,7 @@ class TestStatPlan:
         mdd = build_mdd(db, specs)
         miner = MppMiner(mdd, propagate(mdd, db, specs), db, specs, 20)
         (key, at), = miner.plan.med_at.items()
-        sentinels = [key[1] * v for v in database_sentinels(db, "time", key[1])]
+        sentinels = database_sentinels(db, "time", key[1])
         todo, entries, real = [pdb for _, pdb in miner.root_candidates()], 0, 0
         while todo and entries < 20000:
             pdb = todo.pop()
@@ -384,6 +389,13 @@ class TestStatPlan:
         db, specs, _ = sessions_s3
         plan = StatPlan(db, specs)
         assert list(plan.sum_at) == ["price", "quality"]
+
+    def test_admission_reads_stored_values_as_they_are(self, sessions_s3):
+        # the store holds column values, as the entries do: no <= key's
+        # stored value is negated before it is compared
+        db, specs, mdd = sessions_s3
+        plan = StatPlan(db, specs, propagate(mdd, db, specs))
+        assert "R[r + " in plan.source and "-R[" not in plan.source
 
     def test_source_is_kept(self, click_db):
         plan = StatPlan(click_db, (parse_constraint("span(time)<=4"),))
@@ -513,8 +525,10 @@ class TestWitness:
 
 #: ``dump_info_tsv`` of the click database under ``DUMP_SPECS``, as rendered
 #: from the per-kind arrays that preceded the record layout, with each
-#: average pair (b1, b2) rewritten as its excess b1 - 3*b2, and each median
-#: triple's empty side holding the attribute's pair over the database, (-6, 0)
+#: average pair (b1, b2) rewritten as its excess b1 - 3*b2, each median
+#: triple's empty side holding the attribute's pair over the database, and
+#: every value raw: the <= sum is the least path sum ahead, and the <= median
+#: triple's deciding values are prices, its empty sides (6, 0)
 DUMP_TEXT = (
     "sid\tpos\tinfo\tvalues\n"
     "1\t1\tspan(time)\t1,3\n"
@@ -525,14 +539,14 @@ DUMP_TEXT = (
     "3\t1\tspan(time)\t2,8\n"
     "3\t2\tspan(time)\t5,8\n"
     "3\t3\tspan(time)\t8,8\n"
-    "1\t1\tsum(price,<=)\t-5\n"
-    "1\t2\tsum(price,<=)\t-3\n"
-    "2\t1\tsum(price,<=)\t-3\n"
-    "2\t2\tsum(price,<=)\t-1\n"
-    "2\t3\tsum(price,<=)\t-3\n"
-    "3\t1\tsum(price,<=)\t-1\n"
-    "3\t2\tsum(price,<=)\t-2\n"
-    "3\t3\tsum(price,<=)\t-3\n"
+    "1\t1\tsum(price,<=)\t5\n"
+    "1\t2\tsum(price,<=)\t3\n"
+    "2\t1\tsum(price,<=)\t3\n"
+    "2\t2\tsum(price,<=)\t1\n"
+    "2\t3\tsum(price,<=)\t3\n"
+    "3\t1\tsum(price,<=)\t1\n"
+    "3\t2\tsum(price,<=)\t2\n"
+    "3\t3\tsum(price,<=)\t3\n"
     "1\t1\tavg(price,>=3)\t2\n"
     "1\t2\tavg(price,>=3)\t0\n"
     "2\t1\tavg(price,>=3)\t0\n"
@@ -541,14 +555,14 @@ DUMP_TEXT = (
     "3\t1\tavg(price,>=3)\t-2\n"
     "3\t2\tavg(price,>=3)\t-1\n"
     "3\t3\tavg(price,>=3)\t0\n"
-    "1\t1\tmed(price,<=2)\t-1,-5,0\n"
-    "1\t2\tmed(price,<=2)\t-1,-3,0\n"
-    "2\t1\tmed(price,<=2)\t0,-3,-1\n"
-    "2\t2\tmed(price,<=2)\t1,-6,-1\n"
-    "2\t3\tmed(price,<=2)\t-1,-3,0\n"
-    "3\t1\tmed(price,<=2)\t2,-6,-2\n"
-    "3\t2\tmed(price,<=2)\t1,-6,-2\n"
-    "3\t3\tmed(price,<=2)\t-1,-3,0\n"
+    "1\t1\tmed(price,<=2)\t-1,5,0\n"
+    "1\t2\tmed(price,<=2)\t-1,3,0\n"
+    "2\t1\tmed(price,<=2)\t0,3,1\n"
+    "2\t2\tmed(price,<=2)\t1,6,1\n"
+    "2\t3\tmed(price,<=2)\t-1,3,0\n"
+    "3\t1\tmed(price,<=2)\t2,6,2\n"
+    "3\t2\tmed(price,<=2)\t1,6,2\n"
+    "3\t3\tmed(price,<=2)\t-1,3,0\n"
     "1\t1\tmaxlen\t2\n"
     "1\t2\tmaxlen\t1\n"
     "2\t1\tmaxlen\t3\n"

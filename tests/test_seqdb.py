@@ -135,16 +135,29 @@ class TestAttachAttributes:
         [(1, 1, (5,)), (1, 2, ())],        # narrower than the names
     ])
     def test_ragged_row_rejected(self, rows):
-        db = parse_spmf("1 -1 2 -1 -2")
-        with pytest.raises(AttributeCoverageError, match="sid 1 pos [12] has"):
-            attach_attributes(db, table_of(("t",), rows))
+        # a hand-built table is checked when it is built, not when attached
+        with pytest.raises(AttributeCoverageError) as err:
+            table_of(("t",), rows)
+        assert str(err.value) == "attribute table columns have different lengths"
 
-    def test_ragged_table_is_written_as_it_is(self):
-        # reading the text back rejects the short row with its file line
-        text = format_attribute_tsv(table_of(("t",), [(1, 2, ()), (1, 1, (5,))]))
-        assert text == "sid\tpos\tt\n1\t1\t5\n1\t2\n"
-        with pytest.raises(SeqDbError, match="attribute row 3 has 2 fields"):
-            parse_attribute_tsv(text)
+    @pytest.mark.parametrize("pos, columns", [([1], [[5, 6]]), ([1, 2], [])])
+    def test_short_pos_or_missing_column_rejected(self, pos, columns):
+        with pytest.raises(AttributeCoverageError) as err:
+            AttributeTable(("t",), [1, 1], pos, columns)
+        assert str(err.value) == "attribute table columns have different lengths"
+
+    @pytest.mark.parametrize("names, message", [
+        (("t", "t"), "attribute table: duplicate column name 't'"),
+        (("sid",), "attribute table: duplicate column name 'sid'"),
+        (("t", "pos"), "attribute table: duplicate column name 'pos'"),
+        (("",), "attribute table: empty column name"),
+    ])
+    def test_hand_built_names_rejected(self, names, message):
+        # such a table would attach a column silently, or be written as
+        # text that parse_attribute_tsv rejects
+        with pytest.raises(SeqDbError) as err:
+            AttributeTable(names, [1], [1], [[7]] * len(names))
+        assert str(err.value) == message
 
     def test_non_increasing_ordering(self):
         db = parse_spmf("1 -1 2 -1 -2")
@@ -192,10 +205,9 @@ def rows_of(table: AttributeTable) -> list[tuple]:
 
 
 def table_of(names: tuple[str, ...], rows: list[tuple]) -> AttributeTable:
-    """The columnar table of (sid, pos, values) rows.  Only its end can be
-    missing from a column, so rows with fewer values go last."""
-    rows = sorted(rows, key=lambda row: -len(row[2]))
-    width = len(rows[0][2]) if rows else 0
+    """The columnar table of (sid, pos, values) rows; a row of another width
+    than the rest leaves columns of different lengths, which it rejects."""
+    width = max((len(row[2]) for row in rows), default=len(names))
     return AttributeTable(names, [row[0] for row in rows], [row[1] for row in rows],
                           [[row[2][k] for row in rows if k < len(row[2])]
                            for k in range(width)])
@@ -260,7 +272,7 @@ class TestRowOrder:
         (lambda rows: rows.append(rows[36]), "duplicate attribute row for sid 5 pos 2"),
         (lambda rows: rows.append((1, 1, (0, 0, 0))), "duplicate attribute row for sid 1 pos 1"),
         (lambda rows: rows.__setitem__(36, (5, 2, (1, 2))),
-         "attribute row for sid 5 pos 2 has 2 values for 3 attributes"),
+         "attribute table columns have different lengths"),
     ])
     def test_single_defect_message_is_order_free(self, defect, message):
         # sid 5 has 8 events and its second event is row 36; sid 200 has 15
@@ -271,16 +283,15 @@ class TestRowOrder:
         for seed in (None, 0, 1, 2):
             if seed is not None:
                 random.Random(seed).shuffle(rows)
-            table = table_of(self.table.names, rows)
             with pytest.raises(AttributeCoverageError) as err:
-                attach_attributes(self.base, table)
+                attach_attributes(self.base, table_of(self.table.names, rows))
             assert str(err.value) == message
 
     @pytest.mark.parametrize("rows, message", [
         # the first defect in (sid, pos) order, whatever the row order
         ([(3, 1, (7,)), (3, 1, (8,)), (1, 1, (5,)), (2, 1, (6,))],
          "missing attribute row for sid 1 pos 2"),
-        ([(1, 1, (5,)), (1, 2, (6,)), (9, 1, ()), (2, 1, (6,)), (2, 1, (6,))],
+        ([(1, 1, (5,)), (1, 2, (6,)), (9, 1, (7,)), (2, 1, (6,)), (2, 1, (6,))],
          "duplicate attribute row for sid 2 pos 1"),
         # a missing row before the unknown row that sorts in its place
         ([(1, 1, (5,)), (1, 3, (6,)), (2, 1, (7,)), (3, 1, (8,))],
