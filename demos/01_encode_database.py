@@ -48,7 +48,7 @@ print(f"{s.n_sequences} sequences, {s.n_items} items, "
 mdd = build_mdd(db)
 print("\nnodes per layer:", mdd.layer_sizes())
 print("node 2@1 label (sid -> (time, price)):", mdd.labels(1, 2))
-report = validate(mdd, db)
+report = validate(mdd)
 print("structure valid:", report.ok)
 
 # Imposing a gap bound removes arcs at construction time.  Here, consecutive

@@ -11,14 +11,15 @@ Subcommands::
 Minimum support is an absolute count, or a fraction of the sequence count
 when it contains a decimal point or is written ``a/b`` (converted by
 ceiling, so 0.04 or 1/25 of 80 rounds up to 4).  Scenario presets install
-fixed constraint sets over time, price, and quality attributes.  With
-``--emit-stats`` a run report (phase wall times, peak RSS in MB after
+fixed constraint sets over time, price, and quality attributes; a
+``length<=N`` constraint caps the pattern length of every miner.  With
+``--report PATH`` a run report (phase wall times, peak RSS in MB after
 loading, indexing and mining, and miner counters, tab-separated) is written
-next to the output; it leaves out what the selected miner does not measure:
-``ppcc`` builds no diagram and propagates nothing, and ``brute`` keeps no
-counters.  An option the selected path
-would ignore (``--max-len`` without ``--miner brute``, ``--disable-prop5``
-with it, ``--ordering-attr`` without ``--attrs``) is an argument error.
+to PATH; it leaves out what the selected miner does not measure: ``ppcc``
+builds no diagram and propagates nothing, and ``brute`` keeps no counters.
+An option the selected path would ignore (``--disable-prop5`` with
+``--miner brute``, ``--ordering-attr`` without ``--attrs``) is an argument
+error.
 """
 from __future__ import annotations
 
@@ -65,27 +66,28 @@ SCENARIOS = {
 }
 
 
-def _parse_min_support(text: str):
-    """Return ("abs", n) or ("frac", fraction); raise ValueError if invalid."""
+def min_support(text: str) -> int | Fraction:
+    """The ``--min-sup`` value: an ``int`` count, or a ``Fraction`` of the
+    sequence count when ``text`` holds a decimal point or a slash."""
     if "." in text or "/" in text:
         try:
             frac = Fraction(text)
         except ZeroDivisionError:
-            raise ValueError(f"fractional minimum support {text!r} divides by zero") from None
+            raise argparse.ArgumentTypeError(
+                f"fractional minimum support {text!r} divides by zero") from None
         if not 0 < frac <= 1:
-            raise ValueError("fractional minimum support must be in (0, 1]")
-        return ("frac", frac)
+            raise argparse.ArgumentTypeError("fractional minimum support must be in (0, 1]")
+        return frac
     value = int(text)
     if value < 1:
-        raise ValueError("absolute minimum support must be at least 1")
-    return ("abs", value)
+        raise argparse.ArgumentTypeError("absolute minimum support must be at least 1")
+    return value
 
 
-def _resolve_theta(min_support: str, n_sequences: int) -> int:
-    kind, value = _parse_min_support(min_support)
-    if kind == "abs":
-        return value
-    return max(1, math.ceil(value * n_sequences))
+def _resolve_theta(min_sup: int | Fraction, n_sequences: int) -> int:
+    if isinstance(min_sup, int):
+        return min_sup
+    return max(1, math.ceil(min_sup * n_sequences))
 
 
 def _load_db(args: argparse.Namespace):
@@ -113,12 +115,17 @@ def _write(path: str, text: str) -> None:
 
     The text goes to a temporary file in the target's directory first and is
     then renamed onto the target, so a failed run never leaves a truncated
-    output behind.
+    output behind.  A link, device or pipe, such as ``/dev/stderr``, is
+    written through in place: a rename would replace it.
     """
     if path == "-":
         sys.stdout.write(text)
         return
     target = Path(path)
+    if target.is_symlink() or (target.exists() and not target.is_file()):
+        with open(target, "w") as handle:
+            handle.write(text)
+        return
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -159,20 +166,14 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         )
         phases = [("mining_seconds", time.perf_counter() - t0)]
     else:  # brute: --miner's choices admit nothing else
-        patterns = mine_bruteforce(db, specs, theta, max_len=args.max_len)
+        patterns = mine_bruteforce(db, specs, theta)
         phases = [("mining_seconds", time.perf_counter() - t0)]
         counters = None
     peaks.append(("peak_rss_mb_mine", _peak_rss_mb()))
 
     _write(args.output, patterns.render())
-    if args.emit_stats or args.report:  # --report implies --emit-stats
-        report = _format_report(phases, peaks, counters, len(patterns))
-        if args.report:
-            _write(args.report, report)
-        elif args.output != "-":
-            _write(args.output + ".report.tsv", report)
-        else:
-            sys.stderr.write(report)
+    if args.report:
+        _write(args.report, _format_report(phases, peaks, counters, len(patterns)))
     return 0
 
 
@@ -195,15 +196,8 @@ def _format_report(phases, peaks, counters: MiningCounters | None, written: int)
 
 
 def _parse_profile(text: str):
-    pairs = []
-    for part in text.split(","):
-        name, _, kind = part.partition(":")
-        if not name or kind not in ("time", "uniform"):
-            raise ValueError(
-                f"bad profile entry {part!r}; expected name:time or name:uniform"
-            )
-        pairs.append((name, kind))
-    return tuple(pairs)
+    """``name:kind`` pairs; ``generate_attributes`` checks the names and kinds."""
+    return tuple(part.partition(":")[::2] for part in text.split(","))
 
 
 def _cmd_gen_attrs(args: argparse.Namespace) -> int:
@@ -257,21 +251,21 @@ def _build_parser() -> argparse.ArgumentParser:
                             "'time' when present); needs --attrs")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
 
+    def add_constraints(p):
+        p.add_argument("--constraint", action="append", default=[],
+                       help="e.g. 'gap(time)>=30', 'itemset{1,5,9}'; repeatable")
+        p.add_argument("--scenario", type=int, choices=sorted(SCENARIOS),
+                       help="install a preset constraint set")
+
     p = sub.add_parser("mine", help="mine frequent constrained patterns")
     add_common(p)
-    p.add_argument("--min-sup", required=True,
+    p.add_argument("--min-sup", required=True, type=min_support,
                    help="absolute count, or fraction of N such as 0.01 or 1/100")
-    p.add_argument("--constraint", action="append", default=[],
-                   help="e.g. 'gap(time)>=30', 'itemset{1,5,9}'; repeatable")
-    p.add_argument("--scenario", type=int, choices=sorted(SCENARIOS),
-                   help="install a preset constraint set")
+    add_constraints(p)
     p.add_argument("--miner", choices=("mpp", "ppcc", "brute"), default="mpp")
     p.add_argument("--disable-prop5", action="store_true",
                    help="disable early candidate abandonment (mpp and ppcc)")
-    p.add_argument("--emit-stats", action="store_true",
-                   help="write a run report (phase times and counters)")
-    p.add_argument("--report", help="run report path (implies --emit-stats)")
-    p.add_argument("--max-len", type=int, help="pattern length cap (--miner brute only)")
+    p.add_argument("--report", help="run report path (phase times and counters)")
 
     p = sub.add_parser("gen-attrs", help="generate synthetic attributes")
     p.add_argument("--db", required=True)
@@ -285,8 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-dot", help="render the diagram as DOT")
     add_common(p)
-    p.add_argument("--constraint", action="append", default=[])
-    p.add_argument("--scenario", type=int, choices=sorted(SCENARIOS))
+    add_constraints(p)
 
     return parser
 
@@ -297,17 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     # an option the selected path would silently ignore is an argument error
     if getattr(args, "ordering_attr", None) is not None and args.attrs is None:
         parser.error("--ordering-attr needs --attrs")
-    if args.command == "mine":
-        try:
-            _parse_min_support(args.min_sup)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if args.max_len is not None and args.miner != "brute":
-            parser.error("--max-len applies only to --miner brute")
-        if args.max_len is not None and args.max_len < 1:
-            parser.error("--max-len must be at least 1")
-        if args.disable_prop5 and args.miner == "brute":
-            parser.error("--disable-prop5 has no effect with --miner brute")
+    if args.command == "mine" and args.disable_prop5 and args.miner == "brute":
+        parser.error("--disable-prop5 has no effect with --miner brute")
     try:
         return _COMMANDS[args.command](args)
     except (SeqDbError, ValueError, OSError) as exc:

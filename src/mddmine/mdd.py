@@ -151,16 +151,18 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
 
 @dataclass
 class MddValidationReport:
-    ok: bool = True
     problems: list[str] = field(default_factory=list)
 
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
     def fail(self, message: str) -> None:
-        self.ok = False
         self.problems.append(message)
 
 
-def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
-    """Check the successor tables against the database and the imposed specs.
+def validate(mdd: Mdd) -> MddValidationReport:
+    """Check the successor tables against ``mdd.db`` and the imposed specs.
 
     The successor tables are checked against the imposed specs directly,
     never through a second ``build_mdd``: ``k`` succeeds ``j`` exactly when
@@ -174,7 +176,7 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
     report = MddValidationReport()
 
     # successor tables and starts, one direct rule per sequence
-    n_seq = len(db)
+    n_seq = len(mdd.db)
     if not len(mdd.succ) == len(mdd.starts) == n_seq:
         report.fail(f"successor tables do not cover the {n_seq} sequences")
         return report
@@ -183,7 +185,7 @@ def validate(mdd: Mdd, db: AttributedDatabase) -> MddValidationReport:
     def passes(seq, *positions: int) -> bool:
         return all(check_occurrence(seq, positions, spec) for spec in imposed)
 
-    for si, seq in enumerate(db.sequences):
+    for si, seq in enumerate(mdd.db.sequences):
         n, sid = len(seq), si + 1
         if tuple(mdd.starts[si]) != tuple(j for j in range(n) if passes(seq, j)):
             report.fail(f"sid {sid}: start positions differ from the imposed rules")

@@ -14,7 +14,9 @@ from itertools import combinations
 from typing import Iterable, Sequence as SequenceT
 
 from .constraints import (
+    LE,
     ConstraintSpec,
+    Kind,
     has_satisfying_embedding,
     pairwise_rules,
     require_known_attributes,
@@ -132,10 +134,10 @@ def mine_ppcc(
 
 
 def _distinct_subsequences(
-    items: SequenceT[int], max_len: int
+    items: SequenceT[int], cap: int
 ) -> Iterable[tuple[int, ...]]:
     length = len(items)
-    for r in range(1, min(max_len, length) + 1):
+    for r in range(1, min(cap, length) + 1):
         for positions in combinations(range(length), r):
             yield tuple(items[p] for p in positions)
 
@@ -144,23 +146,22 @@ def mine_bruteforce(
     db: AttributedDatabase,
     specs: SequenceT[ConstraintSpec] = (),
     theta: int = 1,
-    max_len: int | None = None,
 ) -> PatternSet:
     """Enumerate every distinct subsequence and post-check constrained support.
 
-    Intended for small instances only; the candidate space is exponential in
-    the sequence length.
+    Candidates are no longer than the tightest ``length<=`` spec, which
+    loses nothing since an occurrence is as long as its pattern.  Intended
+    for small instances only; the candidate space is exponential in the
+    sequence length.
     """
     if theta < 1:
         raise ValueError("minimum support must be at least 1")
-    if max_len is not None and max_len < 1:
-        raise ValueError("the pattern length cap must be at least 1")
     require_known_attributes(specs, db.attribute_names)
-    if max_len is None:
-        max_len = max(map(len, db.items), default=0)
+    cap = min((spec.c for spec in specs if spec.kind is Kind.LENGTH and spec.direction == LE),
+              default=max(map(len, db.items), default=0))
     candidates: set[tuple[int, ...]] = set()
     for items in db.items:
-        candidates.update(_distinct_subsequences(items, max_len))
+        candidates.update(_distinct_subsequences(items, cap))
     sequences = db.sequences  # each access builds new views, so build them once
     out = PatternSet()
     for pattern in candidates:

@@ -119,7 +119,7 @@ def _check_med_verdicts(db, specs, mdd, store, results, seed):
 
 def _check_structure(db, results, seed):
     free = build_mdd(db)
-    report = validate(free, db)
+    report = validate(free)
     if not report.ok:
         results.structural_errors.append((seed, report.problems[:2]))
         return

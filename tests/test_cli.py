@@ -1,9 +1,12 @@
+import argparse
 import os
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mddmine.cli import SCENARIOS, _parse_min_support, _resolve_theta, main
+from mddmine.cli import SCENARIOS, _build_parser, _resolve_theta, main, min_support
 
 from conftest import CLICK_ATTR_TSV, CLICK_SPMF
 
@@ -72,7 +75,7 @@ class TestMine:
     def test_emit_stats_report(self, click_files, tmp_path):
         report = tmp_path / "run.tsv"
         run_mine(click_files, tmp_path, "--min-sup", "2",
-                 "--emit-stats", "--report", str(report))
+                 "--report", str(report))
         rows = dict(
             line.split("\t") for line in report.read_text().splitlines()
         )
@@ -120,7 +123,8 @@ class TestMine:
         assert first == second
 
     @pytest.mark.parametrize("option", [["--threads", "2"], ["--median-pareto"],
-                                        ["--miner", "fast"]])
+                                        ["--miner", "fast"], ["--max-len", "1"],
+                                        ["--emit-stats"]])
     def test_removed_options_are_unknown(self, click_files, option):
         spmf, attrs = click_files
         with pytest.raises(SystemExit) as err:
@@ -129,8 +133,6 @@ class TestMine:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("option, named", [
-        (["--max-len", "1"], "--max-len"),
-        (["--max-len", "1", "--miner", "ppcc"], "--max-len"),
         (["--disable-prop5", "--miner", "brute"], "--disable-prop5"),
     ])
     def test_ignored_options_are_argument_errors(self, click_files, capsys,
@@ -142,33 +144,23 @@ class TestMine:
         assert err.value.code == 2
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cap", ["0", "-3"])
-    def test_max_len_below_one_is_an_argument_error(self, click_files, capsys, cap):
-        spmf, attrs = click_files
-        with pytest.raises(SystemExit) as err:
-            main(["mine", "--db", str(spmf), "--attrs", str(attrs),
-                  "--min-sup", "1", "--miner", "brute", "--max-len", cap])
-        assert err.value.code == 2
-        assert "--max-len must be at least 1" in capsys.readouterr().err
-
-    def test_emit_stats_writes_the_report_next_to_the_output(self, click_files, tmp_path):
-        run_mine(click_files, tmp_path, "--min-sup", "2", "--emit-stats")
-        report = tmp_path / "patterns.txt.report.tsv"
-        assert report.read_text().endswith("patterns_written\t3\n")
-
-    def test_emit_stats_with_stdout_output_reports_on_stderr(self, click_files, capsys):
-        spmf, attrs = click_files
-        assert main(["mine", "--db", str(spmf), "--attrs", str(attrs),
-                     "--min-sup", "2", "--emit-stats"]) == 0
-        out, err = capsys.readouterr()
-        assert out == "1\t#SUP: 2\n2\t#SUP: 2\n2 2\t#SUP: 2\n"
-        assert err.startswith("mdd_build_seconds\t")
-        assert err.endswith("patterns_written\t3\n")
-
-    def test_max_len_caps_the_brute_miner(self, click_files, tmp_path):
+    def test_length_constraint_caps_the_brute_miner(self, click_files, tmp_path):
         text = run_mine(click_files, tmp_path, "--min-sup", "1",
-                        "--miner", "brute", "--max-len", "1")
+                        "--miner", "brute", "--constraint", "length<=1")
         assert text == "1\t#SUP: 2\n2\t#SUP: 2\n3\t#SUP: 1\n"
+
+    def test_report_on_stderr_for_a_stdout_run(self, click_files, tmp_path, capfd):
+        # a link like /dev/stderr, made here so that a write which renamed
+        # over the link instead of writing through it would break nothing
+        spmf, attrs = click_files
+        err = tmp_path / "stderr"
+        err.symlink_to("/proc/self/fd/2")
+        assert main(["mine", "--db", str(spmf), "--attrs", str(attrs),
+                     "--min-sup", "2", "--report", str(err)]) == 0
+        out, stderr = capfd.readouterr()
+        assert out == "1\t#SUP: 2\n2\t#SUP: 2\n2 2\t#SUP: 2\n"
+        assert stderr.startswith("mdd_build_seconds\t")
+        assert stderr.endswith("patterns_written\t3\n")
 
     @pytest.mark.parametrize("command", [
         ["mine", "--min-sup", "1"], ["stats"], ["export-dot"],
@@ -225,22 +217,34 @@ class TestMine:
 
 class TestMinSupportParsing:
     def test_absolute(self):
-        assert _parse_min_support("2") == ("abs", 2)
+        assert min_support("2") == 2
 
     def test_fraction_is_exact(self):
-        assert _resolve_theta("0.04", 50) == 2
-        assert _resolve_theta("0.04", 49) == 2
-        assert _resolve_theta("0.04", 51) == 3
+        assert _resolve_theta(min_support("0.04"), 50) == 2
+        assert _resolve_theta(min_support("0.04"), 49) == 2
+        assert _resolve_theta(min_support("0.04"), 51) == 3
 
     def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            _parse_min_support("0.0")
-        with pytest.raises(ValueError):
-            _parse_min_support("1.5")
-        assert _parse_min_support("1.0") == ("frac", Fraction(1))
-        assert _parse_min_support("1/25") == ("frac", Fraction(1, 25))
-        with pytest.raises(ValueError):
-            _parse_min_support("1/0")
+        with pytest.raises(argparse.ArgumentTypeError, match=r"must be in \(0, 1\]"):
+            min_support("0.0")
+        with pytest.raises(argparse.ArgumentTypeError, match=r"must be in \(0, 1\]"):
+            min_support("1.5")
+        assert min_support("1.0") == Fraction(1)
+        assert min_support("1/25") == Fraction(1, 25)
+        with pytest.raises(argparse.ArgumentTypeError, match="divides by zero"):
+            min_support("1/0")
+
+    @pytest.mark.parametrize("text, message", [
+        ("0", "argument --min-sup: absolute minimum support must be at least 1"),
+        ("1.5", "argument --min-sup: fractional minimum support must be in (0, 1]"),
+        ("two", "argument --min-sup: invalid min_support value: 'two'"),
+    ])
+    def test_messages_name_the_option(self, click_files, capsys, text, message):
+        spmf, _ = click_files
+        with pytest.raises(SystemExit) as err:
+            main(["mine", "--db", str(spmf), "--min-sup", text])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -284,8 +288,9 @@ class TestOtherCommands:
     @pytest.mark.parametrize("profile, message", [
         ("time:time,time:uniform", "duplicate column name 'time'"),
         ("sid:uniform", "duplicate column name 'sid'"),
-        ("", "bad profile entry ''; expected name:time or name:uniform"),
-        ("price:gauss", "bad profile entry 'price:gauss'"),
+        ("", "unknown generation profile kind '' for ''"),
+        ("price:gauss", "unknown generation profile kind 'gauss' for 'price'"),
+        (":time", "generation profile: empty column name"),
     ])
     def test_gen_attrs_rejects_unreadable_profiles(self, click_files, tmp_path,
                                                    capsys, profile, message):
@@ -331,3 +336,14 @@ def test_unknown_attribute_is_a_runtime_error(click_files, tmp_path, capsys):
                  "--min-sup", "1", "--constraint", "gap(weight)>=3"])
     assert code == 1
     assert "weight" in capsys.readouterr().err
+
+
+def test_readme_names_only_real_options():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    subcommands = next(action.choices for action in _build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    known = {option for sub in subcommands.values()
+             for option in sub._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert "--min-sup" in named and named <= known, sorted(named - known)

@@ -55,7 +55,7 @@ class TestBuildUnconstrained:
         mdd = build_mdd(parse_spmf(""))
         assert mdd.n_layers == 0 and mdd.layer_sizes() == []
         assert mdd.arcs() == {}
-        assert validate(mdd, parse_spmf("")).ok
+        assert validate(mdd).ok
 
     def test_mining_and_validation_read_only_the_tables(self, click_db, monkeypatch):
         def fail(*args):
@@ -65,7 +65,7 @@ class TestBuildUnconstrained:
             monkeypatch.setattr(Mdd, view, fail)
         specs = (parse_constraint("gap(time)>=3"),)
         mdd = build_mdd(click_db, specs)
-        assert validate(mdd, click_db).ok
+        assert validate(mdd).ok
         store = propagate(mdd, click_db, specs)
         assert mine(mdd, store, click_db, specs, 2) == mine_bruteforce(click_db, specs, 2)
 
@@ -161,7 +161,7 @@ class TestWindowBuild:
                                                 direction=rng.choice((GE, LE)),
                                                 c=rng.randint(-8, 8)))
                 mdd = build_mdd(db, specs)
-                report = validate(mdd, db)
+                report = validate(mdd)
                 assert report.ok, report.problems
                 assert _as_tuples(mdd.succ) == self._pairwise_table(db, specs)
                 rows = [row for table in mdd.succ for row in table]
@@ -203,7 +203,7 @@ class TestValidate:
         for _ in range(15):
             db = random_db(rng, n_max=10, len_max=6)
             specs = random_specs(rng, db)
-            report = validate(build_mdd(db, specs), db)
+            report = validate(build_mdd(db, specs))
             assert report.ok, report.problems
 
     def test_layer_counts_match_distinct_items(self):
@@ -225,7 +225,7 @@ class TestValidate:
         rows = list(mdd.succ[0])
         rows[0] = (1,)  # reinstate an arc the gap bound forbids
         mdd.succ[0] = tuple(rows)
-        assert not validate(mdd, click_db).ok
+        assert not validate(mdd).ok
 
     def test_widened_window_detected(self, click_db):
         mdd = build_mdd(click_db, (parse_constraint("gap(time)<=3"),))
@@ -233,7 +233,7 @@ class TestValidate:
         assert rows[0] == range(1, 2)
         rows[0] = range(1, 3)  # the arc 1->3 spans a gap of 6
         mdd.succ[2] = tuple(rows)
-        assert validate(mdd, click_db).problems == ["sid 3: forbidden arc 1->3"]
+        assert validate(mdd).problems == ["sid 3: forbidden arc 1->3"]
 
     def test_checks_arcs_without_rebuilding(self, click_db, monkeypatch):
         real_rules = mdd_module.pairwise_rules
@@ -246,7 +246,7 @@ class TestValidate:
         # a build that ignores gap(time)<=3; the validator must not share it
         monkeypatch.setattr(mdd_module, "pairwise_rules", drop_gap_upper_bounds)
         mdd = build_mdd(click_db, (parse_constraint("gap(time)<=3"),))
-        report = validate(mdd, click_db)
+        report = validate(mdd)
         assert not report.ok
         # third sequence, times 2, 5, 8: the arc 1->3 spans a gap of 6
         assert "sid 3: forbidden arc 1->3" in report.problems
@@ -254,13 +254,13 @@ class TestValidate:
     def test_tampered_liveness_and_starts_detected(self, click_db):
         mdd = build_mdd(click_db, (parse_constraint("itemset{2}"),))
         mdd.starts[0] = (0,)  # both events of the first sequence are item 2
-        problems = validate(mdd, click_db).problems
+        problems = validate(mdd).problems
         assert "sid 1: start positions differ from the imposed rules" in problems
 
     def test_missing_sequence_table_detected(self, click_db):
         mdd = build_mdd(click_db)
         mdd.succ.pop()
-        assert validate(mdd, click_db).problems == [
+        assert validate(mdd).problems == [
             "successor tables do not cover the 3 sequences"]
 
     # the second sequence's first event has successors 2 and 3
@@ -274,7 +274,7 @@ class TestValidate:
         rows = list(mdd.succ[1])
         assert tuple(rows[0]) == (1, 2)
         mdd.succ[1] = tuple(rows[:2]) if row is None else (row, *rows[1:])
-        assert validate(mdd, click_db).problems == [problem]
+        assert validate(mdd).problems == [problem]
 
 
 #: the click database's header and node lines

@@ -11,7 +11,7 @@ from mddmine import (
 )
 
 from conftest import A, B, C
-from dbgen import random_instance
+from dbgen import random_instance, wide_instance
 
 
 def as_pairs(patterns):
@@ -26,14 +26,14 @@ class TestBruteForce:
     def test_theta_above_n_is_empty(self, click_db):
         assert len(mine_bruteforce(click_db, (), 4)) == 0
 
-    def test_max_len_one_gives_frequent_items(self, click_db):
-        out = mine_bruteforce(click_db, (), 1, max_len=1)
+    def test_length_cap_one_gives_frequent_items(self, click_db):
+        out = mine_bruteforce(click_db, (parse_constraint("length<=1"),), 1)
         assert as_pairs(out) == [((A,), 2), ((B,), 2), ((C,), 1)]
 
-    @pytest.mark.parametrize("cap", [0, -3])
-    def test_max_len_below_one_rejected(self, click_db, cap):
-        with pytest.raises(ValueError, match="length cap must be at least 1"):
-            mine_bruteforce(click_db, (), 1, max_len=cap)
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_length_cap_below_one_gives_no_pattern(self, click_db, cap):
+        specs = (parse_constraint(f"length<={cap}"),)
+        assert len(mine_bruteforce(click_db, specs, 1)) == 0
 
     def test_theta_zero_rejected(self, click_db):
         with pytest.raises(ValueError):
@@ -66,6 +66,14 @@ class TestEquivalence:
             brute = mine_bruteforce(db, specs, theta)
             assert mpp == brute, (seed, specs, theta)
             assert ppcc == brute, (seed, specs, theta)
+
+    def test_three_miners_agree_on_wide_range_instances(self):
+        # negative values, bounds past every value, length bounds below one
+        for seed in range(1200):
+            db, specs, theta = wide_instance(seed)
+            brute = mine_bruteforce(db, specs, theta)
+            assert mine_mpp(db, specs, theta) == brute, (seed, specs, theta)
+            assert mine_ppcc(db, specs, theta) == brute, (seed, specs, theta)
 
     def test_constrained_mining_equals_postfiltered_unconstrained(self):
         for seed in range(12):
