@@ -85,7 +85,7 @@ class ConstraintSpec:
             raise ValueError(f"{self.kind.value} constraint takes no item set")
         if self.direction not in (GE, LE):
             raise ValueError(f"{self.kind.value} constraint needs direction '>=' or '<='")
-        if not isinstance(self.c, int):
+        if type(self.c) is not int:  # a bool would print as length>=True
             raise ValueError(f"{self.kind.value} constraint needs an integer bound")
         if self.kind in ATTRIBUTE_KINDS:
             if not self.attribute:

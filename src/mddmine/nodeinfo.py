@@ -153,6 +153,19 @@ def _key(spec: ConstraintSpec) -> tuple | None:
     return None
 
 
+def _measure(spec: ConstraintSpec, ln, lo, hi, sums: dict) -> tuple | None:
+    """A spec's statistic and bound as source text over the named slots.
+
+    The spec holds when the statistic is ``>=`` the bound (``<=`` through
+    ``_OPS``); an average compares its sum with ``c * ln``, which is exact
+    as ``ln > 0``.  ``None`` for a median, which reads its triple, and for
+    gap and item-set rules, which the arcs enforce.
+    """
+    s, c = sums.get(spec.attribute), spec.c
+    return {Kind.LENGTH: (ln, c), Kind.SPAN: (f"{hi} - {lo}", c), Kind.MAX: (hi, c),
+            Kind.MIN: (lo, c), Kind.SUM: (s, c), Kind.AVG: (s, f"{c} * {ln}")}.get(spec.kind)
+
+
 def _derive_needs(specs: SequenceT[ConstraintSpec]) -> tuple[tuple, ...]:
     """The information keys the specs call for, in record order."""
     keys = {_key(spec) for spec in specs} - {None}
@@ -424,13 +437,13 @@ class StatPlan:
       reachable window of the parent's endpoint must overlap
       ``[max - c, min + c]``;
     * admission follows ``classify``: anti-monotone constraints must hold on
-      the occurrence now, monotone and non-monotone ones must stay reachable
-      by the store (the reachable span and sum bounds, the largest excess
-      ahead for averages, the longest path for ``length>=``, and for
-      medians the feasibility rule stated in
-      ``med_dominates``; without a store, as in the raw-database baseline,
-      these are left to emission), and gap and item-set rules are enforced
-      by arcs or the baseline's step scan.
+      the occurrence now, and monotone and non-monotone ones must stay
+      reachable by the information they read (``_key``): the reachable
+      window for span, max and min, the median feasibility rule stated in
+      ``med_dominates``, and for sum, avg and maxlen the extremal sum ahead
+      against the bound minus the parent's statistic.  Without a store, as
+      in the raw-database baseline, these are left to emission; gap and
+      item-set rules are enforced by arcs or the baseline's step scan.
 
     ``scan`` does the parent-level work once per parent: the gate, the
     unpack, ``ln + 1``, the median folds of the old endpoint, and the
@@ -449,16 +462,14 @@ class StatPlan:
 
     ``witness`` needs only the endpoint and the stats: on an occurrence that
     follows arcs (or the baseline's step scan) every gap and item-set rule
-    holds, and each other kind is a function of the slots.  Length, span,
-    max and min read ``ln``, ``lo`` and ``hi``; a sum compares its slot with
-    ``c`` and an average, as ``ln > 0``, with ``c*ln``, by ``<`` for ``>=``
-    and by ``>`` for ``<=``.  The endpoint's value folded into the stored
-    triple gives the whole occurrence's triple ``(m1, m2, m3)``, whose
-    median reaches the bound ``c`` iff more values lie on its side than on
-    the far side (``m1 > 0``), or the counts tie and the two middle values,
-    the nearest to ``c`` on either side, average at least ``c`` under
-    ``>=`` (``m2 + m3 >= 2c``) and at most ``c`` under ``<=``.  ``span>=``
-    is exact here; its relaxation is an admission matter only.
+    holds, and each other kind is a function of the slots, stated by
+    ``_measure`` but for the median.  The endpoint's value folded into the
+    stored triple gives the whole occurrence's triple ``(m1, m2, m3)``,
+    whose median reaches the bound ``c`` iff more values lie on its side
+    than on the far side (``m1 > 0``), or the counts tie and the two middle
+    values, the nearest to ``c`` on either side, average at least ``c``
+    under ``>=`` (``m2 + m3 >= 2c``) and at most ``c`` under ``<=``.
+    ``span>=`` is exact here; its relaxation is an admission matter only.
 
     An admission verdict ``r``, the ``hist`` slot an entry counts in, ran
     the tests of specs 0..r; it costs ``constraint_checks[r]`` occurrence
@@ -502,8 +513,10 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
     together from unindented line lists: ``identity`` (the empty
     occurrence), ``fold(key, column)`` (the endpoint ``old`` into one
     median triple, which ``witness`` runs too), ``step`` (the slots of the
-    entry that appends ``new``), and the gate's, the thresholds' and
-    admission's lines, which find each record slot by the spec's ``_key``.
+    entry that appends ``new``).  One pass over the specs then builds the
+    ``witness`` tests, the gate, the thresholds and admission, each
+    comparison from ``_measure``; a probe finds its record slot by the
+    spec's ``_key``, on which admission branches.
     """
     const, make = _generator()
     attrs = dict.fromkeys(spec.attribute for spec in plan.specs if spec.attribute)
@@ -553,38 +566,12 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
                  f"{hi[a]} = {x[a]} if {x[a]} > p{hi[a]} else p{hi[a]}"]
     step += [f"{acc[a]} = p{acc[a]} + {x[a]}" for a in plan.sum_attrs]
 
-    def exact(spec: ConstraintSpec) -> str | None:
-        """The test failing the occurrence itself; arcs enforce gap and
-        item-set rules, and a median reads the folded triple."""
-        kind, c, attr = spec.kind, spec.c, spec.attribute
-        ge, lt, _ = _OPS[_sign(spec.direction)]
-        test = {Kind.LENGTH: "ln", Kind.SPAN: f"{hi.get(attr)} - {lo.get(attr)}",
-                Kind.MAX: hi.get(attr), Kind.MIN: lo.get(attr)}.get(kind)
-        if test is not None:
-            return f"{test} {lt} {c}"
-        if kind in (Kind.SUM, Kind.AVG):
-            return f"{acc[attr]} {lt} {c}{' * ln' if kind is Kind.AVG else ''}"
-        if kind is Kind.MED:
-            t1, t2, t3 = med[_key(spec)[1:]]
-            return f"not ({t1} > 0 or {t1} == 0 and {t2} + {t3} {ge} {2 * c})"
-        return None
-
-    # the endpoint folded in gives the whole occurrence's triple; each key
-    # folds just before the first test that reads it
-    wit, folded = [f"old, {stats} = entry"], set()
-    for i, spec in enumerate(plan.specs):
-        test, key = exact(spec), _key(spec)
-        if spec.kind is Kind.MED and key not in folded:
-            folded.add(key)
-            wit += fold(key[1:], f"{col[spec.attribute]}[si]")
-        if test is not None:
-            wit.append(f"if {test}: return {i}")
-
     # the gate's lines read the parent's slots and the record of old; the
     # thresholds q<i> come from the parent's length and sums; admission's
-    # lines read the entry's slots, the thresholds and the record of new
-    gate, head, adm = [], [], []
-    checks, probes = [0], [0]
+    # lines read the entry's slots, the thresholds and the record of new;
+    # witness folds each median key just before the first test that reads it
+    wit, gate, head, adm = [f"old, {stats} = entry"], [], [], []
+    checks, probes, folded = [0], [0], set()
 
     def slot(lines: list[str], pos: str, key: tuple, j: int = 0) -> str:
         # the record's first slot r is computed once, before its first read
@@ -594,42 +581,49 @@ def _compile(plan: StatPlan, store: InfoStore | None) -> None:
         return f"R[r + {at}]" if at else "R[r]"
 
     for i, spec in enumerate(plan.specs):
-        kind, c, attr, key = spec.kind, spec.c, spec.attribute, _key(spec)
+        attr, c, key, test = spec.attribute, spec.c, _key(spec), None
+        info = key[0] if key and store is not None else None  # what admission reads
         anti = classify(spec) is Monotonicity.ANTI_MONOTONE
-        _, lt, gt = _OPS[_sign(spec.direction)]
-        test = exact(spec) if anti else None
-        if kind is Kind.LENGTH and anti:
-            gate.append(f"if pln >= {c}: continue")
-        elif kind is Kind.LENGTH and store is not None:
-            head.append(f"q{i} = {c} - pln")
-            test = f"{slot(adm, 'new', key)} < q{i}"
-        elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and anti:
-            if kind is Kind.SPAN and store is not None:
-                # the reachable window must overlap [max - c, min + c]
+        ge, lt, gt = _OPS[_sign(spec.direction)]
+        own = _measure(spec, "ln", lo.get(attr), hi.get(attr), acc)
+        exact = own and f"{own[0]} {lt} {own[1]}"
+        if spec.kind is Kind.MED:
+            m1, m2, m3 = med[key[1:]]
+            if key not in folded:
+                folded.add(key)
+                wit += fold(key[1:], f"{col[attr]}[si]")
+            exact = f"not ({m1} > 0 or {m1} == 0 and {m2} + {m3} {ge} {2 * c})"
+        if exact:
+            wit.append(f"if {exact}: return {i}")
+        if anti:
+            test = exact
+            if spec.kind is Kind.LENGTH:
+                gate.append(f"if pln >= {c}: continue")
+            elif info:
+                # span<=: the reachable window must overlap [max - c, min + c]
                 low, high = f"p{lo[attr]}", f"p{hi[attr]}"
                 gate += [f"L, H = {slot(gate, 'old', key)}, {slot(gate, 'old', key, 1)}",
                          f"if (L if L > {high} - {c} else {high} - {c}) > "
                          f"(H if H < {low} + {c} else {low} + {c}): continue"]
-        elif kind in (Kind.SPAN, Kind.MAX, Kind.MIN) and store is not None:
+        elif info == "span":
             adm.append(f"L, H = {slot(adm, 'new', key)}, {slot(adm, 'new', key, 1)}")
-            top = f"({hi[attr]} if {hi[attr]} > H else H)"
-            bottom = f"({lo[attr]} if {lo[attr]} < L else L)"
-            test = {Kind.SPAN: f"{top} - {bottom} < {c}",
-                    Kind.MAX: f"{top} < {c}", Kind.MIN: f"{bottom} > {c}"}[kind]
-        elif kind in (Kind.SUM, Kind.AVG) and store is not None:
-            # the stored A counts the final event and adds to the parent's
-            # sum ps: a sum >= c fails when ps + A < c, an average when
-            # ps - c * pln + A < 0, A summing the excesses over c
-            head.append(f"q{i} = {c}{' * pln' if kind is Kind.AVG else ''} - p{acc[attr]}")
-            test = f"{slot(adm, 'new', key)} {lt} q{i}"
-        elif kind is Kind.MED and store is not None:
+            stat, bound = _measure(spec, "ln", f"({lo[attr]} if {lo[attr]} < L else L)",
+                                   f"({hi[attr]} if {hi[attr]} > H else H)", acc)
+            test = f"{stat} {lt} {bound}"
+        elif info == "med":
             # the deciding values are read only when the balances cancel,
             # each once
-            p1, p2, p3 = med[key[1:]]
-            adm.append(f"t1 = {slot(adm, 'new', key)} + {p1}")
+            adm.append(f"t1 = {slot(adm, 'new', key)} + {m1}")
             t2, t3 = slot(adm, "new", key, 1), slot(adm, "new", key, 2)
-            test = (f"t1 < 0 or t1 == 0 and ({p2} if {p2} {gt} (t2 := {t2}) else t2) + "
-                    f"({p3} if {p3} {lt} (t3 := {t3}) else t3) {lt} {2 * c}")
+            test = (f"t1 < 0 or t1 == 0 and ({m2} if {m2} {gt} (t2 := {t2}) else t2) + "
+                    f"({m3} if {m3} {lt} (t3 := {t3}) else t3) {lt} {2 * c}")
+        elif info:
+            # the stored A counts the final event and adds to the parent's
+            # statistic: sum >= c fails when ps + A < c, avg when ps - c * pln
+            # + A < 0 (A the excesses over c), length when pln + A < c
+            stat, bound = _measure(spec, "pln", None, None, {a: f"p{s}" for a, s in acc.items()})
+            head.append(f"q{i} = {bound} - {stat}")
+            test = f"{slot(adm, 'new', key)} {lt} q{i}"
         if test is not None:
             adm.append(f"if {test}: hist[{i}] += 1; continue")
         checks.append(checks[-1] + (test is not None and anti))

@@ -154,8 +154,20 @@ def make_database(
     attrs: Mapping[str, SequenceT[SequenceT[int]]] | None = None,
     ordering_attribute: str | None = None,
 ) -> AttributedDatabase:
-    """Build a database from parallel item and attribute-value lists."""
-    return AttributedDatabase(item_lists, attrs or {}, ordering_attribute)
+    """Build a database from parallel item and attribute-value lists.
+
+    Every item and value must be an ``int``: any other (a float, a string, a
+    ``bool``) raises a ``SeqDbError`` naming it, its sid and its pos.
+    """
+    items = [tuple(seq) for seq in item_lists]
+    columns = {name: [tuple(values) for values in col] for name, col in (attrs or {}).items()}
+    named = {"item": items} | {f"attribute {n!r} value": c for n, c in columns.items()}
+    for what, rows in named.items():
+        for sid, row in enumerate(rows, start=1):
+            if set(map(type, row)) - {int}:
+                pos, bad = next((p, v) for p, v in enumerate(row, 1) if type(v) is not int)
+                raise SeqDbError(f"{what} {bad!r} at sid {sid} pos {pos} is not an int")
+    return AttributedDatabase(items, columns, ordering_attribute)
 
 
 # --- SPMF format --------------------------------------------------------------

@@ -195,10 +195,12 @@ class TestSyntax:
     @pytest.mark.parametrize(
         "text",
         ["gap(time)>=30", "avg(price)<=70", "itemset{1,5,9}", "length>=2",
-         "med(quality)<=70", "span(time)>=900", "sum(price)<=-4"],
+         "med(quality)<=70", "span(time)>=900", "sum(price)<=-4", "max(price)<=9",
+         "min(price)>=1"],
     )
     def test_round_trip(self, text):
-        assert format_constraint(parse_constraint(text)) == text
+        spec = parse_constraint(text)
+        assert format_constraint(spec) == str(spec) == text
 
     def test_whitespace_tolerated(self):
         assert parse_constraint(" gap(time) >= 30 ") == parse_constraint("gap(time)>=30")
@@ -225,6 +227,9 @@ class TestSyntax:
          "sum constraint needs direction '>=' or '<='"),
         (dict(kind=Kind.SUM, attribute="x", direction=GE, c=3.5),
          "sum constraint needs an integer bound"),
+        # a bool is no bound: it would render as length>=True
+        (dict(kind=Kind.LENGTH, direction=GE, c=True),
+         "length constraint needs an integer bound"),
     ])
     def test_spec_validation_messages(self, fields, message):
         with pytest.raises(ValueError) as err:

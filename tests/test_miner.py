@@ -312,6 +312,12 @@ class TestOutput:
         lines = ps.render().splitlines()
         assert lines == ["1 2\t#SUP: 1", "1 10\t#SUP: 1", "2\t#SUP: 1"]
 
+    def test_equality_and_repr(self):
+        ps = PatternSet([((2,), 1), ((1, 10), 3)])
+        assert ps == PatternSet([((1, 10), 3), ((2,), 1)])
+        assert ps != {(2,): 1, (1, 10): 3}
+        assert repr(ps) == "PatternSet([((1, 10), 3), ((2,), 1)])"
+
     def test_runs_are_deterministic(self, click_db):
         specs = (parse_constraint("gap(time)<=3"), parse_constraint("avg(price)>=2"))
         first = mine_mpp(click_db, specs, 1).render()

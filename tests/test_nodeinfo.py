@@ -397,6 +397,32 @@ class TestStatPlan:
         plan = StatPlan(db, specs, propagate(mdd, db, specs))
         assert "R[r + " in plan.source and "-R[" not in plan.source
 
+    #: each spec's admission cost, (checks, probes with a store): a test on
+    #: the occurrence is a check, a test that reads the store a probe, and
+    #: the arcs enforce gap and item-set rules at no cost
+    COSTS = {
+        "length>=2": (0, 1), "length<=2": (1, 0),
+        "gap(time)>=1": (0, 0), "gap(time)<=4": (0, 0),
+        "span(time)>=2": (0, 1), "span(time)<=5": (1, 0),
+        "max(price)>=3": (0, 1), "max(price)<=4": (1, 0),
+        "min(price)<=2": (0, 1), "min(price)>=1": (1, 0),
+        "sum(price)>=4": (0, 1), "sum(price)<=7": (0, 1),
+        "avg(price)>=2": (0, 1), "avg(price)<=3": (0, 1),
+        "med(price)>=2": (0, 1), "med(price)<=3": (0, 1),
+        "itemset{1,2}": (0, 0),
+    }
+
+    @pytest.mark.parametrize("with_store", [True, False])
+    def test_per_spec_costs(self, click_db, with_store):
+        specs = tuple(map(parse_constraint, self.COSTS))
+        mdd = build_mdd(click_db, specs)
+        plan = StatPlan(click_db, specs, propagate(mdd, click_db, specs) if with_store else None)
+        # verdict r costs the tests of specs 0..r; the admitted verdict all
+        for table, column in ((plan.constraint_checks, 0), (plan.info_probes, 1)):
+            steps = [b - a for a, b in zip((0,) + table, table)]
+            expected = [cost[column] * (with_store or column == 0) for cost in self.COSTS.values()]
+            assert steps == expected + [0], (column, steps)
+
     def test_source_is_kept(self, click_db):
         plan = StatPlan(click_db, (parse_constraint("span(time)<=4"),))
         assert re.findall(r"^ *def (\w+)\(", plan.source, re.M) == ["_make", "witness", "scan"]

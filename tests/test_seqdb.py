@@ -382,6 +382,28 @@ class TestMakeDatabaseShapes:
         assert str(err.value) == "negative item id at sid 2 pos 2"
 
 
+class TestMakeDatabaseTypes:
+    """Every item and value is an ``int``: anything else would be mined as it
+    is, printed as ``1.0`` or ``True``, or computed in floats."""
+
+    @pytest.mark.parametrize("items, message", [
+        ([[1, 2], [3, 1.0]], "item 1.0 at sid 2 pos 2 is not an int"),
+        ([[True]], "item True at sid 1 pos 1 is not an int"),
+        ([["7", 1]], "item '7' at sid 1 pos 1 is not an int"),
+    ])
+    def test_non_int_item_rejected(self, items, message):
+        with pytest.raises(SeqDbError) as err:
+            make_database(items)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("value, text", [(2.5, "2.5"), (3.0, "3.0"), ("x", "'x'"),
+                                             (False, "False"), (Fraction(1), "Fraction(1, 1)")])
+    def test_non_int_value_rejected(self, value, text):
+        with pytest.raises(SeqDbError) as err:
+            make_database([[1], [1, 2]], {"t": [[0], [1, 2]], "p": [[4], [5, value]]})
+        assert str(err.value) == f"attribute 'p' value {text} at sid 2 pos 2 is not an int"
+
+
 class TestDatabaseChecks:
     def test_empty_sequence_rejected(self):
         with pytest.raises(SeqDbError) as err:
