@@ -24,7 +24,8 @@ Each event's information is one record of ``width`` integer slots holding
 every key's slots at fixed offsets: (lo, hi) per span key, one sum,
 one average excess, a median triple, and maxlen.  ``propagate`` generates
 one backward pass per spec list that builds all of them at once, and packs a
-sequence's records into one flat ``array('q')`` when it is done.
+sequence's records into one flat block when it is done: 4-byte slots while
+every value fits in 32 bits, else 8-byte slots or, past 64 bits, a list.
 
 The extension tests combine a pattern occurrence's running statistics with
 the information stored at its final event.  The stored values include that
@@ -202,8 +203,9 @@ class InfoStore:
     over ``c``, ``("med", attr, s, c)`` the triple and ``("maxlen",)`` the
     longest path ahead; keys are ordered by kind in that order, then sorted.
     ``records[si]`` holds sequence ``si``'s records back to back, the slot
-    ``s`` of position ``pos`` at ``pos * width + s``: an ``array('q')``, or
-    a flat ``list`` for a sequence holding a value outside 64 bits, so every
+    ``s`` of position ``pos`` at ``pos * width + s``, in the block
+    ``_packer`` picks: an ``array('i')``, an ``array('q')``, or a flat
+    ``list`` for a sequence holding a value outside 64 bits, so every
     integer stays exact.  A spec list that needs no information gets an
     empty layout, width 0 and no records.
     """
@@ -246,14 +248,28 @@ def propagate(
 
 
 def _packer(width: int):
-    """Pack one sequence's record tuples into a flat ``array('q')``, or into a
-    flat list when a value does not fit in 64 bits."""
-    pack = Struct(f"{width}q").pack
+    """Pack one sequence's record tuples into the narrowest flat block that
+    holds every value exactly: an ``array('i')``, an ``array('q')``, or a
+    list (``dense-index``'s traced store: 5.71 MB as ``'q'``, 2.94 as ``'i'``).
+
+    ``struct`` raises at the first value a format cannot hold, so trying the
+    formats in turn is the range check.  The first sequence that overflows
+    ``'i'`` ends the ``'i'`` attempts for the rest of the store, so no later
+    sequence is packed twice, even one that would fit.
+    """
+    pack_i, pack_q = Struct(f"{width}i").pack, Struct(f"{width}q").pack
+    narrow = True
 
     def packed(rows: list[tuple]) -> array | list[int]:
+        nonlocal narrow
+        # array(code, bytes) over-allocates; the slice is an exact-size copy
+        if narrow:
+            try:
+                return array("i", b"".join(starmap(pack_i, rows)))[:]
+            except StructError:
+                narrow = False
         try:
-            # array('q', bytes) over-allocates; the slice is an exact-size copy
-            return array("q", b"".join(starmap(pack, rows)))[:]
+            return array("q", b"".join(starmap(pack_q, rows)))[:]
         except StructError:
             return list(chain.from_iterable(rows))
 

@@ -1,6 +1,14 @@
 import pytest
 
-from mddmine import make_database
+from mddmine import (
+    attach_attributes,
+    build_mdd,
+    generate_attributes,
+    generate_sessions,
+    make_database,
+    parse_constraint,
+)
+from mddmine.cli import SCENARIOS
 
 A, B, C = 1, 2, 3
 
@@ -33,3 +41,13 @@ def build_click_db():
 @pytest.fixture
 def click_db():
     return build_click_db()
+
+
+@pytest.fixture(scope="session")
+def sessions_s3():
+    """2k click sessions under scenario 3: the database, specs and diagram."""
+    base = generate_sessions(2000, 1000, seed=2024)
+    db = attach_attributes(base, generate_attributes(base, seed=99),
+                           ordering_attribute="time")
+    specs = tuple(parse_constraint(t) for t in SCENARIOS[3])
+    return db, specs, build_mdd(db, specs)

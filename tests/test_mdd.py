@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -195,6 +197,58 @@ class TestWindowBuild:
                         assert starts == range(len(seq))
                     kinds[row_type] += len(table)
         assert min(kinds[range], kinds[tuple]) > 100, kinds
+
+
+class TestSharedRows:
+    """Each distinct row is one object across the whole diagram, whichever
+    sequences and positions hold it: the unique table of decision diagrams,
+    kept per build, windows by their ends and filtered rows by value."""
+
+    def test_click_sessions_hold_one_object_per_distinct_row(self, sessions_s3):
+        db, _, mdd = sessions_s3
+        rows = [row for table in mdd.succ for row in table]
+        assert len(rows) == sum(map(len, db.items)) == 19921
+        assert all(type(row) is range for row in rows)
+        # one range per distinct window (a, b); the 15 empty ones compare equal
+        ends = {(row.start, row.stop) for row in rows}
+        assert len({id(row) for row in rows}) == len(ends) == 89
+        assert len(set(rows)) == 75
+        lengths = set(map(len, db.items))
+        assert len({id(starts) for starts in mdd.starts}) == len(lengths)
+
+    def test_click_sessions_diagram_costs_under_20_bytes_an_event(self, sessions_s3):
+        # a range object and a slot per event took 66.5 B an event
+        db, specs, _ = sessions_s3
+        gc.collect()
+        tracemalloc.start()
+        try:
+            mdd = build_mdd(db, specs)
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(mdd.succ) == len(db)
+        assert size / sum(map(len, db.items)) < 20
+
+    def test_filtered_rows_are_shared_and_validate(self):
+        rng = random.Random(23)
+        shared = 0
+        for _ in range(30):
+            db = random_db(rng, n_max=10, len_max=8, n_attrs=2, with_ordering=True)
+            items = frozenset(sorted(db.item_universe)[::2])
+            specs = (ConstraintSpec(Kind.GAP, attribute="t", direction=LE, c=6),
+                     ConstraintSpec(Kind.ITEM_SET, items=items))
+            mdd = build_mdd(db, specs)
+            report = validate(mdd)
+            assert report.ok, report.problems
+            rows = [row for table in mdd.succ for row in table] + mdd.starts
+            assert all(type(row) is tuple for row in rows)
+            assert len({id(row) for row in rows}) == len(set(rows))
+            shared += len(rows) - len(set(rows))
+            for theta in (1, 2):
+                assert mine(mdd, propagate(mdd, db, specs), db, specs, theta) == (
+                    mine_bruteforce(db, specs, theta))
+        assert shared > 100, shared
 
 
 class TestValidate:

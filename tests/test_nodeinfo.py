@@ -1,10 +1,11 @@
 import gc
 import random
 import re
+import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -14,19 +15,15 @@ from mddmine import (
     ConstraintSpec,
     Kind,
     StatPlan,
-    attach_attributes,
     build_mdd,
     check_occurrence,
     dump_info_tsv,
-    generate_attributes,
-    generate_sessions,
     make_database,
     mine,
     mine_bruteforce,
     parse_constraint,
     propagate,
 )
-from mddmine.cli import SCENARIOS
 from mddmine.constraints import exact_median
 from mddmine.miner import MppMiner
 from mddmine.nodeinfo import (
@@ -56,16 +53,6 @@ from oracles import (
 )
 
 SECOND = 1  # sequence index of the three-event B,A,B sequence
-
-
-@pytest.fixture(scope="module")
-def sessions_s3():
-    """2k click sessions under scenario 3: the database, specs and diagram."""
-    base = generate_sessions(2000, 1000, seed=2024)
-    db = attach_attributes(base, generate_attributes(base, seed=99),
-                           ordering_attribute="time")
-    specs = tuple(parse_constraint(t) for t in SCENARIOS[3])
-    return db, specs, build_mdd(db, specs)
 
 
 class TestPropagateOnClickDb:
@@ -658,9 +645,10 @@ class TestRecordLayout:
 
 class TestPackedStore:
     """Each sequence's records are one flat block of ``width`` slots per
-    event: an ``array('q')``, or a list where a value leaves 64 bits."""
+    event: an ``array('i')`` where every value fits in 32 bits, else an
+    ``array('q')``, or a list where a value leaves 64 bits."""
 
-    def test_rows_are_int64_arrays_of_width_per_event(self):
+    def test_rows_are_int32_arrays_of_width_per_event(self):
         rng = random.Random(37)
         for _ in range(60):
             db = random_db(rng, n_max=8, len_max=6)
@@ -671,8 +659,47 @@ class TestPackedStore:
             assert store.width == sum(_WIDTH[key[0]] for key in store.layout)
             assert len(store.records) == len(db)
             for rows, seq in zip(store.records, db.sequences):
-                assert isinstance(rows, array) and rows.typecode == "q"
+                assert all(-2 ** 31 <= v < 2 ** 31 for v in rows)
+                assert isinstance(rows, array) and rows.typecode == "i"
                 assert len(rows) == store.width * len(seq)
+
+    # every stored value is 0 or the edge: span and max hold column values,
+    # and each path sum or excess ahead adds the edge at most once
+    EDGE_SPECS = ("span(v)>=1", "max(v)<=0", "sum(v)>=0", "avg(v)<=0", "length>=2")
+
+    @pytest.mark.parametrize("edge, code", [
+        (2 ** 31 - 1, "i"), (-2 ** 31, "i"),
+        (2 ** 31, "q"), (-2 ** 31 - 1, "q"), (2 ** 63 - 1, "q"), (-2 ** 63, "q"),
+        (2 ** 63, None), (-2 ** 63 - 1, None), (2 ** 70, None),
+    ])
+    def test_int32_edges(self, edge, code):
+        items = [[1, 2], [2, 1, 2], [1], [2, 1]]
+        values = [[edge, 0], [0, edge, 0], [edge], [0, edge]]
+        db = make_database(items, {"v": values})
+        specs = tuple(map(parse_constraint, self.EDGE_SPECS))
+        mdd = build_mdd(db, specs)
+        store = propagate(mdd, db, specs)
+        for rows, seq in zip(store.records, values):
+            assert edge in rows and set(rows) <= {0, 1, 2, 3, edge}
+            assert len(rows) == store.width * len(seq)
+            if code is None:
+                assert type(rows) is list
+            else:
+                assert isinstance(rows, array) and rows.typecode == code
+        for theta in (1, 2):
+            for n in (1, 2, len(specs)):
+                for subset in combinations(specs, n):
+                    assert (mine(mdd, store, db, subset, theta)
+                            == mine_bruteforce(db, subset, theta)), (theta, subset)
+
+    def test_first_overflow_stops_the_int32_attempts(self):
+        # the second sequence fits in 32 bits but is not packed twice to find out
+        db = make_database([[1, 2], [1, 2], [1]], {"v": [[2 ** 31, 0], [1, 0], [2 ** 70]]})
+        specs = (parse_constraint("span(v)>=1"),)
+        store = propagate(build_mdd(db, specs), db, specs)
+        assert [getattr(rows, "typecode", None) for rows in store.records] == ["q", "q", None]
+        assert store.info(("span", "v")) == [[(0, 2 ** 31), (0, 0)], [(0, 1), (0, 0)],
+                                             [(2 ** 70, 2 ** 70)]]
 
     def test_values_beyond_64_bits_fall_back_to_a_list(self):
         big = 2 ** 62
@@ -703,8 +730,9 @@ class TestPackedStore:
                 assert (mine(mdd, store, db, subset, theta)
                         == mine_bruteforce(db, subset, theta)), (theta, subset)
 
-    def test_store_costs_eight_bytes_a_slot(self, sessions_s3):
-        # a tuple of boxed ints per event took about 190 B at width 9
+    def test_store_costs_four_bytes_a_slot(self, sessions_s3):
+        # a tuple of boxed ints per event took about 190 B at width 9, and an
+        # array('q') 8 B a slot; the blocks' own headers are counted apart
         db, specs, mdd = sessions_s3
         gc.collect()
         tracemalloc.start()
@@ -715,5 +743,8 @@ class TestPackedStore:
         finally:
             tracemalloc.stop()
         events = sum(len(seq) for seq in db.sequences)
-        assert abs(size / (8 * store.width * events) - 1) <= 0.10, (size / events, store.width)
+        headers = sys.getsizeof(store.records) + len(db) * sys.getsizeof(array("i"))
+        assert {rows.typecode for rows in store.records} == {"i"}
+        assert abs((size - headers) / (4 * store.width * events) - 1) <= 0.10, (
+            size / events, store.width)
 

@@ -53,6 +53,10 @@ def test_workload_diagrams_store_windows(tmp_path):
         db = worker.load_db(args)
         specs, _ = worker._setting(args, db)
         mdd = build_mdd(db, specs)
-        assert all(type(row) is range for rows in mdd.succ for row in rows), name
+        windows = [row for rows in mdd.succ for row in rows]
+        assert all(type(row) is range for row in windows), name
+        # one object per distinct window, however many events share it
+        ends = {(row.start, row.stop) for row in windows}
+        assert len({id(row) for row in windows}) == len(ends) < len(windows), name
         assert all(starts == range(len(seq))
                    for starts, seq in zip(mdd.starts, db.sequences)), name
