@@ -106,7 +106,14 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
     contiguous window ``[a, b)`` of the column, found by two bisections.  A
     row is stored as ``range(a, b)``, and ``starts`` as ``range(length)``;
     only when an item set or a gap bound on another attribute is imposed is
-    the window filtered by liveness and those bounds into a tuple.
+    the window filtered by liveness and those bounds into a tuple.  With no
+    item set every event is live, and no liveness is looked up.
+
+    Along a sequence the windows' starts and ends never decrease: ``a`` is
+    the larger of ``j + 1`` and the first position at or above
+    ``x_j + lo``, ``b`` the larger of ``a`` and the first position above
+    ``x_j + hi``, and each term grows with ``j``.  So rows that share an
+    end are nested, which ``propagate``'s window walk relies on.
 
     Per-build tables, the unique table of decision diagrams, map each
     window's ends to one ``range``, and each filtered row and ``starts`` to
@@ -134,11 +141,13 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
         length = len(items)
         ord_col = db.columns(ordering)[si] if ordering is not None else None
         checks = [(db.columns(attr)[si], lo, hi) for attr, lo, hi in others]
-        alive = [allowed is None or item in allowed for item in items]
+        # the live positions; only an item set leaves any out
+        starts: SequenceT[int] = range(length)
+        if allowed is not None:
+            alive = [item in allowed for item in items]
+            starts = tuple(j for j in starts if alive[j])
         succ_rows: list[SequenceT[int]] = [()] * length
-        for j in range(length):
-            if not alive[j]:
-                continue
+        for j in starts:
             a, b = j + 1, length
             if ord_lo is not None:
                 a = bisect_left(ord_col, ord_col[j] + ord_lo, a)
@@ -146,7 +155,7 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
                 b = bisect_right(ord_col, ord_col[j] + ord_hi, a)
             if filtered:
                 row = tuple(
-                    k for k in range(a, b) if alive[k] and all(
+                    k for k in range(a, b) if (allowed is None or alive[k]) and all(
                         (lo is None or col[k] - col[j] >= lo)
                         and (hi is None or col[k] - col[j] <= hi)
                         for col, lo, hi in checks))
@@ -157,8 +166,6 @@ def build_mdd(db: AttributedDatabase, specs: SequenceT[ConstraintSpec] = ()) -> 
                     row = windows[a, b] = range(a, b)
                 succ_rows[j] = row
         mdd.succ.append(tuple(succ_rows))
-        starts = (range(length) if allowed is None
-                  else tuple(j for j in range(length) if alive[j]))
         mdd.starts.append(shared.setdefault(starts, starts))
     return mdd
 

@@ -26,6 +26,10 @@ one average excess, a median triple, and maxlen.  ``propagate`` generates
 one backward pass per spec list that builds all of them at once, and packs a
 sequence's records into one flat block when it is done: 4-byte slots while
 every value fits in 32 bits, else 8-byte slots or, past 64 bits, a list.
+The pass folds each successor record into an event's record, one arc at a
+time, or, on a dense sequence of an unfiltered diagram, keeps a fold of
+the current successor window and folds in only the positions that enter
+it, so that it costs about one step per event rather than one per arc.
 
 The extension tests combine a pattern occurrence's running statistics with
 the information stored at its final event.  The stored values include that
@@ -202,6 +206,7 @@ class InfoStore:
     the extremal path sum ahead, ``("avg", attr, s, c)`` the extremal excess
     over ``c``, ``("med", attr, s, c)`` the triple and ``("maxlen",)`` the
     longest path ahead; keys are ordered by kind in that order, then sorted.
+    ``source`` is the generated pass that computed the records.
     ``records[si]`` holds sequence ``si``'s records back to back, the slot
     ``s`` of position ``pos`` at ``pos * width + s``, in the block
     ``_packer`` picks: an ``array('i')``, an ``array('q')``, or a flat
@@ -214,6 +219,7 @@ class InfoStore:
     layout: dict[tuple, int] = field(default_factory=dict)
     records: list[array | list[int]] = field(default_factory=list)
     width: int = 0
+    source: str = ""
 
     def info(self, key: tuple) -> list[list]:
         """One key's values per sequence and position; a tuple if several slots."""
@@ -237,14 +243,54 @@ def propagate(
     bound and are computed per constraint instance; span and sum information
     are shared per attribute (and direction).  A spec list that needs no
     information visits no event.  ``db`` must be the diagram's database.
+    The generated source is kept in the store's ``source``.
+
+    A sequence takes one of two loops, which store the same bytes.  The
+    per-arc loop folds every successor record into the event's.  The window
+    walk serves sequences whose rows are ``range`` windows (the diagram
+    filters nothing) and whose first row holds more than ``_DENSE`` arcs.
+    ``build_mdd``'s windows have non-decreasing starts and ends along a
+    sequence, so walking backward, a row either keeps the end of the row
+    after it and contains that row, or moves its end left.  The walk keeps
+    each key's fold over the current window.  While the end stays, it folds
+    in only the positions that enter at the start; when the end moves, it
+    folds the new window afresh.  Span, sum, avg and maxlen fold extrema,
+    so the window's extremum folded into the event equals every
+    successor's folded in turn.
+
+    A median record is the event alone unless a successor fold beats it,
+    and then the first successor fold of the top class.  The window keeps
+    ``M``, the earliest successor triple that no other in the window
+    beats.  By ``med_dominates`` (b), fold preserves dominance, so
+    fold(v, M) is in the top class.  A successor before ``M`` may still
+    fold into that class without having tied ``M``.  A fold adds the same
+    count to every balance, so only a triple with ``M``'s balance can.  So
+    the walk scans from the window's start up to ``M``'s position for the
+    first such triple whose fold ties fold(v, M), and takes fold(v, M) if
+    there is none.  On ``dense-index`` ``M`` sits 0.63 positions into its
+    window on average, so the scan is short.
+
+    The window walk costs one step per event plus the arcs of the rows
+    whose end moves.  Besides each sequence's empty last row, on
+    ``dense-index`` (seed 1) 6,825 of 90,723 rows move their end, holding
+    112,501 of 1,609,243 arcs.  On the click workloads 20,750 of 49,859
+    rows move their end and hold 39,329 of 93,055 arcs, so windows save
+    few arcs there, and a window step costs more than an arc step.
+    ``_DENSE`` is where the two loops cross.  Timing both loops on the
+    sequences of each first-row length, ``clicks-s3``'s window walk took
+    1.26-1.43x the per-arc time at first rows of 0-5 arcs and 1.04x at 6;
+    ``dense-index``'s took 0.67x at 6 and 0.38-0.73x beyond.  So first
+    rows longer than 6 take the window walk: 1,908 of ``dense-index``'s
+    2,000 sequences and 5 of the click workloads' 5,000.  In-process,
+    ``dense-index``'s propagate went 0.225 -> 0.114 s.
     """
     if db is not mdd.db:
         raise ValueError("the diagram was built over another database")
     keys = _derive_needs(specs)
     if not keys:
         return InfoStore(mdd)
-    walk, layout, width = _compile_propagate(db, keys)
-    return InfoStore(mdd, layout, walk(mdd.succ), width)
+    source, walk, layout, width = _compile_propagate(db, keys)
+    return InfoStore(mdd, layout, walk(mdd.succ), width, source)
 
 
 def _packer(width: int):
@@ -276,14 +322,19 @@ def _packer(width: int):
     return packed
 
 
+#: a sequence whose rows are windows takes the window walk when its first
+#: row holds more arcs than this; see ``propagate``
+_DENSE = 6
+
+
 def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
-    """Generate and ``exec`` the fused backward pass; returns it, the layout
-    and the width.
+    """Generate and ``exec`` the fused backward pass; returns its source, it,
+    the layout and the width.
 
     ``fields`` lists the record's slot expressions; each key's offset is the
     length of the list when its slots are appended.  Within a sequence the
-    records are tuples; per successor one is unpacked once and each key
-    folds its slots in:
+    records are tuples.  An event's record starts from the event alone
+    (``own``), and each key folds its successors in:
 
     * span keeps the smallest ``lo`` and largest ``hi``;
     * sum, avg and maxlen keep the largest successor value (the least under
@@ -297,74 +348,146 @@ def _compile_propagate(db: AttributedDatabase, keys: SequenceT[tuple]):
       each successor triple, keeping the first that no later one beats
       (``med_fold`` and ``med_dominates`` inlined, with the sign's ``_OPS``).
 
-    A finished sequence's tuples are packed by ``_packer``.
+    Two loops do this, generated from the same per-key lines; ``propagate``
+    states when each runs and why they agree.  The per-arc loop runs
+    ``arc`` on each successor record ``u``, unpacked once.  The window walk
+    runs ``reset`` when the window's end moves, ``enter`` on each record
+    entering the window, and ``finish`` per event, folding the window into
+    the event's record.  Span, sum, avg and maxlen build all three from
+    ``_keep``.  A median key's ``finish`` is its per-arc ``step`` on the
+    window's triple ``M``, with the scan for an earlier tie inserted before
+    the win is kept.  A finished sequence's tuples are packed by
+    ``_packer``.
     """
     const, make = _generator()
     attrs = dict.fromkeys(key[1] for key in keys if key[0] != "maxlen")
     x = {a: f"x{i}" for i, a in enumerate(attrs)}
-    seq = [f"            c{i} = {const(db.columns(a))}[si]" for i, a in enumerate(attrs)]
-    own = [f"                x{i} = c{i}[j]" for i in range(len(attrs))]
-    step: list[str] = []
+    inf = const(math.inf)
+    seq = [f"c{i} = {const(db.columns(a))}[si]" for i, a in enumerate(attrs)]
+    # own: the event alone; arc: fold successor u in; the window's reset,
+    # enter and finish lines: see the docstring
+    own = [f"x{i} = c{i}[j]" for i in range(len(attrs))]
+    arc: list[str] = []
+    reset: list[str] = []
+    enter: list[str] = []
+    finish: list[str] = []
     fields: list[str] = []
     layout: dict[tuple, int] = {}
     for n, key in enumerate(keys):
         kind = key[0]
         layout[key] = len(fields)
         u = [f"u{len(fields) + w}" for w in range(_WIDTH[kind])]
-        if kind == "span":
-            lo, hi = f"lo{n}", f"hi{n}"
-            own.append(f"                {lo} = {hi} = {x[key[1]]}")
-            step += [f"                    if {u[0]} < {lo}: {lo} = {u[0]}",
-                     f"                    if {u[1]} > {hi}: {hi} = {u[1]}"]
-            fields += [lo, hi]
-            continue
         # maxlen is the longest path's sum of ones
         v = "1" if kind == "maxlen" else x[key[1]]
-        ge, lt, gt = _OPS[1 if kind == "maxlen" else key[2]]
-        if kind != "med":
+        ge, lt, gt = _OPS[key[2] if kind in ("sum", "avg", "med") else 1]
+        if kind == "span":
+            acc, win, ops = (f"lo{n}", f"hi{n}"), (f"wlo{n}", f"whi{n}"), ("<", ">")
+            own.append(f"{acc[0]} = {acc[1]} = {v}")
+            reset.append(f"{win[0]}, {win[1]} = {inf}, -{inf}")
+            fields += acc
+        elif kind != "med":
             if kind == "avg":
                 v += f" - {key[3]}" if key[3] >= 0 else f" + {-key[3]}"
-            own.append(f"                g{n} = 0")
-            step.append(f"                    if {u[0]} {gt} g{n}: g{n} = {u[0]}")
-            fields.append(f"{v} + g{n}")
-        else:
-            bound, two = key[3], 2 * key[3]
-            b1, b2, b3, ok = f"m{n}a", f"m{n}b", f"m{n}c", f"ok{n}"
-            e, f = _sentinels(db.columns(key[1]), key[2])
-            own += [f"                v{n} = {v}",
-                    f"                up{n} = v{n} {ge} {bound}",
-                    f"                {b1}, {b2}, {b3} = "
-                    f"(1, {e}, v{n}) if up{n} else (-1, v{n}, {f})",
-                    f"                {ok} = {b2} + {b3} {ge} {two}"]
+            acc, win, ops = (f"g{n}",), (f"wg{n}",), (gt,)
+            own.append(f"{acc[0]} = 0")
+            reset.append(f"{win[0]} = 0")
+            fields.append(f"{v} + {acc[0]}")
+        if kind != "med":
+            arc += _keep(u, ops, acc)
+            enter += _keep(u, ops, win)
+            finish += _keep(win, ops, acc)
+            continue
+        bound, two = key[3], 2 * key[3]
+        b, ok = (f"m{n}a", f"m{n}b", f"m{n}c"), f"ok{n}"
+        m, mk, mok = (f"wm{n}a", f"wm{n}b", f"wm{n}c"), f"wk{n}", f"wok{n}"
+        e, f = _sentinels(db.columns(key[1]), key[2])
+        own += [f"v{n} = {v}",
+                f"up{n} = v{n} {ge} {bound}",
+                f"{b[0]}, {b[1]}, {b[2]} = (1, {e}, v{n}) if up{n} else (-1, v{n}, {f})",
+                f"{ok} = {b[1]} + {b[2]} {ge} {two}"]
+
+        def fold(s2: str, s3: str, t2: str, t3: str) -> list[str]:
+            # the event's value into a triple's deciding values
+            return [f"if up{n}:",
+                    f"    {t2} = {s2}",
+                    f"    {t3} = {s3} if {s3} {lt} v{n} else v{n}",
+                    "else:",
+                    f"    {t2} = {s2} if {s2} {gt} v{n} else v{n}",
+                    f"    {t3} = {s3}"]
+
+        def over(s2: str, s3: str, t: tuple, t_ok: str, op: str) -> str:
+            # at equal balance: s beats t (op gt), or beats or ties it (ge)
+            return (f"((not {t_ok} or {s2} {op} {t[1]}) if {s2} + {s3} {ge} {two} "
+                    f"else not {t_ok} and {s3} {op} {t[2]})")
+
+        def step(s: tuple, tie: list[str]) -> list[str]:
             # a folded triple of lower balance loses whatever its values
-            step += [f"                    t1 = {u[0]} + 1 if up{n} else {u[0]} - 1",
-                     f"                    if t1 >= {b1}:",
-                     f"                        if up{n}:",
-                     f"                            t2 = {u[1]}",
-                     f"                            t3 = {u[2]} if {u[2]} {lt} v{n} else v{n}",
-                     "                        else:",
-                     f"                            t2 = {u[1]} if {u[1]} {gt} v{n} else v{n}",
-                     f"                            t3 = {u[2]}",
-                     f"                        if t1 > {b1} or ((not {ok} or t2 {gt} {b2}) "
-                     f"if t2 + t3 {ge} {two} else not {ok} and t3 {gt} {b3}):",
-                     f"                            {b1}, {b2}, {b3} = t1, t2, t3",
-                     f"                            {ok} = t2 + t3 {ge} {two}"]
-            fields += [b1, b2, b3]
-    _, walk = make([
+            return [f"t1 = {s[0]} + 1 if up{n} else {s[0]} - 1",
+                    f"if t1 >= {b[0]}:",
+                    *_indent(fold(s[1], s[2], "t2", "t3"), 1),
+                    f"    if t1 > {b[0]} or {over('t2', 't3', b, ok, gt)}:",
+                    *_indent(tie, 2),
+                    f"        {b[0]}, {b[1]}, {b[2]} = t1, t2, t3",
+                    f"        {ok} = t2 + t3 {ge} {two}"]
+
+        at = layout[key]
+        reset.append(f"{m[0]} = -{inf}")
+        arc += step(u, [])
+        enter += [f"if {u[0]} > {m[0]} or {u[0]} == {m[0]} and {over(u[1], u[2], m, mok, ge)}:",
+                  f"    {m[0]}, {m[1]}, {m[2]}, {mk} = {u[0]}, {u[1]}, {u[2]}, k",
+                  f"    {mok} = {u[1]} + {u[2]} {ge} {two}"]
+        finish += step(m, [f"tok = t2 + t3 {ge} {two}",
+                           f"for i in range(a, {mk}):",
+                           "    r = R[i]",
+                           f"    if r[{at}] == {m[0]}:",
+                           *_indent(fold(f"r[{at + 1}]", f"r[{at + 2}]", "f2", "f3"), 2),
+                           f"        if {over('f2', 'f3', ('t1', 't2', 't3'), 'tok', ge)}:",
+                           "            t2, t3 = f2, f3",
+                           "            break"])
+        fields += b
+    unpack = f"{', '.join(f'u{i}' for i in range(len(fields)))}, = R[k]"
+    record = f"R[j] = ({', '.join(fields)},)"
+    source, walk = make([
         "    def walk(succ_tables):",
         "        out = []",
-        "        for si, succ in enumerate(succ_tables):", *seq,
+        "        for si, succ in enumerate(succ_tables):",
+        *_indent(seq, 3),
         "            R = [None] * len(succ)",
-        "            for j in range(len(succ) - 1, -1, -1):", *own,
-        "                for k in succ[j]:",
-        f"                    {', '.join(f'u{i}' for i in range(len(fields)))}, = R[k]",
-        *step,
-        f"                R[j] = ({', '.join(fields)},)",
+        # the window walk: the window is [a, end), of which [low, end) is folded
+        f"            if type(succ[0]) is range and len(succ[0]) > {_DENSE}:",
+        "                end = -1",
+        "                for j in range(len(succ) - 1, -1, -1):",
+        *_indent(own, 5),
+        "                    row = succ[j]",
+        "                    a = row.start",
+        "                    if row.stop != end:",
+        "                        end = low = row.stop",
+        *_indent(reset, 6),
+        "                    for k in range(low - 1, a - 1, -1):",
+        f"                        {unpack}",
+        *_indent(enter, 6),
+        "                    low = a",
+        *_indent(finish, 5),
+        f"                    {record}",
+        # the per-arc loop
+        "            else:",
+        "                for j in range(len(succ) - 1, -1, -1):",
+        *_indent(own, 5),
+        "                    for k in succ[j]:",
+        f"                        {unpack}",
+        *_indent(arc, 6),
+        f"                    {record}",
         f"            out.append({const(_packer(len(fields)))}(R))",
         "        return out",
         "    return walk",
     ])
-    return walk, layout, len(fields)
+    return source, walk, layout, len(fields)
+
+
+def _keep(src, ops: tuple[str, ...], dst) -> list[str]:
+    """Lines keeping in each slot of ``dst`` the value of ``src`` that its
+    operator prefers: ``<`` the least, ``>`` the greatest."""
+    return [f"if {s} {op} {d}: {d} = {s}" for s, op, d in zip(src, ops, dst)]
 
 
 def _generator():

@@ -198,6 +198,27 @@ class TestWindowBuild:
                     kinds[row_type] += len(table)
         assert min(kinds[range], kinds[tuple]) > 100, kinds
 
+    def test_windows_are_nested_or_move_right(self):
+        # the window walk of nodeinfo.propagate relies on this: along a
+        # sequence the windows' starts and ends never decrease, so rows that
+        # share an end are nested
+        rng = random.Random(19)
+        rows = 0
+        for _ in range(200):
+            db = random_db(rng, n_max=8, len_max=12, n_attrs=2)
+            # without an ordering attribute every row is range(j + 1, n)
+            specs = [ConstraintSpec(Kind.GAP, attribute="t", direction=direction,
+                                    c=rng.randint(-4, 10))
+                     for direction in (GE, LE)
+                     if db.ordering_attribute and rng.random() < 0.7]
+            for table in build_mdd(db, specs).succ:
+                assert all(type(row) is range for row in table)
+                assert all(row.start <= row.stop for row in table)
+                for row, after in zip(table, table[1:]):
+                    assert row.start <= after.start and row.stop <= after.stop
+                rows += len(table)
+        assert rows > 2000, rows
+
 
 class TestSharedRows:
     """Each distinct row is one object across the whole diagram, whichever

@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -24,6 +24,7 @@ from mddmine import (
     parse_constraint,
     propagate,
 )
+from mddmine import nodeinfo
 from mddmine.constraints import exact_median
 from mddmine.miner import MppMiner
 from mddmine.nodeinfo import (
@@ -279,42 +280,130 @@ class TestOracleEquivalence:
                     verdict = scan_verdict(plan, db, si, occ) == 1
                     assert verdict == extension_exists(db, mdd, si, occ, med)
 
-    def test_med_arrays_equal_reference_fold(self):
+    def test_med_arrays_equal_reference_fold(self, monkeypatch):
         # propagate inlines the fold and the dominance test; its arrays must
         # be those of a backward fold through the reference forms, keeping
-        # the first triple that no later one dominates.  The reference forms
-        # state the >= rule, so a <= key folds the negated values against
-        # -c and its deciding values are negated back.  Values 0..4 and
-        # bounds around them make balances and deciding values tie often,
-        # and a gap rule on the same values gives irregular successor sets.
+        # the first triple that no later one dominates, from either walk.
+        # The reference forms state the >= rule, so a <= key folds the
+        # negated values against -c and its deciding values are negated
+        # back.  Values 0..4 and bounds around them make balances and
+        # deciding values tie often.  Gap bounds on the ordering attribute
+        # t cut the rows as windows, which the window walk reads; on half
+        # the instances a gap rule on x filters them into irregular
+        # successor sets, which only the per-arc loop reads.
         rng = random.Random(17)
+        windowed = 0
         for _ in range(150):
             lengths = [rng.randint(1, 8) for _ in range(rng.randint(3, 10))]
             db = make_database(
                 [[rng.randint(1, 3) for _ in range(k)] for k in lengths],
-                {"x": [[rng.randint(0, 4) for _ in range(k)] for k in lengths]},
+                {"x": [[rng.randint(0, 4) for _ in range(k)] for k in lengths],
+                 "t": [sorted(rng.sample(range(12), k)) for k in lengths]},
+                ordering_attribute="t",
             )
             specs = tuple(
                 ConstraintSpec(Kind.MED, attribute="x", direction=direction, c=c)
                 for direction in (GE, LE) for c in range(-1, 6)
-            ) + (ConstraintSpec(Kind.GAP, attribute="x", direction=rng.choice((GE, LE)),
-                                c=rng.randint(-2, 2)),)
+            ) + tuple(ConstraintSpec(Kind.GAP, attribute="t", direction=direction,
+                                     c=rng.randint(-2, 6))
+                      for direction in (GE, LE) if rng.random() < 0.7)
+            if rng.random() < 0.5:
+                specs += (ConstraintSpec(Kind.GAP, attribute="x",
+                                         direction=rng.choice((GE, LE)),
+                                         c=rng.randint(-2, 2)),)
             mdd = build_mdd(db, specs)
-            store = propagate(mdd, db, specs)
-            for (attr, sign, c), arrays in store_arrays(store, "med").items():
-                bound = sign * c
-                lo, hi = (sign * v for v in database_sentinels(db, attr, sign))
-                for si, col in enumerate(db.columns(attr)):
-                    oriented = [sign * v for v in col]
-                    ref = [None] * len(col)
-                    for j in range(len(col) - 1, -1, -1):
-                        best = med_fold(oriented[j], bound, (0, lo, hi))
-                        for k in mdd.succ[si][j]:
-                            cand = med_fold(oriented[j], bound, ref[k])
-                            if med_dominates(cand, best, bound):
-                                best = cand
-                        ref[j] = best
-                    assert arrays[si] == [(t1, sign * t2, sign * t3) for t1, t2, t3 in ref]
+            windowed += type(mdd.succ[0][0]) is range
+            for dense in _WALKS.values():
+                monkeypatch.setattr(nodeinfo, "_DENSE", dense)
+                store = propagate(mdd, db, specs)
+                for (attr, sign, c), arrays in store_arrays(store, "med").items():
+                    bound = sign * c
+                    lo, hi = (sign * v for v in database_sentinels(db, attr, sign))
+                    for si, col in enumerate(db.columns(attr)):
+                        oriented = [sign * v for v in col]
+                        ref = [None] * len(col)
+                        for j in range(len(col) - 1, -1, -1):
+                            best = med_fold(oriented[j], bound, (0, lo, hi))
+                            for k in mdd.succ[si][j]:
+                                cand = med_fold(oriented[j], bound, ref[k])
+                                if med_dominates(cand, best, bound):
+                                    best = cand
+                            ref[j] = best
+                        assert arrays[si] == [(t1, sign * t2, sign * t3)
+                                              for t1, t2, t3 in ref]
+        assert 50 < windowed < 150, windowed
+
+
+#: the ``_DENSE`` value that sends every windowed sequence down each walk
+_WALKS = {"window": -1, "per-arc": sys.maxsize}
+
+
+def _med_key(triple, bound):
+    """``med_dominates`` as a sort key: a beats b iff key(a) > key(b)."""
+    ok = triple[1] + triple[2] >= 2 * bound
+    return (triple[0], ok, triple[1] if ok else triple[2])
+
+
+class TestWindowWalkExhaustive:
+    """Both walks store the same bytes on a database holding every sequence
+    of 1-5 values from 0..3, at times 0, 1, 2, 3, 4 and at times 0, 1, 3,
+    4, 6, under gap bounds on time that give full, nested, shifting and
+    empty windows, with a negative lower gap and with ``lo > hi``, for
+    every key kind, and median bounds below, among and above the values."""
+
+    @pytest.fixture(scope="class")
+    def domain(self):
+        seqs = [(times[:n], xs) for n in range(1, 6) for times in ((0, 1, 2, 3, 4),
+                                                                  (0, 1, 3, 4, 6))
+                for xs in product(range(4), repeat=n)]
+        db = make_database([[1] * len(ts) for ts, _ in seqs],
+                           {"t": [ts for ts, _ in seqs], "x": [xs for _, xs in seqs]},
+                           ordering_attribute="t")
+        specs = tuple(map(parse_constraint, (
+            "span(x)>=1", "span(t)<=3", "sum(x)>=2", "sum(x)<=2", "length>=2")))
+        specs += tuple(ConstraintSpec(kind, attribute="x", direction=direction, c=c)
+                       for kind in (Kind.AVG, Kind.MED) for direction in (GE, LE)
+                       for c in range(-1, 4))
+        return db, specs
+
+    @pytest.mark.parametrize("lo, hi", [(None, None), (2, None), (None, 2), (1, 3),
+                                        (2, 2), (-2, 2), (3, 1), (None, 0)])
+    def test_walks_store_the_same_bytes(self, domain, lo, hi, monkeypatch):
+        db, specs = domain
+        specs += tuple(ConstraintSpec(Kind.GAP, attribute="t", direction=direction, c=c)
+                       for direction, c in ((GE, lo), (LE, hi)) if c is not None)
+        mdd = build_mdd(db, specs)
+        assert all(type(row) is range for table in mdd.succ for row in table)
+        stores = {}
+        for walk, dense in _WALKS.items():
+            monkeypatch.setattr(nodeinfo, "_DENSE", dense)
+            stores[walk] = propagate(mdd, db, specs)
+        window, per_arc = stores.values()
+        assert {kind for kind, *_ in window.layout} == set(_WIDTH)
+        assert window.layout == per_arc.layout and window.width == per_arc.width
+        for a, b in zip(window.records, per_arc.records, strict=True):
+            assert a.typecode == b.typecode and a.tobytes() == b.tobytes()
+
+    def test_scan_before_the_best_successor_decides_records(self, domain):
+        # some events' stored triple is the fold of a successor before the
+        # earliest best successor triple M, and differs from M's fold: the
+        # window walk's scan from the window's start to M finds it
+        db, _ = domain
+        mdd = build_mdd(db, (parse_constraint("gap(t)>=2"),))
+        sentinels = database_sentinels(db, "x", 1)
+        earlier = 0
+        for bound in range(-1, 5):
+            for si, col in enumerate(db.columns("x")):
+                ref = [None] * len(col)
+                for j in range(len(col) - 1, -1, -1):
+                    row = mdd.succ[si][j]
+                    folds = [med_fold(col[j], bound, (0, *sentinels))]
+                    folds += [med_fold(col[j], bound, ref[k]) for k in row]
+                    ref[j] = max(folds, key=lambda t: _med_key(t, bound))
+                    if row:
+                        best = max(row, key=lambda k: _med_key(ref[k], bound))
+                        earlier += ref[j] not in (folds[0], med_fold(col[j], bound, ref[best]))
+        assert earlier > 20, earlier
 
 
 class TestStatPlan:
@@ -594,6 +683,14 @@ class TestRecordLayout:
         specs = tuple(parse_constraint(t) for t in DUMP_SPECS)
         store = propagate(build_mdd(click_db, specs), click_db, specs)
         assert dump_info_tsv(store) == DUMP_TEXT
+
+    def test_source_is_kept_with_both_walks(self, click_db):
+        specs = tuple(parse_constraint(t) for t in DUMP_SPECS)
+        store = propagate(build_mdd(click_db, specs), click_db, specs)
+        assert re.findall(r"^ *def (\w+)\(", store.source, re.M) == ["_make", "walk"]
+        assert "for k in succ[j]:" in store.source  # the per-arc loop
+        assert "for k in range(low - 1, a - 1, -1):" in store.source  # the window walk
+        assert propagate(store.mdd, click_db, ()).source == ""
 
     def test_no_information_walks_nothing(self, click_db):
         class Untouchable:
