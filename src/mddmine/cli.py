@@ -13,10 +13,11 @@ when it contains a decimal point or is written ``a/b`` (converted by
 ceiling, so 0.04 or 1/25 of 80 rounds up to 4).  Scenario presets install
 fixed constraint sets over time, price, and quality attributes; a
 ``length<=N`` constraint caps the pattern length of every miner.  With
-``--report PATH`` a run report (phase wall times, peak RSS in MB after
-loading, indexing and mining, and miner counters, tab-separated) is written
-to PATH; it leaves out what the selected miner does not measure: ``ppcc``
-builds no diagram and propagates nothing, and ``brute`` keeps no counters.
+``--report PATH`` a run report (phase wall times, loading first, peak RSS
+in MB after loading, indexing and mining, and miner counters,
+tab-separated) is written to PATH; it leaves out what the selected miner
+does not measure: ``ppcc`` builds no diagram and propagates nothing, and
+``brute`` keeps no counters.
 An option the selected path would ignore (``--disable-prop5`` with
 ``--miner brute``, ``--ordering-attr`` without ``--attrs``) is an argument
 error.
@@ -141,7 +142,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
     db = _load_db(args)
+    phases = [("load_seconds", time.perf_counter() - t0)]
     peaks = [("peak_rss_mb_load", _peak_rss_mb())]
     specs = _specs_from(args)
     theta = _resolve_theta(args.min_sup, len(db))
@@ -157,17 +160,17 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             mdd, store, db, specs, theta,
             use_prop5=not args.disable_prop5, counters=counters,
         )
-        phases = [("mdd_build_seconds", t1 - t0), ("info_prop_seconds", t2 - t1),
-                  ("mining_seconds", time.perf_counter() - t2)]
+        phases += [("mdd_build_seconds", t1 - t0), ("info_prop_seconds", t2 - t1),
+                   ("mining_seconds", time.perf_counter() - t2)]
     elif args.miner == "ppcc":
         patterns = mine_ppcc(
             db, specs, theta,
             counters=counters, use_prop5=not args.disable_prop5,
         )
-        phases = [("mining_seconds", time.perf_counter() - t0)]
+        phases.append(("mining_seconds", time.perf_counter() - t0))
     else:  # brute: --miner's choices admit nothing else
         patterns = mine_bruteforce(db, specs, theta)
-        phases = [("mining_seconds", time.perf_counter() - t0)]
+        phases.append(("mining_seconds", time.perf_counter() - t0))
         counters = None
     peaks.append(("peak_rss_mb_mine", _peak_rss_mb()))
 

@@ -22,16 +22,28 @@ Two on-disk formats are understood:
 * Attribute tables: tab-separated with header ``sid<TAB>pos<TAB><attr>...``,
   one row per event, positions 1-based, rows in any order (written sorted by
   (sid, pos)).  A table is parsed into columns, one flat ``array('q')`` per
-  field (``AttributeTable``), block by block, and attaching slices each
-  attribute column into the database's per-sequence tuples; no row or
-  whole-file line list is ever built.  Of several coverage defects the first
-  in (sid, pos) order is reported, a missing row before an unknown row that
-  sorts into its place.
+  field (``AttributeTable``), and attaching slices each attribute column
+  into the database's per-sequence tuples; no row or whole-file line list
+  is ever built.  Of several coverage defects the first in (sid, pos) order
+  is reported, a missing row before an unknown row that sorts into its
+  place.
+
+Both formats are read in blocks of whole lines (``_blocks``).  A block in
+the canonical form the writers emit (``to_spmf``, ``format_attribute_tsv``)
+is rewritten into JSON and converted by one ``json.loads``, so no Python
+call is made per token.  Any other block, and any block the conversion
+rejects, goes to the line readers (``_spmf_lines``, ``_line_fields``),
+which define every value and every line-numbered error; the conversion
+takes only blocks that they would read to the same values.  The form is
+checked per block, never over the whole text, so a check holds no more
+than a block in memory.
 """
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 from array import array
 from bisect import bisect
 from dataclasses import dataclass, field
@@ -170,12 +182,86 @@ def make_database(
     return AttributedDatabase(items, columns, ordering_attribute)
 
 
+# --- block reading ------------------------------------------------------------
+
+#: characters of input text parsed at a time; a block and its conversion
+#: are the parser's only transient copies of the text
+_BLOCK_CHARS = 1 << 14
+
+
+def _blocks(text: str, canonical):
+    """``text`` in blocks of whole lines, as (first line number, block,
+    lines).  ``lines`` is ``None`` for a block that ``canonical`` accepts,
+    which must break lines at ``\\n`` only, and the block's lines otherwise."""
+    start, lineno = 0, 1
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        block = text[start:end]
+        if canonical(block):
+            yield lineno, block, None
+            lineno += block.count("\n")
+        else:
+            lines = block.splitlines()
+            yield lineno, block, lines
+            lineno += len(lines)
+        start = end
+
+
 # --- SPMF format --------------------------------------------------------------
 
+#: a canonical SPMF line, as ``to_spmf`` writes it: single-item itemsets of
+#: ASCII digits without a leading zero, closed by ``-2`` and one newline
+_SPMF_LINE = re.compile(r"(?:(?!0[0-9])[0-9]+ -1 )+-2\n")
+
+
+def _spmf_canonical(block: str) -> bool:
+    """Whether ``block`` is nothing but canonical SPMF lines.
+
+    Each line is matched on its own, from its start, and the first line
+    that fails ends the check.  So the regex engine's stack holds one line:
+    one match over a whole block grows it by about 28 bytes per character
+    (465 kB traced for a 16 kB block), and over a whole text by megabytes,
+    which the process keeps as RSS.  And a failing line is tried once: an
+    unanchored search tries it again from each of its digits, quadratic in
+    its length."""
+    start, match = 0, _SPMF_LINE.match
+    while start < len(block):
+        line = match(block, start)
+        if line is None:
+            return False
+        start = line.end()
+    return True
+
+
 def parse_spmf(text: str) -> AttributedDatabase:
-    """Parse SPMF sequence lines into an attribute-free database."""
+    """Parse SPMF sequence lines into an attribute-free database.
+
+    A canonical block (``_spmf_canonical``) is rewritten into nested JSON
+    arrays, ``" -1 -2\\n"`` closing a sequence and ``" -1 "`` separating
+    items, and converted by one ``json.loads``.  Any other block, or one
+    that ``json.loads`` rejects (a value of more than 4,300 digits), is read
+    by ``_spmf_lines``, which gives every value and every line-numbered
+    error.
+    """
     sequences: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, block, lines in _blocks(text, _spmf_canonical):
+        if lines is None:
+            nested = block.replace(" -1 -2\n", "],[").replace(" -1 ", ",")
+            try:
+                sequences += map(tuple, json.loads("[[" + nested[:-2] + "]"))
+                continue
+            except ValueError:
+                lines = block.splitlines()
+        sequences += _spmf_lines(lines, lineno)
+    return AttributedDatabase(sequences)
+
+
+def _spmf_lines(lines: list[str], lineno: int) -> list[tuple[int, ...]]:
+    """The item tuples of SPMF ``lines``, the first numbered ``lineno``;
+    blank lines are skipped, and the first malformed line raises its
+    error."""
+    sequences: list[tuple[int, ...]] = []
+    for lineno, raw in enumerate(lines, start=lineno):
         if not raw.strip():
             continue
         tokens = []
@@ -214,7 +300,7 @@ def parse_spmf(text: str) -> AttributedDatabase:
         if not items:
             raise SpmfFormatError("sequence without events", lineno)
         sequences.append(tuple(items))
-    return AttributedDatabase(sequences)
+    return sequences
 
 
 def to_spmf(db: AttributedDatabase) -> str:
@@ -254,10 +340,23 @@ def _keys(lengths: list[int]) -> tuple[array, array]:
 
 
 def _in_key_order(table: AttributeTable, lengths: list[int]) -> bool:
-    """Whether the table holds one row per event, in (sid, pos) order; the
-    expected key arrays die on return, before any tuple is cut."""
-    sid, pos = _keys(lengths)
-    return table.sid == sid and table.pos == pos
+    """Whether the table holds one row per event, in (sid, pos) order.
+
+    ``array('q')`` key columns are compared by their bytes, against byte
+    patterns joined per sequence: sid ``s`` repeated ``n`` times and the
+    positions ``1..n``, one pattern per distinct length ``n``.  No expected
+    key is built per event in Python, and the patterns die on return,
+    before any tuple is cut.  Any other key column answers ``False`` and
+    sends the table to the sort in ``attach_attributes``, which builds the
+    same database: a parsed list column holds a key outside 64 bits, so it
+    is never in key order."""
+    sid, pos = table.sid, table.pos
+    if not all(isinstance(c, array) and c.typecode == "q" for c in (sid, pos)):
+        return False
+    runs = {n: array("q", range(1, n + 1)).tobytes() for n in set(lengths)}
+    return (pos.tobytes() == b"".join(map(runs.__getitem__, lengths))
+            and sid.tobytes() == b"".join(
+                array("q", [s]).tobytes() * n for s, n in enumerate(lengths, start=1)))
 
 
 def _key_order(table: AttributeTable) -> list[int]:
@@ -284,25 +383,45 @@ def _column_name_problem(names: SequenceT[str]) -> str | None:
     return None
 
 
-#: characters of attribute-table text parsed at a time; a block's split
-#: lines are the parser's only transient copy of the text
-_BLOCK_CHARS = 1 << 14
+def _tsv_canonical(block: str) -> bool:
+    """Whether ``block`` holds nothing but ASCII digits, ``-``, tabs and
+    newlines.  A leading zero passes, and ``json.loads`` rejects it in
+    ``_block_fields``: a regex search for one took 18 ms over the
+    ``dense-index`` table, this check about 1 ms."""
+    return block.isascii() and not block.encode().translate(None, b"0123456789-\t\n")
 
 
-def _blocks(text: str):
-    """``text`` in blocks of whole lines, as (first line number, lines)."""
-    start, lineno = 0, 1
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        lines = text[start:end].splitlines()
-        yield lineno, lines
-        start, lineno = end, lineno + len(lines)
+def _block_fields(block: str, lines: list[str] | None, lineno: int, width: int) -> list:
+    """The integers of one block's rows, field by field.
+
+    A canonical block (``lines`` is ``None``) becomes one flat JSON array,
+    tabs turned into commas and each newline into a ``null`` that ends its
+    row, and is converted by one ``json.loads``.  The ``null`` markers must
+    sit at every ``(width + 1)``-th slot, so a row of another width cannot
+    pass; as every ``null`` is a newline and the last value is one, that
+    stride slice holding one ``null`` per row is enough.  Each field is a
+    stride slice too.  Any other block, or one that this rejects, is read
+    again line by line by ``_line_fields``.
+    """
+    if lines is None:
+        if not block.endswith("\n"):
+            block += "\n"
+        rows = block.count("\n")
+        flat = block.replace("\t", ",").replace("\n", ",null,")
+        try:
+            values = json.loads("[" + flat[:-1] + "]")
+        except ValueError:
+            values = []
+        if values[width::width + 1] == [None] * rows:
+            return [values[k::width + 1] for k in range(width)]
+        lines = block.splitlines()
+    return _line_fields(lines, lineno, width)
 
 
-def _block_fields(lines: list[str], lineno: int, width: int) -> list:
-    """The integers of one block's rows, field by field.  A block with a
-    blank or malformed row is read again line by line, so that the first
-    malformed line, numbered from ``lineno``, raises its error."""
+def _line_fields(lines: list[str], lineno: int, width: int) -> list:
+    """The integers of ``lines``, the first numbered ``lineno``, field by
+    field.  A block with a blank or malformed row is read again line by
+    line, so that the first malformed line raises its error."""
     rows = [line.split("\t") for line in lines]
     if set(map(len, rows)) == {width}:
         try:
@@ -338,14 +457,16 @@ def _extend(column: array | list[int], values: list[int]) -> array | list[int]:
 def parse_attribute_tsv(text: str) -> AttributeTable:
     """Parse a tab-separated attribute table into columns.
 
-    Lines are split at tabs only and read in blocks of about
-    ``_BLOCK_CHARS`` characters: a block's rows are transposed into fields,
-    and each field's integers extend its column.  Blank lines are skipped,
-    and every error names its file line.
+    Lines are split at tabs only.  A canonical block (``_tsv_canonical``)
+    after the header's is converted by ``_block_fields``; the header's block
+    and every other block are read by ``_line_fields``.  Each field's
+    integers extend its column.  Blank lines are skipped, and every error
+    names its file line.
     """
     width, fields = None, []
-    for lineno, lines in _blocks(text):
+    for lineno, block, lines in _blocks(text, _tsv_canonical):
         if width is None:  # the header is the first non-blank line
+            lines = block.splitlines() if lines is None else lines
             skip = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
             if skip == len(lines):
                 continue
@@ -358,7 +479,7 @@ def parse_attribute_tsv(text: str) -> AttributeTable:
             if problem:
                 raise SeqDbError(f"attribute table line {lineno}: {problem}")
             fields, lineno = [array("q") for _ in header], lineno + 1
-        for k, values in enumerate(_block_fields(lines, lineno, width)):
+        for k, values in enumerate(_block_fields(block, lines, lineno, width)):
             fields[k] = _extend(fields[k], values)
     if width is None:
         return AttributeTable((), array("q"), array("q"), [])

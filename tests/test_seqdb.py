@@ -1,11 +1,15 @@
 import gc
+import math
 import random
+import re
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mddmine import (
     AttributeTable,
@@ -19,6 +23,7 @@ from mddmine import (
     stats,
     to_spmf,
 )
+from mddmine import seqdb
 from mddmine.seqdb import (
     AttributedDatabase,
     AttributeCoverageError,
@@ -77,6 +82,37 @@ class TestParseSpmf:
         with pytest.raises(SpmfFormatError) as err:
             parse_spmf(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        # a lone carriage return breaks a line, in a block before the error
+        ("1 -1 -2\r" + "2 -1 -2\n" * 3000 + "x -1 -2\n", "line 3002: malformed token 'x'"),
+        ("1 -1 -2\n\n" + "2 -1 -2\n" * 3000 + "2 -1 3 -2\n",
+         "line 3003: itemset not closed by -1 before -2"),
+        ("2 -1 -2\n" * 3000 + " -1 -2\n", "line 3001: empty itemset"),
+    ])
+    def test_errors_past_the_first_block_name_the_file_line(self, text, message):
+        with pytest.raises(SpmfFormatError) as err:
+            parse_spmf(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("end", ["-2 \n", "-2\r\n", "-2", "-2 x\n"])
+    def test_a_long_noncanonical_line_costs_about_what_the_line_reader_does(self, end):
+        # a check that tried the line again from each of its digits would
+        # take about 10**8 steps here, seconds against the reader's milliseconds
+        text = "".join(f"{i % 1000} -1 " for i in range(4000)) + end
+
+        def fastest(parse):
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                result = outcome(parse, text)
+                best = min(best, time.perf_counter() - start)
+            return result, best
+
+        expected, reader = fastest(lambda t: AttributedDatabase(seqdb._spmf_lines(t.splitlines(), 1)))
+        got, parser = fastest(parse_spmf)
+        assert got == expected
+        assert parser <= 5 * reader + 0.05, (parser, reader)
 
     def test_item_universe(self):
         db = parse_spmf(CLICK_SPMF)
@@ -187,6 +223,9 @@ class TestAttachAttributes:
          "attribute row 6002 has 4 fields, expected 3"),
         ("sid\tpos\tt\n" + "1\t1\t5\n" * 6000 + " \t1\t5\n",
          "attribute row 6002: non-integer field"),
+        # a short row and a long one in one block keep its field count
+        ("sid\tpos\tt\n" + "1\t1\t5\n" * 3000 + "1\t2\n1\t3\t5\t6\n",
+         "attribute row 3002 has 2 fields, expected 3"),
     ])
     def test_errors_name_the_file_line_after_blank_lines(self, text, message):
         with pytest.raises(SeqDbError) as err:
@@ -217,6 +256,91 @@ def shuffled_tsv(text: str, seed: int) -> str:
     header, *rows = text.splitlines()
     random.Random(seed).shuffle(rows)
     return "\n".join([header, *rows]) + "\n"
+
+
+#: what a splice puts in place of one token, or of one run of whitespace:
+#: forms ``int`` reads that JSON does not (leading zeros, ``-0``, ``+5``,
+#: ``1_0``, an Arabic-Indic three), JSON values that are no integers, values
+#: past 64 bits and past the 4,300-digit conversion limit, negative and
+#: multi-item itemsets in SPMF, an empty field, and broken line structure
+SPLICED_TOKENS = ["007", "-0", "+5", "1_0", "1e3", "1.5", "true", "null", "NaN",
+                  "Infinity", "\u0663", str(2**63), str(2**70), "9" * 4301, "-3",
+                  "1 2", "7\t8", "-1", "-2", "0", ""]
+SPLICED_SEPARATORS = ["  ", "\t", " ", "\r\n", "\r", "\n\n", "\n \n", " \n", "\t\t", "\n", ""]
+
+
+@st.composite
+def spliced(draw, text: str, start: int) -> str:
+    """``text`` with up to three tokens or whitespace runs from offset
+    ``start`` on replaced by odd forms, perhaps without its final newline."""
+    spans = [(m.span(), SPLICED_TOKENS) for m in re.finditer(r"\S+", text)]
+    spans += [(m.span(), SPLICED_SEPARATORS) for m in re.finditer(r"\s+", text)]
+    spans = sorted((span, forms) for span, forms in spans if span[0] >= start)
+    picks = draw(st.sets(st.integers(0, len(spans) - 1), max_size=3)) if spans else ()
+    for (a, b), forms in map(spans.__getitem__, sorted(picks, reverse=True)):
+        text = text[:a] + draw(st.sampled_from(forms)) + text[b:]
+    return text.removesuffix("\n") if draw(st.booleans()) else text
+
+
+def outcome(parse, text):
+    """What ``parse`` returns for ``text``, or the type and message it raises."""
+    try:
+        return parse(text)
+    except SeqDbError as err:
+        return type(err), str(err)
+
+
+#: block sizes that put block boundaries inside small texts, and the real one
+BLOCK_CHARS = st.sampled_from([1, 16, 64, seqdb._BLOCK_CHARS])
+
+
+class TestBlockConversion:
+    """A block converted by ``json.loads`` reads as the line readers read it,
+    and any block they would read differently goes to them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.lists(st.lists(st.integers(0, 999), min_size=1, max_size=6),
+                               max_size=30), BLOCK_CHARS)
+    def test_spmf_equals_the_line_reader(self, data, item_lists, block_chars):
+        text = data.draw(spliced(to_spmf(make_database(item_lists)), 0))
+        expected = outcome(lambda t: AttributedDatabase(seqdb._spmf_lines(t.splitlines(), 1)),
+                           text)
+        with mock.patch.object(seqdb, "_BLOCK_CHARS", block_chars):
+            assert outcome(parse_spmf, text) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(0, 2), st.lists(st.integers(-10**6, 10**6), max_size=120),
+           BLOCK_CHARS)
+    def test_attribute_tsv_equals_the_line_reader(self, data, attrs, values, block_chars):
+        width = 2 + attrs
+        header = "\t".join(["sid", "pos", *(f"a{k}" for k in range(attrs))])
+        rows = [values[i:i + width] for i in range(0, len(values) - width + 1, width)]
+        text = "".join([header + "\n", *("\t".join(map(str, row)) + "\n" for row in rows)])
+        text = data.draw(spliced(text, len(header) + 1))
+
+        def columns(table):
+            return [list(c) for c in (table.sid, table.pos, *table.columns)]
+
+        def line_reader(t):
+            return [list(c) for c in seqdb._line_fields(t.splitlines()[1:], 2, width)
+                    or [()] * width]
+
+        expected = outcome(line_reader, text)
+        with mock.patch.object(seqdb, "_BLOCK_CHARS", block_chars):
+            got = outcome(parse_attribute_tsv, text)
+        assert (columns(got) if isinstance(got, AttributeTable) else got) == expected
+
+    def test_canonical_blocks_skip_the_line_readers(self):
+        base = generate_sessions(300, 60, seed=5)
+        spmf, tsv = to_spmf(base), format_attribute_tsv(generate_attributes(base, seed=5))
+        assert len(tsv) > 3 * seqdb._BLOCK_CHARS
+        with mock.patch.object(seqdb, "_spmf_lines", wraps=seqdb._spmf_lines) as items, \
+                mock.patch.object(seqdb, "_line_fields", wraps=seqdb._line_fields) as fields:
+            db = attach_attributes(parse_spmf(spmf), parse_attribute_tsv(tsv))
+            parse_attribute_tsv(tsv.removesuffix("\n"))
+        assert items.call_count == 0
+        assert fields.call_count == 2  # the blocks holding the header
+        assert db == attach_attributes(base, generate_attributes(base, seed=5))
 
 
 class TestWideValues:
@@ -343,19 +467,26 @@ class TestColumns:
         assert size <= 1.15 * payload, size / payload
 
 
-def test_parse_and_attach_peak_at_most_twice_the_attached_columns():
+@pytest.mark.parametrize("load, names", [
     # row tuples and a whole-file line list peaked at about 4x
+    (lambda base, spmf, tsv: attach_attributes(base, parse_attribute_tsv(tsv)),
+     ("time", "price", "quality")),
+    # a regex match over the whole text peaks at about 9x the items, and
+    # one over each block at 2.5x: the engine's stack grows with the match
+    (lambda base, spmf, tsv: parse_spmf(spmf), ()),
+], ids=["attributes", "spmf"])
+def test_parse_and_attach_peak_at_most_twice_the_attached_columns(load, names):
     base = generate_sessions(2000, 1000, seed=7)
-    tsv = format_attribute_tsv(generate_attributes(base, seed=7))
+    spmf, tsv = to_spmf(base), format_attribute_tsv(generate_attributes(base, seed=7))
     gc.collect()
     tracemalloc.start()
     try:
-        db = attach_attributes(base, parse_attribute_tsv(tsv))
+        db = load(base, spmf, tsv)
         gc.collect()
         attached, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert db.attribute_names == ("time", "price", "quality")
+    assert db.items == base.items and db.attribute_names == names
     assert peak <= 2 * attached, peak / attached
 
 
